@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .contact import TableSpec
 from .errors import DomainError
 from .geometry import diagonal_intersection_ratios
+from .roots import bracketed_root
 from .terrain import Extent
 
 _TWO_PI = 2.0 * math.pi
@@ -124,7 +124,8 @@ class BalanceAngles:
 
 
 def find_balance_angles(scan: HeightScan, tol_scale: float | None = None) -> BalanceAngles:
-    """All transversal roots of g over a full turn, bisected to 1e-12.
+    """All transversal roots of g over a full turn, each refined to 1e-12
+    with Brent's method inside the grid cell where g changes sign.
 
     A continuous periodic function with zero mean either vanishes
     identically (degenerate: the table rests at every angle) or crosses zero
@@ -150,22 +151,11 @@ def find_balance_angles(scan: HeightScan, tol_scale: float | None = None) -> Bal
             continue
         if a * b < 0.0:
             lo = float(thetas[i])
-            hi = lo + step
-            rising = a < 0.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = float(scan.g_at(mid))
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm < 0.0) == rising:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-12:
-                    break
-            roots.append(0.5 * (lo + hi) % _TWO_PI)
-            slopes.append(1 if rising else -1)
+            # the grid signs certify the cell
+            root = bracketed_root(lambda t: float(scan.g_at(t)), lo, lo + step,
+                                  f_lo=a, f_hi=b)
+            roots.append(root % _TWO_PI)
+            slopes.append(1 if a < 0.0 else -1)
         elif abs(a) < touch_tol:
             tangential.append(float(thetas[i]))
     return BalanceAngles(roots=tuple(roots), slopes=tuple(slopes),
@@ -354,6 +344,10 @@ class SphericalCapGround:
 
 def concyclicity_defect(points_xy: np.ndarray) -> float:
     """Max deviation of four planar points from their best-fit circle."""
+    # imported here, not at module level: scipy.optimize adds ~50 MB of
+    # resident memory, and only the sphere-cap fits use it
+    from scipy.optimize import least_squares
+
     p = np.asarray(points_xy, dtype=float)
     if p.shape != (4, 2):
         raise DomainError(f"need four planar points, got shape {p.shape}")
@@ -394,6 +388,8 @@ def sphere_cap_fit_scan(feet_xy: np.ndarray, cap: SphericalCapGround,
     seen. Concyclic feet reach machine zero; non-concyclic feet stay bounded
     away from it.
     """
+    from scipy.optimize import least_squares
+
     p = np.asarray(feet_xy, dtype=float)
     if p.shape != (4, 2):
         raise DomainError(f"need four planar feet, got shape {p.shape}")

@@ -91,18 +91,26 @@ def _write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
+def _parse_numbers(text: str, flag: str, form: str | None = None) -> list[float]:
+    """The comma-separated numbers given to `flag`. A non-number raises
+    UsageError; when `form` names the fields, a wrong count raises
+    DomainError."""
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+    if form is not None and len(values) != form.count(",") + 1:
+        raise DomainError(f"{flag} expects '{form}', got {text!r}")
+    return values
+
+
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError(f"{flag} expects 'X,Y', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    x, y = _parse_numbers(text, flag, "X,Y")
+    return x, y
 
 
 def _parse_extent(text: str) -> Extent:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise DomainError(f"--extent expects 'XMIN,XMAX,YMIN,YMAX', got {text!r}")
-    return Extent(*parts)
+    return Extent(*_parse_numbers(text, "--extent", "XMIN,XMAX,YMIN,YMAX"))
 
 
 def _load_terrain(path: str):
@@ -364,12 +372,14 @@ def _make_table(args) -> TableSpec:
     if args.circle is not None:
         if not args.angles:
             raise DomainError("--circle needs --angles A1,A2,A3,A4 (degrees)")
-        angles = [math.radians(float(a)) for a in args.angles.split(",")]
+        angles = [math.radians(a) for a in _parse_numbers(args.angles, "--angles")]
         return TableSpec.circle(args.circle, angles)
     return TableSpec.square(args.side)
 
 
 def _cmd_scan(args) -> int:
+    levels = ([math.radians(s) for s in _parse_numbers(args.study, "--study")]
+              if args.study else None)
     terrain = _load_terrain(args.terrain)
     table = _make_table(args)
     center = _parse_pair(args.center, "--center")
@@ -401,8 +411,7 @@ def _cmd_scan(args) -> int:
         print(f"  theta = {math.degrees(theta):9.4f} deg  "
               f"coplanarity = {cand.coplanarity_residual:.3e}  "
               f"distortion = {cand.distortion:.3e}")
-    if args.study:
-        levels = [math.radians(float(s)) for s in args.study.split(",")]
+    if levels:
         study = distortion_scaling_study(table, terrain, levels, center, args.n)
         print("scaling study:")
         for lv in study.levels:

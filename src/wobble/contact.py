@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolation, DomainError, GeometryViolation, NumericalFailure
-from .geometry import rotate_about_axis
+from .geometry import SlopeThresholds, rotate_about_axis
+from .roots import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
 
@@ -123,14 +124,6 @@ class FootSet:
         c = np.cross(self.p2 - self.p1, self.p3 - self.p2)
         return float(c[2]) > 0.0
 
-    def shifted_labels(self, shift: int) -> "FootSet":
-        """Cyclic relabeling (counterclockwise order preserved).
-
-        An odd shift swaps which diagonal pair carries the free foot, which
-        flips the sign of the free-foot height at a settled placement.
-        """
-        return FootSet(np.roll(self.points, -shift, axis=0))
-
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
 
@@ -194,7 +187,7 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
     cyclically before solving, which targets a different contact triple of
     the same physical table.
     """
-    if terrain.slope_bound >= math.pi / 4:
+    if terrain.slope_bound >= SlopeThresholds().half_circle_unique:
         raise ConditionViolation(
             f"settling needs terrain slope below 45.0000 deg, measured "
             f"{math.degrees(terrain.slope_bound):.4f} deg"
@@ -299,8 +292,8 @@ def drop_rotate(feet: FootSet, terrain, tol_scale: float | None = None,
     foot or, with allow_below, upward for a sunken one (the two cases are
     mirror images). The same rotation drags foot 1 along to the other side
     of the surface. The root is bracketed by a coarse angular scan, then
-    bisected until the landed foot's height falls under 1e-12 of the table
-    scale.
+    refined with Brent's method until the landed foot's height falls under
+    1e-12 of the table scale.
     """
     p1, p2, p3, p4 = feet.p1, feet.p2, feet.p3, feet.p4
     scale = tol_scale if tol_scale is not None else float(np.linalg.norm(p2 - p1))
@@ -323,31 +316,23 @@ def drop_rotate(feet: FootSet, terrain, tol_scale: float | None = None,
     probe = 1e-4
     sense = 1.0 if (height_at(probe) - h4) * sign0 < 0.0 else -1.0
     step = math.radians(1.0)
-    lo, hi = 0.0, None
+    lo, f_lo, hi = 0.0, None, None
     t = step
     while t <= math.pi + 1e-12:
         f = height_at(sense * t)
         if f * sign0 <= 0.0:
             hi = t
             break
-        lo = t
+        lo, f_lo = t, f
         t += step
     if hi is None:
         raise GeometryViolation(
             "drop rotation found no ground crossing within a half turn; "
             "the slope condition is likely violated"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = height_at(sense * mid)
-        if abs(fm) < 1e-12 * scale or (hi - lo) < 1e-15:
-            lo = hi = mid
-            break
-        if fm * sign0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    angle = sense * 0.5 * (lo + hi)
+    angle = sense * bracketed_root(lambda a: height_at(sense * a), lo, hi,
+                                   xtol=1e-15, ftol=1e-12 * scale,
+                                   f_lo=f_lo, f_hi=f)
     landed = rotate_about_axis(p4, p2, p3, angle)
     companion = rotate_about_axis(p1, p2, p3, angle)
     # rotation isometry: distances to both axis points must be preserved

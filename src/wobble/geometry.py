@@ -17,10 +17,6 @@ from .errors import CoplanarPoints, DomainError
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def vec(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([float(x), float(y), float(z)])
-
-
 def norm(v) -> float:
     v = np.asarray(v, dtype=float)
     return float(math.sqrt(float(np.dot(v, v))))
@@ -32,19 +28,6 @@ def unit(v) -> np.ndarray:
     if n == 0.0:
         raise DomainError("cannot normalize a zero vector")
     return v / n
-
-
-def azimuth_of(v) -> float:
-    """Horizontal azimuth of a vector, atan2(y, x), in (-pi, pi]."""
-    v = np.asarray(v, dtype=float)
-    if v[0] == 0.0 and v[1] == 0.0:
-        raise DomainError("azimuth undefined for a vertical vector")
-    return math.atan2(float(v[1]), float(v[0]))
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap to [0, 2*pi)."""
-    return a % (2.0 * math.pi)
 
 
 def inclination(p, q) -> float:

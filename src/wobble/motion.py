@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     GeometryViolation,
 )
-from .fastpath import circle_bisect_solver
 from .geometry import Sphere, sphere_through, thresholds_report, unit
 from .ring import (
     GroundRing,
@@ -42,8 +41,8 @@ from .ring import (
     circle_surface_intersection,
     flat_chord_azimuth_gap,
     trace_ring,
-    _bisect,
 )
+from .roots import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
 DEFAULT_STEP = math.radians(0.25)
@@ -357,13 +356,10 @@ def _half_circle_foot(terrain, pivot: np.ndarray, radius: float,
             f"vertical half-circle crosses the ground {cells.size} times; "
             f"uniqueness needs slope below 45 deg"
         )
-    lo, hi = float(_HALF_BETAS[cells[0]]), float(_HALF_BETAS[cells[0] + 1])
-    fast = circle_bisect_solver(terrain)
-    if fast is not None:
-        beta = fast((px, py, pz), (radius * ux, radius * uy, 0.0),
-                    (0.0, 0.0, radius), lo, hi, 1e-12)
-    else:
-        beta = _bisect(gap, lo, hi)
+    k = int(cells[0])
+    # the scanned signs certify the bracket
+    beta = bracketed_root(gap, float(_HALF_BETAS[k]), float(_HALF_BETAS[k + 1]),
+                          f_lo=float(vals[k]), f_hi=float(vals[k + 1]))
     c = math.cos(beta)
     return (np.array([px + radius * c * ux, py + radius * c * uy,
                       pz + radius * math.sin(beta)]), beta)
@@ -408,7 +404,7 @@ def _section_chord(terrain, anchor, direction_xy, u_from: float, chord: float,
         raise ConditionViolation(
             "multiple section-curve chord roots in the bracket"
         )
-    return _bisect(gap, lo, hi)
+    return bracketed_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
 
 
 def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
@@ -551,7 +547,12 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
 
 def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
     """First parameter where the free foot's height crosses zero, refined by
-    re-solving the full placement at bisected parameters."""
+    re-solving the full placement at parameters chosen by Brent's method.
+
+    The refined placement is the visited sample with the smallest |h4|. A
+    crossing whose far end already lies inside the contact band, with no
+    sign change, is not refined: its endpoint sample is the placement.
+    """
     tol = _contact_tolerance(trace.table)
     samples = trace.samples
     if not samples:
@@ -585,20 +586,18 @@ def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
     i0 = crossings[0]
     if trace.resolver is None:
         raise DomainError("trace has no resolver; cannot refine the crossing")
-    lo_p, hi_p = float(params[i0]), float(params[i0 + 1])
-    lo_h = float(h4[i0])
-    best = samples[i0] if abs(h4[i0]) < abs(h4[i0 + 1]) else samples[i0 + 1]
-    for _ in range(200):
-        mid = 0.5 * (lo_p + hi_p)
-        s = trace.resolver(mid)
-        if abs(s.contact.h4) < abs(best.contact.h4):
-            best = s
-        if abs(s.contact.h4) <= 0.1 * tol or (hi_p - lo_p) < 1e-15:
-            break
-        if (s.contact.h4 > 0.0) == (lo_h > 0.0):
-            lo_p = mid
-        else:
-            hi_p = mid
+    a, b = float(h4[i0]), float(h4[i0 + 1])
+    best = samples[i0] if abs(a) < abs(b) else samples[i0 + 1]
+    if (a > 0.0) != (b > 0.0):
+        def h4_at(param: float) -> float:
+            nonlocal best
+            s = trace.resolver(param)
+            if abs(s.contact.h4) < abs(best.contact.h4):
+                best = s
+            return s.contact.h4
+
+        bracketed_root(h4_at, float(params[i0]), float(params[i0 + 1]),
+                       xtol=1e-15, ftol=0.1 * tol, f_lo=a, f_hi=b)
     checks = verify_equilibrium(best.feet, trace.table, terrain)
     return EquilibriumResult(
         found=True, parameter=float(best.param), feet=best.feet,

@@ -3,10 +3,11 @@
 Under a terrain slope below 30 degrees the curve is a graph over the azimuth
 about the vertical axis through the sphere center: each vertical half-plane
 meets it exactly once, so every point is a 1-D root in latitude. The trace
-keeps a cached polyline for warm starts; all root finding is bracketed
-bisection, with a 1-degree sign scan ahead of each fresh bracket so that a
-breach of the uniqueness conditions surfaces as an error instead of a wrong
-answer.
+keeps a cached polyline for warm starts. Every root is refined inside a
+certified bracket: a 1-degree sign scan ahead of each fresh bracket makes a
+breach of the uniqueness conditions surface as an error instead of a wrong
+answer, and Brent's method (roots.bracketed_root) refines the one crossing
+the scan admits; the trace itself bisects all azimuths at once.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlockedMotion, ConditionViolation, DomainError, GeometryViolation
-from .fastpath import circle_bisect_solver
-from .geometry import Sphere, unit
+from .geometry import SlopeThresholds, Sphere, unit
+from .roots import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
 _DEG = math.radians(1.0)
-_BISECT_TOL = 1e-12
+_SLOPES = SlopeThresholds()
 _CIRCLE_TS = np.linspace(-math.pi, math.pi, 361)
 _CIRCLE_COS = np.cos(_CIRCLE_TS)
 _CIRCLE_SIN = np.sin(_CIRCLE_TS)
@@ -34,32 +35,15 @@ def _scan_brackets(values: np.ndarray) -> list[int]:
     return [int(i) for i in np.nonzero(s[:-1] != s[1:])[0]]
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
-    f_lo = fn(lo)
-    if f_lo == 0.0:
-        return lo
-    rising = f_lo < 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == rising:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def ring_point(sphere: Sphere, terrain, azimuth: float,
                enforce_slope: bool = True) -> tuple[np.ndarray, float]:
     """Point of the sphere/ground curve in the vertical half-plane at
     `azimuth`, with its latitude. Scans latitude at 1 degree, requires a
-    single crossing, then bisects.
+    single crossing, then refines it with Brent's method.
     """
     if enforce_slope:
         slope = terrain.slope_bound
-        if slope >= math.pi / 6.0:
+        if slope >= _SLOPES.no_double_point:
             raise ConditionViolation(
                 f"curve tracing needs terrain slope below 30.0000 deg for a "
                 f"unique azimuth graph, measured {math.degrees(slope):.4f} deg"
@@ -87,8 +71,9 @@ def ring_point(sphere: Sphere, terrain, azimuth: float,
             f"curve crosses this half-plane {len(cells)} times; the "
             f"no-double-point condition (slope < 30 deg) is violated"
         )
-    lo, hi = float(lams[cells[0]]), float(lams[cells[0] + 1])
-    lam = _bisect(height_gap, lo, hi)
+    c = cells[0]
+    lam = bracketed_root(height_gap, float(lams[c]), float(lams[c + 1]),
+                         f_lo=float(gaps[c]), f_hi=float(gaps[c + 1]))
     cl = math.cos(lam)
     point = np.array([ox + r * cl * cphi, oy + r * cl * sphi, oz + r * math.sin(lam)])
     return point, lam
@@ -112,12 +97,6 @@ class GroundRing:
     latitude_bound: float
     closed: bool
     warnings: list[str] = field(default_factory=list)
-    _fast: object = field(default=None, repr=False, compare=False)
-
-    def fast_solver(self):
-        if self._fast is None:
-            self._fast = circle_bisect_solver(self.terrain) or False
-        return self._fast or None
 
     @property
     def max_abs_latitude(self) -> float:
@@ -175,7 +154,8 @@ class GroundRing:
         lo = max(hint - width, -math.pi / 2.0)
         hi = min(hint + width, math.pi / 2.0)
         for _ in range(10):
-            if height_gap(lo) < 0.0 < height_gap(hi):
+            g_lo, g_hi = height_gap(lo), height_gap(hi)
+            if g_lo < 0.0 < g_hi:
                 break
             width *= 3.0
             lo = max(hint - width, -math.pi / 2.0)
@@ -185,12 +165,7 @@ class GroundRing:
             point, lam = ring_point(self.sphere, self.terrain, azimuth,
                                     enforce_slope=False)
             return point, lam, abs(height_gap(lam))
-        fast = self.fast_solver()
-        if fast is not None:
-            lam = fast((ox, oy, oz), (r * cphi, r * sphi, 0.0), (0.0, 0.0, r),
-                       lo, hi, _BISECT_TOL)
-        else:
-            lam = _bisect(height_gap, lo, hi)
+        lam = bracketed_root(height_gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
         cl = math.cos(lam)
         point = np.array([ox + r * cl * cphi, oy + r * cl * sphi, oz + r * math.sin(lam)])
         return point, lam, abs(height_gap(lam))
@@ -213,7 +188,7 @@ def trace_ring(sphere: Sphere, terrain, step: float,
     if step <= 0:
         raise DomainError(f"trace step must be positive, got {step}")
     slope = terrain.slope_bound
-    if slope >= math.pi / 6.0:
+    if slope >= _SLOPES.no_double_point:
         msg = (f"curve tracing needs terrain slope below 30.0000 deg, "
                f"measured {math.degrees(slope):.4f} deg")
         if enforce:
@@ -331,15 +306,13 @@ def trace_ring(sphere: Sphere, terrain, step: float,
 
 
 def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
-                  chord: float, hint_azimuth: float,
-                  bracket_step: float | None = None):
+                  chord: float, hint_azimuth: float):
     """Next curve point at straight-line distance `chord`, ahead in azimuth.
 
     The root is isolated in a bracket of width at most 4 steps around the
     hint; no crossing there means the motion is blocked, more than one means
     the uniqueness-by-continuity assumption failed.
     """
-    step = bracket_step if bracket_step is not None else ring.step
     fx, fy, fz = float(from_point[0]), float(from_point[1]), float(from_point[2])
     last_lat: list[tuple[float, float] | None] = [None]
 
@@ -351,8 +324,8 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
         dz = float(pt[2]) - fz
         return math.sqrt(dx * dx + dy * dy + dz * dz) - chord
 
-    lo = max(hint_azimuth - 2.0 * step, from_azimuth + 1e-12)
-    hi = hint_azimuth + 2.0 * step
+    lo = max(hint_azimuth - 2.0 * ring.step, from_azimuth + 1e-12)
+    hi = hint_azimuth + 2.0 * ring.step
     g_lo, g_hi = gap(lo), gap(hi)
     if not (g_lo < 0.0 < g_hi):
         raise BlockedMotion(
@@ -371,7 +344,7 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
             "multiple chord roots detected in the continuation bracket; "
             "uniqueness-by-continuity failed"
         )
-    phi2 = _bisect(gap, lo, hi)
+    phi2 = bracketed_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
     point, lam, resid = ring.point_at(phi2)
     if phi2 <= from_azimuth:
         raise BlockedMotion("chord advance did not move forward in azimuth")
@@ -396,7 +369,7 @@ def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,
     """
     if enforce_slope:
         slope = terrain.slope_bound
-        if slope >= math.atan(1.0 / math.sqrt(2.0)):
+        if slope >= _SLOPES.legs_clear:
             raise ConditionViolation(
                 f"circle/ground intersection needs slope below 35.2644 deg, "
                 f"measured {math.degrees(slope):.4f} deg"
@@ -435,15 +408,12 @@ def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,
             "violated"
         )
     want_positive = side > 0
-    fast = circle_bisect_solver(terrain)
     for i in cells:
         mid = 0.5 * float(_CIRCLE_TS[i] + _CIRCLE_TS[i + 1])
         if (math.sin(mid) > 0.0) == want_positive:
-            lo, hi = float(_CIRCLE_TS[i]), float(_CIRCLE_TS[i + 1])
-            if fast is not None:
-                t_root = fast(c, radius * e_v, radius * e_h, lo, hi, _BISECT_TOL)
-            else:
-                t_root = _bisect(gap, lo, hi)
+            # the scanned signs certify the bracket
+            t_root = bracketed_root(gap, float(_CIRCLE_TS[i]), float(_CIRCLE_TS[i + 1]),
+                                    f_lo=float(gaps[i]), f_hi=float(gaps[i + 1]))
             ct, st = math.cos(t_root), math.sin(t_root)
             return c + radius * (ct * e_v + st * e_h)
     raise GeometryViolation(

@@ -47,9 +47,6 @@ class Extent:
     def height(self) -> float:
         return self.ymax - self.ymin
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
     def contains_disc(self, cx: float, cy: float, r: float) -> bool:
         return (
             cx - r >= self.xmin
@@ -98,20 +95,11 @@ class BumpTerrain:
             if not all(math.isfinite(v) for v in b):
                 raise ValidationError(f"bump has non-finite field: {b}")
         self.extent = extent
-        # flat per-bump constants for the scalar fast path and vector loops
-        self._cx = [b.cx for b in self.bumps]
-        self._cy = [b.cy for b in self.bumps]
-        self._amp = [b.amplitude for b in self.bumps]
-        self._inv_s2 = [1.0 / (b.sigma * b.sigma) for b in self.bumps]
+        # per-bump (cx, cy, amplitude, -1 / (2 sigma^2)); 1 / sigma^2 is
+        # exactly -2 times the last entry
         self._packed = tuple(
             (b.cx, b.cy, b.amplitude, -0.5 / (b.sigma * b.sigma)) for b in self.bumps
         )
-        self.kernel_arrays = (
-            np.array(self._cx), np.array(self._cy), np.array(self._amp),
-            np.array([p[3] for p in self._packed]),
-        )
-        for a in self.kernel_arrays:
-            a.setflags(write=False)
         self._slope_cache: float | None = None
 
     def height(self, x, y):
@@ -134,10 +122,10 @@ class BumpTerrain:
         # accumulate bump by bump: far fewer large temporaries than one
         # (points x bumps) broadcast
         z = np.zeros(np.broadcast(x, y).shape)
-        for k in range(len(self._amp)):
-            dx = x - self._cx[k]
-            dy = y - self._cy[k]
-            z += self._amp[k] * np.exp((dx * dx + dy * dy) * (-0.5 * self._inv_s2[k]))
+        for cx, cy, amp, neg_half_inv in self._packed:
+            dx = x - cx
+            dy = y - cy
+            z += amp * np.exp((dx * dx + dy * dy) * neg_half_inv)
         return z
 
     def gradient(self, x, y):
@@ -149,11 +137,10 @@ class BumpTerrain:
             shape = np.broadcast(x, y).shape
             gx = np.zeros(shape)
             gy = np.zeros(shape)
-            for k in range(len(self._amp)):
-                dx = x - self._cx[k]
-                dy = y - self._cy[k]
-                inv = self._inv_s2[k]
-                w = (self._amp[k] * inv) * np.exp((dx * dx + dy * dy) * (-0.5 * inv))
+            for cx, cy, amp, neg_half_inv in self._packed:
+                dx = x - cx
+                dy = y - cy
+                w = (amp * (-2.0 * neg_half_inv)) * np.exp((dx * dx + dy * dy) * neg_half_inv)
                 gx -= w * dx
                 gy -= w * dy
             return gx, gy
@@ -162,12 +149,13 @@ class BumpTerrain:
             e.require_inside(x, y)
         gx = 0.0
         gy = 0.0
-        for k in range(len(self._amp)):
-            dx = x - self._cx[k]
-            dy = y - self._cy[k]
-            w = self._amp[k] * math.exp(-0.5 * (dx * dx + dy * dy) * self._inv_s2[k])
-            gx -= w * dx * self._inv_s2[k]
-            gy -= w * dy * self._inv_s2[k]
+        for cx, cy, amp, neg_half_inv in self._packed:
+            inv = -2.0 * neg_half_inv
+            dx = x - cx
+            dy = y - cy
+            w = amp * math.exp(-0.5 * (dx * dx + dy * dy) * inv)
+            gx -= w * dx * inv
+            gy -= w * dy * inv
         return gx, gy
 
     @property

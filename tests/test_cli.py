@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import wobble
-from wobble.cli import EXIT_USAGE, main, worker_count
-from wobble.terrain import parse_terrain
+from wobble.cli import EXIT_FAILURE, EXIT_USAGE, main, worker_count
+from wobble.terrain import flat_terrain, parse_terrain, serialize_terrain
 
 # The directory that holds the imported package, absolute, so the child
 # finds the same `wobble` whatever its cwd and however PYTHONPATH was given.
@@ -201,4 +201,28 @@ def test_non_integer_worker_setting_is_usage_error(monkeypatch, tmp_path,
     assert main(["montecarlo", "--n", "1", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "wobble: error: WOBBLE_THREADS must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-terrain", "--seed", "1", "--theta", "10", "--extent", "a,b,c,d"],
+    ["solve", "--center", "a,0"],
+    ["scan", "--circle", "1", "--angles", "0,60,x,180"],
+    ["scan", "--study", "5,ten"],
+])
+def test_non_numeric_flag_is_usage_error(args, tmp_path, capsys):
+    terrain = tmp_path / "flat.json"
+    terrain.write_text(serialize_terrain(flat_terrain()))
+    out = tmp_path / "out"
+    if args[0] != "gen-terrain":
+        args = [*args, "--terrain", str(terrain)]
+    assert main([*args, "--out", str(out)]) == EXIT_USAGE
+    assert "expects comma-separated numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wrong_count_of_numbers_is_domain_error(tmp_path):
+    out = tmp_path / "t.json"
+    assert main(["gen-terrain", "--seed", "1", "--theta", "10",
+                 "--extent", "1,2,3", "--out", str(out)]) == EXIT_FAILURE
     assert not out.exists()
