@@ -5,6 +5,13 @@ end with feet 1 and 2 on the original positions of feet 2 and 3. Along the
 way the free foot's signed height changes sign, so the intermediate value
 theorem hands us a placement with all four feet grounded.
 
+Both motions run on one driver and differ only in their path: `_start`
+gates the slope, checks the workspace, settles and drops the free foot;
+`_record` flags each sample and `_check_endpoints` checks that the path ends
+one labeling further; `_breach` raises each condition breach, or records it
+as a warning under override. Each motion's sample loop and its resolver
+place the table through the same function.
+
 Motion "march" follows the curve where the circumsphere of the settled feet
 and the dropped free foot meets the ground, certified up to a 14.47 deg
 slope. Motion "pivot_slide" rotates the leading edge about foot 2, then
@@ -14,7 +21,7 @@ slides it within a vertical plane onto edge 2-3, certified up to 35.264 deg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,17 +41,17 @@ from .errors import (
     DomainError,
     GeometryViolation,
 )
-from .geometry import Sphere, sphere_through, thresholds_report, unit
+from .geometry import SlopeThresholds, Sphere, sphere_through, unit
 from .ring import (
     GroundRing,
     chord_advance,
     circle_surface_intersection,
-    flat_chord_azimuth_gap,
     trace_ring,
 )
 from .roots import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
+_SLOPES = SlopeThresholds()
 DEFAULT_STEP = math.radians(0.25)
 
 
@@ -132,50 +139,128 @@ def _contact_tolerance(table: TableSpec) -> float:
     return 1e-9 * table.char_length
 
 
-def _workspace_check(terrain, center_xy, reach: float) -> None:
+# motion kind -> (name, slope limit, name of the limit); the march limit
+# admits the certified bound plus 1e-12
+_GATES = {
+    "march": ("marching", _SLOPES.monotone_march + 1e-12, "monotone-march"),
+    "pivot_slide": ("pivot-slide", _SLOPES.legs_clear, "pivot-slide"),
+}
+
+
+def _breach(trace: MotionTrace, error: type, msg: str,
+            warning: str | None = None) -> None:
+    """Raise `error(msg)`, or under override record the breach as a warning
+    (`warning` when given, else `msg`) and carry on."""
+    if not trace.override:
+        raise error(msg)
+    trace.warnings.append(msg if warning is None else warning)
+
+
+def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
+           step: float, override: bool) -> tuple[MotionTrace, float]:
+    """Gate the slope, check the workspace, settle and drop the free foot.
+
+    Settling prefers a labeling whose free foot starts on or above the
+    ground (an odd relabel usually swaps the rocking diagonal), but accepts
+    a below-ground start: the motion argument is symmetric in the sign.
+    Returns the trace and the free foot's starting height; a start with all
+    four feet down gets one settled sample and no drop."""
+    name, limit, limit_name = _GATES[kind]
+    if table.kind != "square":
+        raise DomainError(f"the {name} motion is defined for square tables")
+    slope = terrain.slope_bound
+    trace = MotionTrace(kind=kind, table=table, terrain=terrain, samples=[],
+                        start_feet=None,
+                        center_xy=(float(center_xy[0]), float(center_xy[1])),
+                        yaw=yaw, step=step, override=override, slope_bound=slope)
+    if slope >= limit:
+        _breach(trace, ConditionViolation,
+                f"terrain slope {math.degrees(slope):.4f} deg exceeds the "
+                f"{limit_name} limit {math.degrees(limit):.4f} deg")
+    reach = 4.0 * table.side
     if not terrain.extent.contains_disc(float(center_xy[0]), float(center_xy[1]), reach):
         raise DomainError(
             f"workspace of radius {reach} around ({center_xy[0]}, {center_xy[1]}) "
             f"does not fit inside the terrain extent with the required margin"
         )
+    tol = _contact_tolerance(table)
+    feet0 = settle_three_feet(table, terrain, center_xy, yaw)
+    state0 = signed_heights(feet0, terrain, tolerance=tol)
+    if state0.h4 < -tol:
+        feet1 = settle_three_feet(table, terrain, center_xy, yaw + math.pi / 2.0,
+                                  label_shift=1)
+        state1 = signed_heights(feet1, terrain, tolerance=tol)
+        if state1.h4 >= -tol:
+            feet0, state0 = feet1, state1
+            trace.relabeled = True
+    trace.start_feet = feet0
+    if abs(state0.h4) <= tol:
+        trace.degenerate_start = True
+        trace.samples.append(MotionSample(param=0.0, feet=feet0, contact=state0,
+                                          stage="settled"))
+    else:
+        trace.drop = drop_rotate(feet0, terrain, tol_scale=table.side, allow_below=True)
+    return trace, state0.h4
 
 
-def _settle_start(table: TableSpec, terrain, center_xy, yaw: float, tol: float):
-    """Settle; prefer a labeling whose free foot starts on or above the
-    ground (an odd relabel usually swaps the rocking diagonal), but accept a
-    below-ground start: the motion argument is symmetric in the sign."""
-    feet = settle_three_feet(table, terrain, center_xy, yaw)
-    state = signed_heights(feet, terrain, tolerance=tol)
-    if state.h4 >= -tol:
-        return feet, state, False
-    feet2 = settle_three_feet(table, terrain, center_xy, yaw + math.pi / 2.0,
-                              label_shift=1)
-    state2 = signed_heights(feet2, terrain, tolerance=tol)
-    if state2.h4 >= -tol:
-        return feet2, state2, True
-    return feet, state, False
+def _record(trace: MotionTrace, i: int, sample: MotionSample, where: str,
+            own_flags=()) -> None:
+    """Flag sample i (contact, rigidity, the motion's own flags, continuity
+    with the sample before), raise or warn on any flag, and append it."""
+    table = trace.table
+    side = table.side
+    flags = []
+    if max(abs(h) for h in sample.contact.heights[:3]) > _contact_tolerance(table):
+        flags.append("contact")
+    if sample.feet.rigidity_residual(table) > 1e-9 * side:
+        flags.append("rigidity")
+    flags.extend(own_flags)
+    if trace.samples and abs(sample.contact.h4 - trace.samples[-1].contact.h4) > 0.2 * side:
+        flags.append("continuity")
+    if flags:
+        _breach(trace, ConditionViolation,
+                f"{trace.kind.replace('_', '-')} sample {i} {where} failed "
+                f"checks {flags}",
+                f"sample {i} ({sample.stage}): {','.join(flags)}")
+        sample = replace(sample, flags=tuple(flags))
+    trace.samples.append(sample)
 
 
-def _march_sample(ring: GroundRing, terrain, table: TableSpec, phi: float,
-                  hint_gap: float, tol: float):
-    """One placement of the marching square: foot 1 on the curve at azimuth
-    phi, foot 2 a chord ahead, foot 3 by the orthogonal foot circle, foot 4
-    closed by the parallelogram rule."""
+def _check_endpoints(trace: MotionTrace) -> None:
+    """The first sample is the settled start; the last puts feet 1, 2 and 3
+    on the start feet 2 and 3 and on the dropped free foot."""
+    feet0 = trace.start_feet
+    first = trace.samples[0].feet
+    last = trace.samples[-1].feet
+    pairs = ((last.p1, feet0.p2), (last.p2, feet0.p3),
+             (last.p3, trace.drop.landed), (first.points, feet0.points))
+    checks = [float(np.linalg.norm(a - b)) for a, b in pairs]
+    if max(checks) > 1e-9 * trace.table.side:
+        _breach(trace, GeometryViolation,
+                f"endpoint identity violated: residuals {['%.2e' % c for c in checks]}")
+
+
+def _march_sample(ring: GroundRing, table: TableSpec, param: float, phi: float,
+                  hint_gap: float) -> MotionSample:
+    """The marching square at azimuth phi (march parameter `param`): foot 1
+    on the curve, foot 2 a chord ahead, foot 3 by the orthogonal foot circle,
+    foot 4 closed by the parallelogram rule."""
+    terrain = ring.terrain
     side = table.side
     p1, lat1, res1 = ring.point_at(phi)
     p2, phi2, lat2, res2 = chord_advance(ring, p1, phi, side, phi + hint_gap)
     p3 = circle_surface_intersection(p2, unit(p2 - p1), side, terrain, side=1,
                                      enforce_slope=False)
-    p4 = complete_fourth_foot(p1, p2, p3)
-    feet = FootSet(np.array([p1, p2, p3, p4]))
-    contact = signed_heights(feet, terrain, tolerance=tol)
+    feet = FootSet(np.array([p1, p2, p3, complete_fourth_foot(p1, p2, p3)]))
     sph = ring.sphere
-    sres = max(
-        abs(float(np.linalg.norm(p - sph.center)) - sph.radius) for p in (p1, p2)
-    )
+    sres = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
+               for p in (p1, p2))
     surf = max(res1, res2,
                abs(float(p3[2]) - terrain.height(float(p3[0]), float(p3[1]))))
-    return feet, contact, phi2, lat1, lat2, sres, surf
+    contact = signed_heights(feet, terrain, tolerance=_contact_tolerance(table))
+    return MotionSample(param=param, feet=feet, contact=contact, stage="march",
+                        azimuth2=phi2, latitude1=lat1, latitude2=lat2,
+                        sphere_residual=sres, surface_residual=surf)
 
 
 def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
@@ -184,51 +269,22 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     starting azimuth of foot 2. Certified for slopes up to 14.47 deg; the
     override flag demotes condition breaches to recorded warnings.
     """
-    if table.kind != "square":
-        raise DomainError("the marching motion is defined for square tables")
-    thresholds = thresholds_report()
-    slope = terrain.slope_bound
-    warnings: list[str] = []
-    if slope > thresholds.monotone_march + 1e-12:
-        msg = (f"terrain slope {math.degrees(slope):.4f} deg exceeds the "
-               f"monotone-march limit {thresholds.monotone_march_deg:.4f} deg")
-        if not override:
-            raise ConditionViolation(msg)
-        warnings.append(msg)
-    side = table.side
-    _workspace_check(terrain, center_xy, 4.0 * side)
-    tol = _contact_tolerance(table)
-
-    feet0, state0, relabeled = _settle_start(table, terrain, center_xy, yaw, tol)
-    trace = MotionTrace(kind="march", table=table, terrain=terrain, samples=[],
-                        start_feet=feet0, center_xy=(float(center_xy[0]), float(center_xy[1])),
-                        yaw=yaw, step=step, override=override, slope_bound=slope,
-                        relabeled=relabeled, warnings=warnings)
-    if abs(state0.h4) <= tol:
-        trace.degenerate_start = True
-        trace.samples.append(MotionSample(param=0.0, feet=feet0, contact=state0,
-                                          stage="settled"))
+    trace, h4 = _start("march", table, terrain, center_xy, yaw, step, override)
+    if trace.degenerate_start:
         return trace
-
-    start_sign = 1.0 if state0.h4 > 0.0 else -1.0
-    drop = drop_rotate(feet0, terrain, tol_scale=side, allow_below=True)
-    trace.drop = drop
-    if drop.companion_height * start_sign > tol:
-        msg = (f"dragged foot ended on the free foot's starting side "
-               f"(h = {drop.companion_height:.3e}) after the drop rotation; "
-               f"slope condition breach")
-        if not override:
-            raise ConditionViolation(msg)
-        warnings.append(msg)
+    side = table.side
+    feet0, drop = trace.start_feet, trace.drop
+    if drop.companion_height * (1.0 if h4 > 0.0 else -1.0) > _contact_tolerance(table):
+        _breach(trace, ConditionViolation,
+                f"dragged foot ended on the free foot's starting side "
+                f"(h = {drop.companion_height:.3e}) after the drop rotation; "
+                f"slope condition breach")
     sphere = sphere_through(feet0.p1, feet0.p2, feet0.p3, drop.landed)
     trace.sphere = sphere
     ratio = sphere.radius / side
     if not (1.0 / math.sqrt(2.0) < ratio < math.sqrt(3.0) / 2.0):
-        msg = (f"sphere radius ratio R/L = {ratio:.6f} outside "
-               f"(1/sqrt2, sqrt3/2)")
-        if not override:
-            raise ConditionViolation(msg)
-        warnings.append(msg)
+        _breach(trace, ConditionViolation,
+                f"sphere radius ratio R/L = {ratio:.6f} outside (1/sqrt2, sqrt3/2)")
 
     def azimuth_about_center(p) -> float:
         return math.atan2(float(p[1] - sphere.center[1]),
@@ -246,67 +302,28 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     # the march only visits this azimuth arc (foot 1 from its start to foot
     # 2's start, foot 2 one chord further), padded for bracketing
     arc = (phi_start - 4.0 * step, phi_start + gap12 + gap23 + 6.0 * step)
+    slope = trace.slope_bound
     ring = trace_ring(sphere, terrain, step, chord_length=side,
                       latitude_bound=2.0 * slope if slope > 0 else 1e-12,
                       arc=arc, enforce=not override)
-    warnings.extend(ring.warnings)
+    trace.warnings.extend(ring.warnings)
     trace.ring = ring
 
     n = max(1, int(math.ceil(gap12 / step)))
-    hint_gap = gap12  # we know where foot 2 sits; later samples reuse the last gap
-
-    def solve_at(phi: float, gap_hint: float):
-        return _march_sample(ring, terrain, table, phi, gap_hint, tol)
-
-    prev_gap = hint_gap
-    prev_h4 = None
-    prev_phi2 = None
+    # we know where foot 2 sits; later samples reuse the last gap
+    hint_gap = gap12
     for i in range(n + 1):
         phi = phi_start + gap12 * i / n
-        feet, contact, phi2, lat1, lat2, sres, surf = solve_at(phi, prev_gap)
-        prev_gap = phi2 - phi
-        flags = []
-        if max(abs(h) for h in contact.heights[:3]) > tol:
-            flags.append("contact")
-        rig = feet.rigidity_residual(table)
-        if rig > 1e-9 * side:
-            flags.append("rigidity")
-        lat_cap = ring.latitude_bound
-        if max(abs(lat1), abs(lat2)) >= lat_cap and max(abs(lat1), abs(lat2)) > 1e-12:
-            flags.append("latitude")
-        if prev_phi2 is not None and phi2 <= prev_phi2:
-            flags.append("monotone")
-        if prev_h4 is not None and abs(contact.h4 - prev_h4) > 0.2 * side:
-            flags.append("continuity")
-        if flags and not override:
-            raise ConditionViolation(
-                f"march sample {i} failed checks {flags} at azimuth "
-                f"{math.degrees(phi):.4f} deg"
-            )
-        if flags:
-            warnings.append(f"sample {i}: {','.join(flags)}")
-        trace.samples.append(MotionSample(
-            param=phi - phi_start, feet=feet, contact=contact, stage="march",
-            azimuth2=phi2, latitude1=lat1, latitude2=lat2,
-            sphere_residual=sres, surface_residual=surf,
-            flags=tuple(flags)))
-        prev_h4 = contact.h4
-        prev_phi2 = phi2
-
-    first = trace.samples[0].feet
-    last = trace.samples[-1].feet
-    checks = (
-        float(np.linalg.norm(first.p1 - feet0.p1)),
-        float(np.linalg.norm(first.p2 - feet0.p2)),
-        float(np.linalg.norm(last.p1 - feet0.p2)),
-        float(np.linalg.norm(last.p2 - feet0.p3)),
-        float(np.linalg.norm(last.p3 - drop.landed)),
-    )
-    if max(checks) > 1e-9 * side:
-        msg = f"endpoint identity violated: residuals {['%.2e' % c for c in checks]}"
-        if not override:
-            raise GeometryViolation(msg)
-        warnings.append(msg)
+        s = _march_sample(ring, table, phi - phi_start, phi, hint_gap)
+        hint_gap = s.azimuth2 - phi
+        own = []
+        lat = max(abs(s.latitude1), abs(s.latitude2))
+        if lat >= ring.latitude_bound and lat > 1e-12:
+            own.append("latitude")
+        if trace.samples and s.azimuth2 <= trace.samples[-1].azimuth2:
+            own.append("monotone")
+        _record(trace, i, s, f"at azimuth {math.degrees(phi):.4f} deg", own)
+    _check_endpoints(trace)
 
     sample_params = trace.params
     sample_phi2 = np.array([s.azimuth2 for s in trace.samples])
@@ -314,11 +331,7 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     def resolver(param: float) -> MotionSample:
         phi = phi_start + param
         gap_hint = float(np.interp(param, sample_params, sample_phi2)) - phi
-        feet, contact, phi2, lat1, lat2, sres, surf = solve_at(phi, gap_hint)
-        return MotionSample(param=param, feet=feet, contact=contact,
-                            stage="march", azimuth2=phi2, latitude1=lat1,
-                            latitude2=lat2, sphere_residual=sres,
-                            surface_residual=surf)
+        return _march_sample(ring, table, param, phi, gap_hint)
 
     trace.resolver = resolver
     return trace
@@ -414,37 +427,12 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
     feet 2-3, then slide it within that plane onto 2-3. Feet 1 and 3 track
     the ground throughout; certified for slopes up to 35.264 deg.
     """
-    if table.kind != "square":
-        raise DomainError("the pivot-slide motion is defined for square tables")
-    thresholds = thresholds_report()
-    slope = terrain.slope_bound
-    warnings: list[str] = []
-    if slope >= thresholds.legs_clear:
-        msg = (f"terrain slope {math.degrees(slope):.4f} deg exceeds the "
-               f"pivot-slide limit {thresholds.legs_clear_deg:.4f} deg")
-        if not override:
-            raise ConditionViolation(msg)
-        warnings.append(msg)
-    side = table.side
-    _workspace_check(terrain, center_xy, 4.0 * side)
-    tol = _contact_tolerance(table)
-
-    feet0, state0, relabeled = _settle_start(table, terrain, center_xy, yaw, tol)
-    trace = MotionTrace(kind="pivot_slide", table=table, terrain=terrain,
-                        samples=[], start_feet=feet0,
-                        center_xy=(float(center_xy[0]), float(center_xy[1])),
-                        yaw=yaw, step=step, override=override,
-                        slope_bound=slope, relabeled=relabeled,
-                        warnings=warnings)
-    if abs(state0.h4) <= tol:
-        trace.degenerate_start = True
-        trace.samples.append(MotionSample(param=0.0, feet=feet0, contact=state0,
-                                          stage="settled"))
+    trace, _ = _start("pivot_slide", table, terrain, center_xy, yaw, step, override)
+    if trace.degenerate_start:
         return trace
-
-    drop = drop_rotate(feet0, terrain, tol_scale=side, allow_below=True)
-    trace.drop = drop
-
+    side = table.side
+    tol = _contact_tolerance(table)
+    feet0 = trace.start_feet
     pivot = feet0.p2
     psi_a = math.atan2(float(feet0.p1[1] - pivot[1]), float(feet0.p1[0] - pivot[0]))
     psi_b = math.atan2(float(pivot[1] - feet0.p3[1]), float(pivot[0] - feet0.p3[0]))
@@ -453,93 +441,55 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
         raise GeometryViolation(
             f"pivot stage sweep {math.degrees(sweep1):.4f} deg out of range"
         )
-
-    def build(foot1: np.ndarray, foot2: np.ndarray):
-        p3 = circle_surface_intersection(foot2, unit(foot2 - foot1), side,
-                                         terrain, side=1, enforce_slope=False)
-        p4 = complete_fourth_foot(foot1, foot2, p3)
-        feet = FootSet(np.array([foot1, foot2, p3, p4]))
-        return feet, signed_heights(feet, terrain, tolerance=tol)
-
-    def check_and_store(i, param, stage, feet, contact, prev_h4):
-        flags = []
-        if max(abs(h) for h in contact.heights[:3]) > tol:
-            flags.append("contact")
-        if feet.rigidity_residual(table) > 1e-9 * side:
-            flags.append("rigidity")
-        if prev_h4 is not None and abs(contact.h4 - prev_h4) > 0.2 * side:
-            flags.append("continuity")
-        if flags and not override:
-            raise ConditionViolation(
-                f"pivot-slide sample {i} ({stage}) failed checks {flags}"
-            )
-        if flags:
-            warnings.append(f"sample {i} ({stage}): {','.join(flags)}")
-        trace.samples.append(MotionSample(param=param, feet=feet,
-                                          contact=contact, stage=stage,
-                                          flags=tuple(flags)))
-        return contact.h4
-
-    n1 = max(1, int(math.ceil(sweep1 / step)))
-    prev_h4 = None
-    beta_end = None
-    for i in range(n1 + 1):
-        psi = psi_a + sweep1 * i / n1
-        foot1, beta = _half_circle_foot(terrain, pivot, side, psi)
-        feet, contact = build(foot1, pivot)
-        prev_h4 = check_and_store(i, sweep1 * i / n1, "pivot", feet, contact,
-                                  prev_h4)
-        beta_end = beta
-
     # slide stage: both edge endpoints ride the section curve of the vertical
     # plane through feet 2-3 until the edge lands on (p2, p3)
     dir_xy = np.array([math.cos(psi_b + math.pi), math.sin(psi_b + math.pi)])
+
+    def place(param: float, stage: str, foot1: np.ndarray,
+              foot2: np.ndarray) -> MotionSample:
+        p3 = circle_surface_intersection(foot2, unit(foot2 - foot1), side,
+                                         terrain, side=1, enforce_slope=False)
+        feet = FootSet(np.array([foot1, foot2, p3,
+                                 complete_fourth_foot(foot1, foot2, p3)]))
+        return MotionSample(param=param, feet=feet, stage=stage,
+                            contact=signed_heights(feet, terrain, tolerance=tol))
+
+    def pivot_at(param: float) -> tuple[MotionSample, float]:
+        """Edge 1-2 turned by `param` about foot 2, and foot 1's elevation."""
+        foot1, beta = _half_circle_foot(terrain, pivot, side, psi_a + param)
+        return place(param, "pivot", foot1, pivot), beta
+
+    def slide_at(param: float, u_lead: float, hint: float,
+                 width: float) -> tuple[MotionSample, float]:
+        """Foot 1 at section parameter u_lead and foot 2 one side length
+        ahead (searched around `hint`), and foot 2's section parameter."""
+        front = _section_chord(terrain, pivot, dir_xy, u_lead, side, hint, width)
+        foot1 = _section_point(terrain, pivot, dir_xy, u_lead)
+        foot2 = _section_point(terrain, pivot, dir_xy, front)
+        return place(param, "slide", foot1, foot2), front
+
+    n1 = max(1, int(math.ceil(sweep1 / step)))
+    for i in range(n1 + 1):
+        s, beta_end = pivot_at(sweep1 * i / n1)
+        _record(trace, i, s, "(pivot)")
     u0 = -side * math.cos(beta_end)
     n2 = max(1, int(math.ceil(abs(u0) / (side * math.sin(step) if step < math.pi / 2 else side))))
     param_scale = (math.pi / 2.0) / max(abs(u0), 1e-12)
-    u2_hint = 0.0
+    front = 0.0
     for i in range(1, n2 + 1):
         u_lead = u0 * (1.0 - i / n2)
-        front = _section_chord(terrain, pivot, dir_xy, u_lead, side,
-                               u2_hint if i > 1 else 0.0, abs(u0) / n2)
-        foot1 = _section_point(terrain, pivot, dir_xy, u_lead)
-        foot2 = _section_point(terrain, pivot, dir_xy, front)
-        u2_hint = front
-        feet, contact = build(foot1, foot2)
-        prev_h4 = check_and_store(n1 + i, sweep1 + (u_lead - u0) * param_scale,
-                                  "slide", feet, contact, prev_h4)
-
-    last = trace.samples[-1].feet
-    checks = (
-        float(np.linalg.norm(last.p1 - feet0.p2)),
-        float(np.linalg.norm(last.p2 - feet0.p3)),
-        float(np.linalg.norm(last.p3 - drop.landed)),
-        float(np.linalg.norm(trace.samples[0].feet.points - feet0.points)),
-    )
-    if max(checks) > 1e-9 * side:
-        msg = f"endpoint identity violated: residuals {['%.2e' % c for c in checks]}"
-        if not override:
-            raise GeometryViolation(msg)
-        warnings.append(msg)
+        s, front = slide_at(sweep1 + (u_lead - u0) * param_scale, u_lead, front,
+                            abs(u0) / n2)
+        _record(trace, n1 + i, s, "(slide)")
+    _check_endpoints(trace)
 
     def resolver(param: float) -> MotionSample:
         if param <= sweep1:
-            psi = psi_a + param
-            foot1, _ = _half_circle_foot(terrain, pivot, side, psi)
-            feet, contact = build(foot1, pivot)
-            return MotionSample(param=param, feet=feet, contact=contact,
-                                stage="pivot")
-        u_lead = u0 + (param - sweep1) / param_scale
-        u_lead = min(u_lead, 0.0)
+            return pivot_at(param)[0]
+        u_lead = min(u0 + (param - sweep1) / param_scale, 0.0)
         # the chord's far end sits between 0.65 and 1.0 side lengths ahead
         # for any slope below 45 deg
-        front = _section_chord(terrain, pivot, dir_xy, u_lead, side,
-                               u_lead + 0.825 * side, 0.05 * side)
-        foot1 = _section_point(terrain, pivot, dir_xy, u_lead)
-        foot2 = _section_point(terrain, pivot, dir_xy, front)
-        feet, contact = build(foot1, foot2)
-        return MotionSample(param=param, feet=feet, contact=contact,
-                            stage="slide")
+        return slide_at(param, u_lead, u_lead + 0.825 * side, 0.05 * side)[0]
 
     trace.resolver = resolver
     return trace

@@ -5,6 +5,7 @@ import pytest
 
 from wobble.contact import ContactState, FootSet, TableSpec, settle_three_feet
 from wobble.errors import ConditionViolation, DomainError
+from wobble.geometry import SlopeThresholds
 from wobble.motion import (
     MotionSample,
     MotionTrace,
@@ -13,7 +14,7 @@ from wobble.motion import (
     run_pivot_slide,
     verify_equilibrium,
 )
-from wobble.terrain import BumpTerrain, Extent, generate_terrain
+from wobble.terrain import BumpTerrain, Extent, flat_terrain, generate_terrain
 
 EXT = Extent(-8.0, 8.0, -8.0, 8.0)
 TABLE = TableSpec.square(1.0)
@@ -68,9 +69,12 @@ def test_march_steep_slope_refused():
         run_march(TABLE, steep)
 
 
-def test_march_override_runs_past_limit():
-    steep = generate_terrain(7, math.radians(16.0), 20, EXT)
-    trace = run_march(TABLE, steep, override=True)
+@pytest.mark.parametrize("run, seed, degrees",
+                         [(run_march, 7, 16.0), (run_pivot_slide, 1, 36.0)],
+                         ids=["march", "pivot_slide"])
+def test_override_runs_past_limit(run, seed, degrees):
+    steep = generate_terrain(seed, math.radians(degrees), 20, EXT)
+    trace = run(TABLE, steep, override=True)
     assert any("exceeds" in w for w in trace.warnings)
     result = find_equilibrium(trace, steep)
     assert result.found
@@ -196,9 +200,35 @@ def test_verify_equilibrium_passes_on_flat(flat):
     assert checks.min_leg_clearance > 0.9 * TABLE.leg_length / 50.0
 
 
-def test_march_trace_resolver_matches_samples(hills14):
-    trace = run_march(TABLE, hills14)
-    mid = trace.samples[len(trace.samples) // 2]
-    re = trace.resolver(mid.param)
-    assert np.max(np.abs(re.feet.points - mid.feet.points)) < 1e-9
-    assert re.contact.h4 == pytest.approx(mid.contact.h4, abs=1e-9)
+@pytest.mark.parametrize("run, terrain_name",
+                         [(run_march, "hills14"), (run_pivot_slide, "hills30")],
+                         ids=["march", "pivot_slide"])
+def test_trace_resolver_matches_samples(run, terrain_name, request):
+    terrain = request.getfixturevalue(terrain_name)
+    trace = run(TABLE, terrain)
+    # the middle sample of each stage, re-solved from its parameter alone
+    for stage in sorted({s.stage for s in trace.samples}):
+        staged = [s for s in trace.samples if s.stage == stage]
+        mid = staged[len(staged) // 2]
+        re = trace.resolver(mid.param)
+        assert re.stage == stage
+        assert np.max(np.abs(re.feet.points - mid.feet.points)) < 1e-9
+        assert re.contact.h4 == pytest.approx(mid.contact.h4, abs=1e-9)
+
+
+def _pinned_flat(slope):
+    terrain = flat_terrain(EXT)
+    terrain._slope_cache = slope
+    return terrain
+
+
+def test_slope_gates_at_their_limits():
+    # each gate refuses slope >= limit; the march limit admits 1e-12 above
+    # the certified 14.47 deg
+    th = SlopeThresholds()
+    with pytest.raises(ConditionViolation, match="35.26"):
+        run_pivot_slide(TABLE, _pinned_flat(th.legs_clear))
+    trace = run_march(TABLE, _pinned_flat(th.monotone_march))
+    assert trace.degenerate_start and not trace.warnings
+    with pytest.raises(ConditionViolation, match="14.47"):
+        run_march(TABLE, _pinned_flat(th.monotone_march + 2e-12))
