@@ -205,8 +205,8 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
 
 def _record(trace: MotionTrace, i: int, sample: MotionSample, where: str,
             own_flags=()) -> None:
-    """Flag sample i (contact, rigidity, the motion's own flags, continuity
-    with the sample before), raise or warn on any flag, and append it."""
+    """Flag sample i (contact, rigidity, own_flags, continuity with the last
+    sample), raise or warn on any flag (the error names `where`), append it."""
     table = trace.table
     side = table.side
     flags = []
@@ -247,16 +247,16 @@ def _march_sample(ring: GroundRing, table: TableSpec, param: float, phi: float,
     foot 4 closed by the parallelogram rule."""
     terrain = ring.terrain
     side = table.side
-    p1, lat1, res1 = ring.point_at(phi)
-    p2, phi2, lat2, res2 = chord_advance(ring, p1, phi, side, phi + hint_gap)
+    p1, lat1 = ring.point_at(phi)
+    p2, phi2, lat2 = chord_advance(ring, p1, phi, side, phi + hint_gap)
     p3 = circle_surface_intersection(p2, unit(p2 - p1), side, terrain, side=1,
                                      enforce_slope=False)
     feet = FootSet(np.array([p1, p2, p3, complete_fourth_foot(p1, p2, p3)]))
     sph = ring.sphere
     sres = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
                for p in (p1, p2))
-    surf = max(res1, res2,
-               abs(float(p3[2]) - terrain.height(float(p3[0]), float(p3[1]))))
+    surf = max(abs(float(p[2]) - terrain.height(float(p[0]), float(p[1])))
+               for p in (p1, p2, p3))
     contact = signed_heights(feet, terrain, tolerance=_contact_tolerance(table))
     return MotionSample(param=param, feet=feet, contact=contact, stage="march",
                         azimuth2=phi2, latitude1=lat1, latitude2=lat2,

@@ -139,7 +139,7 @@ class GroundRing:
         return hint, max(2.0 * local, 1e-7)
 
     def point_at(self, azimuth: float, lat_hint: tuple[float, float] | None = None):
-        """Exact curve point at azimuth: (point, latitude, surface residual)."""
+        """Exact curve point at azimuth: (point, latitude)."""
         ox, oy, oz = (float(v) for v in self.sphere.center)
         r = self.sphere.radius
         cphi, sphi = math.cos(azimuth), math.sin(azimuth)
@@ -162,13 +162,11 @@ class GroundRing:
             hi = min(hint + width, math.pi / 2.0)
         else:
             # warm bracketing failed; fall back to the certified full scan
-            point, lam = ring_point(self.sphere, self.terrain, azimuth,
-                                    enforce_slope=False)
-            return point, lam, abs(height_gap(lam))
+            return ring_point(self.sphere, self.terrain, azimuth, enforce_slope=False)
         lam = bracketed_root(height_gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
         cl = math.cos(lam)
         point = np.array([ox + r * cl * cphi, oy + r * cl * sphi, oz + r * math.sin(lam)])
-        return point, lam, abs(height_gap(lam))
+        return point, lam
 
 
 def trace_ring(sphere: Sphere, terrain, step: float,
@@ -311,13 +309,17 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
 
     The root is isolated in a bracket of width at most 4 steps around the
     hint; no crossing there means the motion is blocked, more than one means
-    the uniqueness-by-continuity assumption failed.
+    the uniqueness-by-continuity assumption failed. Returns
+    (point, azimuth, latitude).
     """
     fx, fy, fz = float(from_point[0]), float(from_point[1]), float(from_point[2])
     last_lat: list[tuple[float, float] | None] = [None]
+    # bracketed_root returns an endpoint or a point it evaluated, so the
+    # root's curve point is always among the ones solved here
+    solved: dict[float, tuple[np.ndarray, float]] = {}
 
     def gap(phi: float) -> float:
-        pt, lam, _ = ring.point_at(phi, lat_hint=last_lat[0])
+        pt, lam = solved[phi] = ring.point_at(phi, lat_hint=last_lat[0])
         last_lat[0] = (lam, 5e-4)
         dx = float(pt[0]) - fx
         dy = float(pt[1]) - fy
@@ -345,10 +347,10 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
             "uniqueness-by-continuity failed"
         )
     phi2 = bracketed_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
-    point, lam, resid = ring.point_at(phi2)
     if phi2 <= from_azimuth:
         raise BlockedMotion("chord advance did not move forward in azimuth")
-    return point, phi2, lam, resid
+    point, lam = solved[phi2]
+    return point, phi2, lam
 
 
 def flat_chord_azimuth_gap(chord: float, radius: float) -> float:

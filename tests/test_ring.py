@@ -62,8 +62,8 @@ def test_trace_off_center_sphere_circle_radius(plane10):
 def test_trace_full_turn_closes(hills14):
     s = Sphere(center=np.array([0.2, -0.1, 0.35]), radius=0.8)
     ring = trace_ring(s, hills14, math.radians(0.5))
-    p0, lam0, _ = ring.point_at(float(ring.azimuths[0]))
-    p1, lam1, _ = ring.point_at(float(ring.azimuths[0]) + 2.0 * math.pi)
+    p0, lam0 = ring.point_at(float(ring.azimuths[0]))
+    p1, lam1 = ring.point_at(float(ring.azimuths[0]) + 2.0 * math.pi)
     assert np.linalg.norm(p1 - p0) < 1e-9 * s.radius
     # polyline wrap is continuous
     assert abs(float(ring.latitudes[0]) - float(ring.latitudes[-1])) < 0.05
@@ -88,9 +88,9 @@ def test_trace_step_cap_with_chord():
 def test_chord_advance_exact_on_flat_circle(flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
     ring = trace_ring(s, flat, STEP, chord_length=0.5)
-    start, _, _ = ring.point_at(0.0)
+    start, _ = ring.point_at(0.0)
     want = flat_chord_azimuth_gap(0.5, 1.0)
-    p2, phi2, lam2, _ = chord_advance(ring, start, 0.0, 0.5, want)
+    p2, phi2, lam2 = chord_advance(ring, start, 0.0, 0.5, want)
     assert phi2 == pytest.approx(want, abs=1e-12)
     assert np.linalg.norm(p2 - start) == pytest.approx(0.5, abs=1e-12)
 
@@ -98,7 +98,7 @@ def test_chord_advance_exact_on_flat_circle(flat):
 def test_chord_advance_blocked_outside_bracket(flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
     ring = trace_ring(s, flat, STEP, chord_length=0.5)
-    start, _, _ = ring.point_at(0.0)
+    start, _ = ring.point_at(0.0)
     bad_hint = flat_chord_azimuth_gap(0.5, 1.0) + math.radians(10.0)
     with pytest.raises(BlockedMotion):
         chord_advance(ring, start, 0.0, 0.5, bad_hint)
@@ -112,11 +112,11 @@ def test_chord_advance_equal_steps_on_tilted_circle(plane10):
     # equal chords on a circle of radius 0.9 subtend equal intrinsic angles
     intrinsic = 2.0 * math.asin(chord / (2.0 * 0.9))
     phi = float(ring.azimuths[0])
-    p, _, _ = ring.point_at(phi)
+    p, _ = ring.point_at(phi)
     hint_gap = intrinsic
     for _ in range(5):
-        p_next, phi_next, _, _ = chord_advance(ring, p, phi, chord,
-                                               phi + hint_gap)
+        p_next, phi_next, _ = chord_advance(ring, p, phi, chord,
+                                            phi + hint_gap)
         assert np.linalg.norm(p_next - p) == pytest.approx(chord, abs=1e-10)
         cosang = float(np.dot(p - s.center, p_next - s.center)) / (0.9 * 0.9)
         angle = math.acos(min(1.0, max(-1.0, cosang)))
