@@ -385,14 +385,17 @@ def _section_point(terrain, anchor: np.ndarray, direction_xy: np.ndarray,
     return np.array([x, y, terrain.height(x, y)])
 
 
-def _section_chord(terrain, anchor, direction_xy, u_from: float, chord: float,
-                   hint: float, step: float) -> float:
-    """Parameter of the point on the vertical-plane section curve at distance
-    `chord` ahead of the point at u_from."""
-    base = _section_point(terrain, anchor, direction_xy, u_from)
+def _section_chord(terrain, anchor, direction_xy, u_from: float,
+                   base: np.ndarray, chord: float, hint: float,
+                   step: float) -> tuple[float, np.ndarray]:
+    """Parameter and point of the vertical-plane section curve at distance
+    `chord` ahead of `base`, the section point at u_from."""
+    # bracketed_root returns an endpoint or a point it evaluated, so the
+    # root's section point is always among the ones solved here
+    solved: dict[float, np.ndarray] = {}
 
     def gap(u: float) -> float:
-        p = _section_point(terrain, anchor, direction_xy, u)
+        p = solved[u] = _section_point(terrain, anchor, direction_xy, u)
         d = p - base
         return float(math.sqrt(float(np.dot(d, d)))) - chord
 
@@ -412,12 +415,17 @@ def _section_chord(terrain, anchor, direction_xy, u_from: float, chord: float,
                 "section-curve chord found no bracket; the slide cannot advance"
             )
     probes = np.linspace(lo, hi, 9)
-    signs = np.array([gap(float(p)) for p in probes]) > 0.0
+    vals = np.empty(9)
+    vals[0], vals[8] = g_lo, g_hi
+    for i in range(1, 8):
+        vals[i] = gap(float(probes[i]))
+    signs = vals > 0.0
     if int(np.count_nonzero(signs[:-1] != signs[1:])) != 1:
         raise ConditionViolation(
             "multiple section-curve chord roots in the bracket"
         )
-    return bracketed_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
+    u = bracketed_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
+    return u, solved[u]
 
 
 def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
@@ -463,9 +471,9 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
                  width: float) -> tuple[MotionSample, float]:
         """Foot 1 at section parameter u_lead and foot 2 one side length
         ahead (searched around `hint`), and foot 2's section parameter."""
-        front = _section_chord(terrain, pivot, dir_xy, u_lead, side, hint, width)
         foot1 = _section_point(terrain, pivot, dir_xy, u_lead)
-        foot2 = _section_point(terrain, pivot, dir_xy, front)
+        front, foot2 = _section_chord(terrain, pivot, dir_xy, u_lead, foot1,
+                                      side, hint, width)
         return place(param, "slide", foot1, foot2), front
 
     n1 = max(1, int(math.ceil(sweep1 / step)))
