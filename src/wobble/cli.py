@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .motion import (
     run_march,
     run_pivot_slide,
 )
+from .ring import check_step
 from .terrain import (
     Extent,
     estimate_slope_bound,
@@ -310,12 +310,17 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         raise DomainError(f"campaign needs n >= 1, got {cfg.n}")
     if cfg.motion not in ("gamma", "rt"):
         raise DomainError(f"unknown motion {cfg.motion!r}; use 'gamma' or 'rt'")
+    check_step(cfg.step)
     seeds = _campaign_seeds(cfg)
     tasks = [(cfg, i, s) for i, s in enumerate(seeds)]
     workers = worker_count(cfg.n)
     if workers == 1:
         records = [_run_one(t) for t in tasks]
     else:
+        # imported here: the pool machinery adds about 2 MB of resident
+        # memory that no single solve or scan needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, tasks, chunksize=1))
     return CampaignResult(config=cfg, records=records)

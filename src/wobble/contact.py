@@ -247,31 +247,53 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
     return feet
 
 
-def complete_fourth_foot(p1, p2, p3, tol_rel: float = 1e-6) -> np.ndarray:
-    """Fourth corner of the square with consecutive corners p1, p2, p3.
+def complete_fourth_feet(p1, p2, p3, tol_rel: float = 1e-6):
+    """Fourth corner of every row's square with consecutive corners p1[k],
+    p2[k], p3[k]: (corners, errors by row).
 
-    Diagonals of a square bisect each other, so p4 = p1 + p3 - p2. Inputs
-    must form two orthogonal equal-length edges meeting at p2.
+    Diagonals of a square bisect each other, so p4 = p1 + p3 - p2. Each row
+    must form two orthogonal equal-length edges meeting at p2; a row that
+    does not gets a DomainError. A row with NaN input passes unchecked.
     """
     a = np.asarray(p1, dtype=float)
     b = np.asarray(p2, dtype=float)
     c = np.asarray(p3, dtype=float)
     e1 = a - b
     e2 = c - b
-    l1 = float(np.linalg.norm(e1))
-    l2 = float(np.linalg.norm(e2))
-    if l1 == 0.0 or l2 == 0.0:
-        raise DomainError(f"degenerate corner: edge lengths {l1!r} and {l2!r}")
-    if abs(l1 - l2) > tol_rel * l1:
-        raise DomainError(
-            f"edges meeting at p2 have unequal lengths {l1!r} and {l2!r}"
-        )
-    cosang = float(np.dot(e1, e2)) / (l1 * l2)
-    if abs(cosang) > tol_rel:
-        raise DomainError(
-            f"edges meeting at p2 are not orthogonal (cos angle = {cosang!r})"
-        )
-    return a + c - b
+
+    def lengths(e):
+        return np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2])
+
+    l1, l2 = lengths(e1), lengths(e2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosang = (e1[:, 0] * e2[:, 0] + e1[:, 1] * e2[:, 1]
+                  + e1[:, 2] * e2[:, 2]) / (l1 * l2)
+    degenerate = (l1 == 0.0) | (l2 == 0.0)
+    unequal = np.abs(l1 - l2) > tol_rel * l1
+    skew = np.abs(cosang) > tol_rel
+    errors: dict[int, DomainError] = {}
+    for k in np.flatnonzero(degenerate | unequal | skew):
+        u, v = float(l1[k]), float(l2[k])
+        if degenerate[k]:
+            errors[int(k)] = DomainError(f"degenerate corner: edge lengths {u!r} and {v!r}")
+        elif unequal[k]:
+            errors[int(k)] = DomainError(
+                f"edges meeting at p2 have unequal lengths {u!r} and {v!r}")
+        else:
+            errors[int(k)] = DomainError(
+                f"edges meeting at p2 are not orthogonal "
+                f"(cos angle = {float(cosang[k])!r})")
+    return a + c - b, errors
+
+
+def complete_fourth_foot(p1, p2, p3, tol_rel: float = 1e-6) -> np.ndarray:
+    """Fourth corner of the square with consecutive corners p1, p2, p3: the
+    one-row call of `complete_fourth_feet`."""
+    corners, errors = complete_fourth_feet(
+        *(np.asarray(p, dtype=float)[None, :] for p in (p1, p2, p3)), tol_rel=tol_rel)
+    if errors:
+        raise errors[0]
+    return corners[0]
 
 
 @dataclass(frozen=True)

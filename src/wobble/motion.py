@@ -6,11 +6,23 @@ way the free foot's signed height changes sign, so the intermediate value
 theorem hands us a placement with all four feet grounded.
 
 Both motions run on one driver and differ only in their path: `_start`
-gates the slope, checks the workspace, settles and drops the free foot;
-`_record` flags each sample and `_check_endpoints` checks that the path ends
-one labeling further; `_breach` raises each condition breach, or records it
-as a warning under override. Each motion's sample loop and its resolver
-place the table through the same function.
+checks the step, gates the slope, checks the workspace, settles and drops
+the free foot; `_record` flags each sample and `_check_endpoints` checks that
+the path ends one labeling further; `_breach` raises each condition breach,
+or records it as a warning under override.
+
+Each stage places all its samples before recording any. Feet 1 and 2 come
+first: the pivot stage solves every foot 1 at once with the blocked
+half-circle kernel (ring.half_circle_crossings), while the march chords and
+the slide chords are solved in order, each searched from the last. Then
+`_squares` closes every sample's square in one pass: every foot 3 by the
+blocked circle kernel (ring.circle_crossings), every foot 4, and every
+contact height in one array call. A placement failure does not raise at
+once: it stops the stage at that sample, the samples before it are flagged
+and recorded in order, and only then is it raised. So the first breach in
+sample order, a flag or a placement failure, raises the same error as a
+sample-by-sample solve would, and override runs record the same warnings.
+Each motion's resolver is the one-sample call of the same stage functions.
 
 Motion "march" follows the curve where the circumsphere of the settled feet
 and the dropped free foot meets the ground, certified up to a 14.47 deg
@@ -30,7 +42,7 @@ from .contact import (
     DropRotation,
     FootSet,
     TableSpec,
-    complete_fourth_foot,
+    complete_fourth_feet,
     drop_rotate,
     settle_three_feet,
     signed_heights,
@@ -40,12 +52,15 @@ from .errors import (
     ConditionViolation,
     DomainError,
     GeometryViolation,
+    WobbleError,
 )
-from .geometry import SlopeThresholds, Sphere, sphere_through, unit
+from .geometry import SlopeThresholds, Sphere, sphere_through
 from .ring import (
     GroundRing,
+    check_step,
     chord_advance,
-    circle_surface_intersection,
+    circle_crossings,
+    half_circle_crossings,
     trace_ring,
 )
 from .roots import bracketed_root
@@ -158,13 +173,15 @@ def _breach(trace: MotionTrace, error: type, msg: str,
 
 def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
            step: float, override: bool) -> tuple[MotionTrace, float]:
-    """Gate the slope, check the workspace, settle and drop the free foot.
+    """Check the step, gate the slope, check the workspace, settle and drop
+    the free foot.
 
     Settling prefers a labeling whose free foot starts on or above the
     ground (an odd relabel usually swaps the rocking diagonal), but accepts
     a below-ground start: the motion argument is symmetric in the sign.
     Returns the trace and the free foot's starting height; a start with all
     four feet down gets one settled sample and no drop."""
+    check_step(step)
     name, limit, limit_name = _GATES[kind]
     if table.kind != "square":
         raise DomainError(f"the {name} motion is defined for square tables")
@@ -240,27 +257,66 @@ def _check_endpoints(trace: MotionTrace) -> None:
                 f"endpoint identity violated: residuals {['%.2e' % c for c in checks]}")
 
 
-def _march_sample(ring: GroundRing, table: TableSpec, param: float, phi: float,
-                  hint_gap: float) -> MotionSample:
-    """The marching square at azimuth phi (march parameter `param`): foot 1
-    on the curve, foot 2 a chord ahead, foot 3 by the orthogonal foot circle,
-    foot 4 closed by the parallelogram rule."""
-    terrain = ring.terrain
-    side = table.side
-    p1, lat1 = ring.point_at(phi)
-    p2, phi2, lat2 = chord_advance(ring, p1, phi, side, phi + hint_gap)
-    p3 = circle_surface_intersection(p2, unit(p2 - p1), side, terrain, side=1,
-                                     enforce_slope=False)
-    feet = FootSet(np.array([p1, p2, p3, complete_fourth_foot(p1, p2, p3)]))
+def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
+             foot2: np.ndarray):
+    """Close the square on edge 1-2 of every row in one pass: foot 3 where
+    the circle about the edge through foot 2 meets the ground, foot 4 by the
+    parallelogram rule, then all four contact heights.
+
+    Returns the samples (at params[k], in `stage`) of the rows before the
+    first row that fails, and that row's error (None when every row
+    stands)."""
+    p3, errors = circle_crossings(foot2, foot2 - foot1, table.side, terrain, side=1)
+    p4, corner_errors = complete_fourth_feet(foot1, foot2, p3)
+    for k, exc in corner_errors.items():
+        errors.setdefault(k, exc)
+    m = min(errors, default=len(foot1))
+    pts = np.stack([foot1[:m], foot2[:m], p3[:m], p4[:m]], axis=1)
+    heights = pts[:, :, 2] - terrain.height(pts[:, :, 0], pts[:, :, 1])
+    tol = _contact_tolerance(table)
+    samples = [MotionSample(param=float(params[k]), feet=FootSet(pts[k]), stage=stage,
+                            contact=ContactState(tuple(heights[k].tolist()), tol))
+               for k in range(m)]
+    return samples, errors.get(m)
+
+
+def _only(samples: list[MotionSample], failure: WobbleError | None) -> MotionSample:
+    """The sample of a one-row solve, or its error."""
+    if failure is not None:
+        raise failure
+    return samples[0]
+
+
+def _march_samples(ring: GroundRing, table: TableSpec, params, phis,
+                   hint_gap: float):
+    """The marching square at each azimuth phis[k] (march parameter
+    params[k]): foot 1 on the curve, foot 2 a chord ahead, searched
+    `hint_gap` ahead of the first sample and then one last gap ahead, feet 3
+    and 4 by `_squares`. The chords are solved in order; a failure stops
+    them, and later rows wait for the earlier ones to be recorded. Returns
+    the samples before the first failing row and that row's error."""
+    chords, failure = [], None
+    try:
+        for phi in phis:
+            p1, lat1 = ring.point_at(phi)
+            p2, phi2, lat2 = chord_advance(ring, p1, phi, table.side, phi + hint_gap)
+            hint_gap = phi2 - phi
+            chords.append((p1, lat1, p2, phi2, lat2))
+    except WobbleError as exc:
+        failure = exc
+    samples, square_failure = _squares(
+        table, ring.terrain, "march", params,
+        np.array([c[0] for c in chords]).reshape(-1, 3),
+        np.array([c[2] for c in chords]).reshape(-1, 3))
     sph = ring.sphere
-    sres = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
-               for p in (p1, p2))
-    surf = max(abs(float(p[2]) - terrain.height(float(p[0]), float(p[1])))
-               for p in (p1, p2, p3))
-    contact = signed_heights(feet, terrain, tolerance=_contact_tolerance(table))
-    return MotionSample(param=param, feet=feet, contact=contact, stage="march",
-                        azimuth2=phi2, latitude1=lat1, latitude2=lat2,
-                        sphere_residual=sres, surface_residual=surf)
+    marched = []
+    for s, (p1, lat1, p2, phi2, lat2) in zip(samples, chords):
+        sres = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
+                   for p in (p1, p2))
+        marched.append(replace(
+            s, azimuth2=phi2, latitude1=lat1, latitude2=lat2, sphere_residual=sres,
+            surface_residual=max(abs(h) for h in s.contact.heights[:3])))
+    return marched, square_failure or failure
 
 
 def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
@@ -310,19 +366,20 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     trace.ring = ring
 
     n = max(1, int(math.ceil(gap12 / step)))
+    phis = [phi_start + gap12 * i / n for i in range(n + 1)]
     # we know where foot 2 sits; later samples reuse the last gap
-    hint_gap = gap12
-    for i in range(n + 1):
-        phi = phi_start + gap12 * i / n
-        s = _march_sample(ring, table, phi - phi_start, phi, hint_gap)
-        hint_gap = s.azimuth2 - phi
+    samples, failure = _march_samples(ring, table, [phi - phi_start for phi in phis],
+                                      phis, gap12)
+    for i, s in enumerate(samples):
         own = []
         lat = max(abs(s.latitude1), abs(s.latitude2))
         if lat >= ring.latitude_bound and lat > 1e-12:
             own.append("latitude")
         if trace.samples and s.azimuth2 <= trace.samples[-1].azimuth2:
             own.append("monotone")
-        _record(trace, i, s, f"at azimuth {math.degrees(phi):.4f} deg", own)
+        _record(trace, i, s, f"at azimuth {math.degrees(phis[i]):.4f} deg", own)
+    if failure is not None:
+        raise failure
     _check_endpoints(trace)
 
     sample_params = trace.params
@@ -331,51 +388,10 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     def resolver(param: float) -> MotionSample:
         phi = phi_start + param
         gap_hint = float(np.interp(param, sample_params, sample_phi2)) - phi
-        return _march_sample(ring, table, param, phi, gap_hint)
+        return _only(*_march_samples(ring, table, [param], [phi], gap_hint))
 
     trace.resolver = resolver
     return trace
-
-
-_HALF_BETAS = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
-_HALF_COS = np.cos(_HALF_BETAS)
-_HALF_SIN = np.sin(_HALF_BETAS)
-
-
-def _half_circle_foot(terrain, pivot: np.ndarray, radius: float,
-                      psi: float) -> tuple[np.ndarray, float]:
-    """Unique ground crossing of the vertical half-circle of `radius` about
-    `pivot`, in the half-plane with azimuth `psi`. Returns (point, elevation).
-    """
-    ux, uy = math.cos(psi), math.sin(psi)
-    px, py, pz = (float(v) for v in pivot)
-
-    def gap(beta: float) -> float:
-        c = math.cos(beta)
-        return (pz + radius * math.sin(beta)
-                - terrain.height(px + radius * c * ux, py + radius * c * uy))
-
-    vals = (pz + radius * _HALF_SIN
-            - terrain.height(px + radius * _HALF_COS * ux,
-                             py + radius * _HALF_COS * uy))
-    if vals[-1] <= 0.0 or vals[0] >= 0.0:
-        raise GeometryViolation(
-            "vertical foot circle does not straddle the ground"
-        )
-    s = vals > 0.0
-    cells = np.nonzero(s[:-1] != s[1:])[0]
-    if cells.size != 1:
-        raise ConditionViolation(
-            f"vertical half-circle crosses the ground {cells.size} times; "
-            f"uniqueness needs slope below 45 deg"
-        )
-    k = int(cells[0])
-    # the scanned signs certify the bracket
-    beta = bracketed_root(gap, float(_HALF_BETAS[k]), float(_HALF_BETAS[k + 1]),
-                          f_lo=float(vals[k]), f_hi=float(vals[k + 1]))
-    c = math.cos(beta)
-    return (np.array([px + radius * c * ux, py + radius * c * uy,
-                      pz + radius * math.sin(beta)]), beta)
 
 
 def _section_point(terrain, anchor: np.ndarray, direction_xy: np.ndarray,
@@ -439,7 +455,6 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
     if trace.degenerate_start:
         return trace
     side = table.side
-    tol = _contact_tolerance(table)
     feet0 = trace.start_feet
     pivot = feet0.p2
     psi_a = math.atan2(float(feet0.p1[1] - pivot[1]), float(feet0.p1[0] - pivot[0]))
@@ -453,51 +468,63 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
     # plane through feet 2-3 until the edge lands on (p2, p3)
     dir_xy = np.array([math.cos(psi_b + math.pi), math.sin(psi_b + math.pi)])
 
-    def place(param: float, stage: str, foot1: np.ndarray,
-              foot2: np.ndarray) -> MotionSample:
-        p3 = circle_surface_intersection(foot2, unit(foot2 - foot1), side,
-                                         terrain, side=1, enforce_slope=False)
-        feet = FootSet(np.array([foot1, foot2, p3,
-                                 complete_fourth_foot(foot1, foot2, p3)]))
-        return MotionSample(param=param, feet=feet, stage=stage,
-                            contact=signed_heights(feet, terrain, tolerance=tol))
+    def pivots(params: np.ndarray):
+        """Edge 1-2 turned by each of `params` about foot 2, foot 1 on the
+        vertical half-circle about it: (samples before the first failing
+        row, its error, foot 1's elevation per row)."""
+        foot1, betas, errors = half_circle_crossings(pivot, psi_a + params, side,
+                                                     terrain)
+        m = min(errors, default=len(params))
+        samples, failure = _squares(table, terrain, "pivot", params, foot1[:m],
+                                    np.broadcast_to(pivot, (m, 3)))
+        return samples, failure or errors.get(m), betas
 
-    def pivot_at(param: float) -> tuple[MotionSample, float]:
-        """Edge 1-2 turned by `param` about foot 2, and foot 1's elevation."""
-        foot1, beta = _half_circle_foot(terrain, pivot, side, psi_a + param)
-        return place(param, "pivot", foot1, pivot), beta
-
-    def slide_at(param: float, u_lead: float, hint: float,
-                 width: float) -> tuple[MotionSample, float]:
-        """Foot 1 at section parameter u_lead and foot 2 one side length
-        ahead (searched around `hint`), and foot 2's section parameter."""
-        foot1 = _section_point(terrain, pivot, dir_xy, u_lead)
-        front, foot2 = _section_chord(terrain, pivot, dir_xy, u_lead, foot1,
-                                      side, hint, width)
-        return place(param, "slide", foot1, foot2), front
+    def slides(params, u_leads, hint: float, width: float):
+        """Foot 1 at each section parameter u_leads[k] and foot 2 one side
+        length ahead, searched around `hint` for the first row and around
+        the last row's foot 2 after that: (samples before the first failing
+        row, its error). The chords are solved in order, as in the march."""
+        foot1, foot2, failure = [], [], None
+        try:
+            for u_lead in u_leads:
+                p1 = _section_point(terrain, pivot, dir_xy, u_lead)
+                hint, p2 = _section_chord(terrain, pivot, dir_xy, u_lead, p1,
+                                          side, hint, width)
+                foot1.append(p1)
+                foot2.append(p2)
+        except WobbleError as exc:
+            failure = exc
+        samples, square_failure = _squares(table, terrain, "slide", params,
+                                           np.array(foot1).reshape(-1, 3),
+                                           np.array(foot2).reshape(-1, 3))
+        return samples, square_failure or failure
 
     n1 = max(1, int(math.ceil(sweep1 / step)))
-    for i in range(n1 + 1):
-        s, beta_end = pivot_at(sweep1 * i / n1)
+    samples, failure, betas = pivots(sweep1 * np.arange(n1 + 1) / n1)
+    for i, s in enumerate(samples):
         _record(trace, i, s, "(pivot)")
-    u0 = -side * math.cos(beta_end)
+    if failure is not None:
+        raise failure
+    u0 = -side * math.cos(float(betas[n1]))
     n2 = max(1, int(math.ceil(abs(u0) / (side * math.sin(step) if step < math.pi / 2 else side))))
     param_scale = (math.pi / 2.0) / max(abs(u0), 1e-12)
-    front = 0.0
-    for i in range(1, n2 + 1):
-        u_lead = u0 * (1.0 - i / n2)
-        s, front = slide_at(sweep1 + (u_lead - u0) * param_scale, u_lead, front,
-                            abs(u0) / n2)
-        _record(trace, n1 + i, s, "(slide)")
+    u_leads = [u0 * (1.0 - i / n2) for i in range(1, n2 + 1)]
+    samples, failure = slides([sweep1 + (u - u0) * param_scale for u in u_leads],
+                              u_leads, 0.0, abs(u0) / n2)
+    for i, s in enumerate(samples, start=n1 + 1):
+        _record(trace, i, s, "(slide)")
+    if failure is not None:
+        raise failure
     _check_endpoints(trace)
 
     def resolver(param: float) -> MotionSample:
         if param <= sweep1:
-            return pivot_at(param)[0]
+            samples, failure, _ = pivots(np.array([param]))
+            return _only(samples, failure)
         u_lead = min(u0 + (param - sweep1) / param_scale, 0.0)
         # the chord's far end sits between 0.65 and 1.0 side lengths ahead
         # for any slope below 45 deg
-        return slide_at(param, u_lead, u_lead + 0.825 * side, 0.05 * side)[0]
+        return _only(*slides([param], [u_lead], u_lead + 0.825 * side, 0.05 * side))
 
     trace.resolver = resolver
     return trace

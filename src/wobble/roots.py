@@ -1,21 +1,33 @@
-"""One bracketed scalar root finder for every 1-D refinement in the solver.
+"""Bracketed root finders for every 1-D refinement in the solver.
 
-Brent's method (Brent 1973, "Algorithms for Minimization without
-Derivatives", ch. 4), step for step as in scipy's brentq.c: inverse
-quadratic or secant steps while they shrink the bracket fast enough, and
-bisection when they do not, so it converges superlinearly near a simple
-root and never stalls. Callers certify the bracket first (a sign scan that
-proves exactly one crossing); this only refines inside it.
+Callers certify each bracket first (a sign scan that proves exactly one
+crossing); these only refine inside it.
 
-Pure Python on purpose: scipy's brentq wraps the objective in a closure that
-refers to itself, and the reference cycle keeps the objective, and whatever
-it holds, alive until the cyclic garbage collector runs.
+`bracketed_root` refines one scalar root by Brent's method (Brent 1973,
+"Algorithms for Minimization without Derivatives", ch. 4), step for step as
+in scipy's brentq.c: inverse quadratic or secant steps while they shrink the
+bracket fast enough, and bisection when they do not, so it converges
+superlinearly near a simple root and never stalls.
+
+`bracketed_roots` refines a vector of brackets at once by Chandrupatla's
+method (Chandrupatla 1997, Adv. Eng. Softw. 28(3)): inverse quadratic
+interpolation when the last three points make it safe, bisection otherwise.
+Rows converge independently, each step evaluates only the rows still open,
+and every operation is elementwise, so a row's root is the same bit for bit
+whether it is solved alone or in a batch.
+
+Both are pure Python and numpy on purpose: scipy's brentq wraps the
+objective in a closure that refers to itself, and the reference cycle keeps
+the objective, and whatever it holds, alive until the cyclic garbage
+collector runs; importing scipy.optimize also costs about 50 MB of memory.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+
+import numpy as np
 
 from .errors import DomainError, NumericalFailure
 
@@ -86,3 +98,75 @@ def bracketed_root(fn, lo: float, hi: float, xtol: float = 1e-12,
         f"root refinement did not converge in {_MAX_ITER} steps "
         f"(last |f| = {abs(fcur):.3e})", residual=abs(fcur)
     )
+
+
+def bracketed_roots(fn, lo, hi, f_lo, f_hi, xtol: float = 1e-12) -> np.ndarray:
+    """Root of every row's bracket [lo[k], hi[k]], where f_lo[k] and f_hi[k]
+    are the function's values there and differ in sign.
+
+    fn(x, rows) returns the values at x[j] of the functions of rows[j]; it
+    is called only for rows that have not converged. A row stops when its
+    bracket is narrower than about xtol or its best value is exactly zero;
+    an endpoint whose value is zero is returned as it is. The first row
+    without a sign change, or with a NaN, raises an error naming it.
+    """
+    x1 = np.array(lo, dtype=float)          # the newest point
+    x2 = np.array(hi, dtype=float)          # the point across the root from x1
+    f1 = np.array(f_lo, dtype=float)
+    f2 = np.array(f_hi, dtype=float)
+    out = np.where(f1 == 0.0, x1, x2)
+    open_ = (f1 != 0.0) & (f2 != 0.0)
+    bad = open_ & (np.isnan(f1) | np.isnan(f2) | ((f1 < 0.0) == (f2 < 0.0)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise DomainError(
+            f"row {k}: root bracket [{float(x1[k])!r}, {float(x2[k])!r}] does "
+            f"not straddle a sign change (f = {float(f1[k])!r} .. {float(f2[k])!r})"
+        )
+    rows = np.flatnonzero(open_)
+    x1, x2, f1, f2 = x1[rows], x2[rows], f1[rows], f2[rows]
+    t = np.full(rows.size, 0.5)             # next point, as a share of x1 -> x2
+    steps = 0
+    while rows.size:
+        if steps == _MAX_ITER:
+            k = int(rows[0])
+            raise NumericalFailure(
+                f"row {k}: root refinement did not converge in {_MAX_ITER} "
+                f"steps (last |f| = {abs(float(f1[0])):.3e})",
+                residual=abs(float(f1[0])))
+        steps += 1
+        xt = x1 + t * (x2 - x1)
+        ft = np.asarray(fn(xt, rows), dtype=float)
+        if np.any(np.isnan(ft)):
+            k = int(rows[np.argmax(np.isnan(ft))])
+            raise NumericalFailure(f"row {k}: root refinement met a NaN value")
+        # x3 is the point the bracket just dropped
+        keep = (ft < 0.0) == (f1 < 0.0)
+        x3 = np.where(keep, x1, x2)
+        f3 = np.where(keep, f1, f2)
+        x2 = np.where(keep, x2, x1)
+        f2 = np.where(keep, f2, f1)
+        x1, f1 = xt, ft
+        best1 = np.abs(f1) < np.abs(f2)
+        xm = np.where(best1, x1, x2)
+        width = np.abs(x2 - x1)
+        tol = 0.5 * (xtol + _RTOL * np.abs(xm))
+        done = (width < 2.0 * tol) | (np.where(best1, f1, f2) == 0.0)
+        if np.any(done):
+            out[rows[done]] = xm[done]
+            live = ~done
+            rows, x1, x2, x3, f1, f2, f3, width, tol = (
+                a[live] for a in (rows, x1, x2, x3, f1, f2, f3, width, tol))
+        # inverse quadratic interpolation through the last three points when
+        # they bound a monotone curve between x1 and x2, else bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                   - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+            safe = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+        # every step lands at least tol inside the bracket
+        t_min = tol / width
+        t = np.clip(np.where(safe, iqi, 0.5), t_min, 1.0 - t_min)
+    return out

@@ -415,7 +415,11 @@ def generate_terrain(seed: int, target_slope: float, bump_count: int,
         return raw
     scale = (1.0 - 1e-9) * math.tan(target_slope) / math.tan(est)
     scaled = [Bump(b.cx, b.cy, b.amplitude * scale, b.sigma) for b in bumps]
-    return BumpTerrain(scaled, extent)
+    t = BumpTerrain(scaled, extent)
+    # scaling every amplitude scales the gradient field by the same factor,
+    # so the scaled terrain's estimate follows without sampling it again
+    t._slope_cache = math.atan(scale * math.tan(est))
+    return t
 
 
 def serialize_terrain(terrain: Terrain) -> str:

@@ -226,3 +226,19 @@ def test_wrong_count_of_numbers_is_domain_error(tmp_path):
     assert main(["gen-terrain", "--seed", "1", "--theta", "10",
                  "--extent", "1,2,3", "--out", str(out)]) == EXIT_FAILURE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-0.25", "nan"])
+@pytest.mark.parametrize("command", ["solve", "montecarlo"])
+def test_step_must_be_finite_and_positive(command, step, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    args = [command, "--motion", "rt", "--step", step, "--out", str(out)]
+    if command == "solve":
+        terrain = tmp_path / "flat.json"
+        terrain.write_text(serialize_terrain(flat_terrain()))
+        args += ["--terrain", str(terrain)]
+    else:
+        args += ["--n", "2"]
+    assert main(args) == EXIT_FAILURE
+    assert "trace step must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -232,3 +232,40 @@ def test_slope_gates_at_their_limits():
     assert trace.degenerate_start and not trace.warnings
     with pytest.raises(ConditionViolation, match="14.47"):
         run_march(TABLE, _pinned_flat(th.monotone_march + 2e-12))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.25, math.nan])
+@pytest.mark.parametrize("run", [run_march, run_pivot_slide],
+                         ids=["march", "pivot_slide"])
+def test_step_must_be_finite_and_positive(run, step, hills14):
+    with pytest.raises(DomainError, match="trace step must be positive"):
+        run(TABLE, hills14, step=step)
+
+
+class CountingTerrain:
+    """Delegates to a terrain and counts its scalar and array height calls."""
+
+    def __init__(self, terrain):
+        self.inner = terrain
+        self.scalar = 0
+        self.array = 0
+
+    def height(self, x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            self.array += 1
+        else:
+            self.scalar += 1
+        return self.inner.height(x, y)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_pivot_slide_solves_each_stage_in_array_passes(hills30):
+    # with one scan and one scalar refinement per sample and per foot, this
+    # solve made 944 array and 10,551 scalar height calls
+    terrain = CountingTerrain(hills30)
+    result = find_equilibrium(run_pivot_slide(TABLE, terrain), terrain)
+    assert result.found
+    assert terrain.array <= 944 // 4
+    assert terrain.scalar <= 10_551 // 2

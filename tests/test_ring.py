@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from wobble.errors import BlockedMotion, ConditionViolation, DomainError
+from wobble.errors import (
+    BlockedMotion,
+    ConditionViolation,
+    DomainError,
+    GeometryViolation,
+)
 from wobble.geometry import Sphere
 from wobble.ring import (
     chord_advance,
+    circle_crossings,
     circle_surface_intersection,
     flat_chord_azimuth_gap,
+    half_circle_crossings,
     ring_point,
     trace_ring,
 )
@@ -167,3 +174,76 @@ def test_circle_intersection_vertical_axis_rejected(flat):
     with pytest.raises(DomainError):
         circle_surface_intersection(np.zeros(3), np.array([0.0, 0, 1.0]), 0.7,
                                     flat, side=1)
+
+
+def _plane_circles(n, seed=0):
+    # centers on the 10-degree plane z = x tan(10), axes up to 30 deg from
+    # horizontal
+    rng = np.random.default_rng(seed)
+    slope = math.tan(math.radians(10.0))
+    xy = rng.uniform(-3.0, 3.0, size=(n, 2))
+    centers = np.column_stack([xy, xy[:, 0] * slope])
+    az = rng.uniform(-math.pi, math.pi, n)
+    el = rng.uniform(-math.radians(30.0), math.radians(30.0), n)
+    axes = np.column_stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az),
+                            np.sin(el)])
+    return centers, axes
+
+
+def test_circle_crossings_batch_matches_closed_form(plane10):
+    slope = math.tan(math.radians(10.0))
+    centers, axes = _plane_circles(50)
+    radius = 0.7
+    for side in (1, -1):
+        points, errors = circle_crossings(centers, axes, radius, plane10, side=side)
+        assert not errors
+        # the circle's plane meets the ground plane in a line through the
+        # center; the crossings sit one radius along it either way
+        normal = np.array([-slope, 0.0, 1.0])
+        line = np.cross(axes, normal)
+        line /= np.linalg.norm(line, axis=1)[:, None]
+        left = np.cross(np.array([0.0, 0.0, 1.0]), axes)
+        sign = np.sign((line * left).sum(axis=1)) * side
+        want = centers + radius * sign[:, None] * line
+        assert np.max(np.abs(points - want)) < 1e-10
+
+
+def test_kernel_rows_equal_one_row_calls(hills14):
+    centers, axes = _plane_circles(40, seed=1)
+    centers[:, 2] = hills14.height(centers[:, 0], centers[:, 1])
+    points, errors = circle_crossings(centers, axes, 0.9, hills14, side=1)
+    assert not errors
+    for k in range(len(centers)):
+        one = circle_surface_intersection(centers[k], axes[k], 0.9, hills14,
+                                          side=1, enforce_slope=False)
+        assert np.array_equal(one, points[k])
+    psis = np.linspace(-math.pi, math.pi, 40)
+    feet, betas, errors = half_circle_crossings(centers[0], psis, 0.9, hills14)
+    assert not errors
+    for k in range(psis.size):
+        foot, beta, _ = half_circle_crossings(centers[0], psis[k:k + 1], 0.9, hills14)
+        assert np.array_equal(foot[0], feet[k]) and beta[0] == betas[k]
+
+
+def test_kernel_failures_keep_their_types_per_row():
+    x_axis = np.array([1.0, 0.0, 0.0])
+    # ground z = tan(60 deg) y: a circle about the x axis through
+    # (0, 0, -1) pokes above the ground on one side of its top only
+    steep = GridTerrain.from_function(lambda x, y: y * math.tan(math.radians(60.0)),
+                                      EXT, 0.5)
+    centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 5.0]])
+    points, errors = circle_crossings(centers, np.tile(x_axis, (3, 1)), 0.7, steep)
+    assert sorted(errors) == [1, 2]
+    assert isinstance(errors[1], GeometryViolation) and "top" in str(errors[1])
+    assert isinstance(errors[2], GeometryViolation) and "at all" in str(errors[2])
+    assert np.all(np.isfinite(points[0])) and np.all(np.isnan(points[1:]))
+    with pytest.raises(GeometryViolation, match="top"):
+        circle_surface_intersection(centers[1], x_axis, 0.7, steep,
+                                    enforce_slope=False)
+    # a ridge through one side of the circle: four crossings
+    ridge = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)
+    centers = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 0.0]])
+    _, errors = circle_crossings(centers[::-1], np.tile(x_axis, (2, 1)), 0.7, ridge)
+    assert sorted(errors) == [0, 1]
+    assert isinstance(errors[0], ConditionViolation) and "4 times" in str(errors[0])
+    assert isinstance(errors[1], GeometryViolation)

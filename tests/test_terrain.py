@@ -213,3 +213,11 @@ def test_flat_terrain_default_extent():
     assert t.height(50.0, -50.0) == 0.0
     with pytest.raises(DomainError):
         t.height(101.0, 0.0)
+
+
+@pytest.mark.parametrize("seed, degrees", [(0, 6.0), (3, 14.0), (11, 30.0), (39, 35.0)])
+def test_generated_slope_bound_needs_no_second_estimate(seed, degrees):
+    t = generate_terrain(seed, math.radians(degrees), 20, EXT)
+    # set by generate_terrain from its own estimate, not sampled again
+    assert t._slope_cache is not None
+    assert abs(t.slope_bound - estimate_slope_bound(t)) <= 1e-12
