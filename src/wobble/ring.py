@@ -257,21 +257,28 @@ def trace_ring(sphere: Sphere, terrain, step: float,
     ox, oy, oz = (float(v) for v in sphere.center)
     r = sphere.radius
     cl = np.cos(lam_grid)
-    x = ox + r * np.outer(np.cos(phis), cl)
-    y = oy + r * np.outer(np.sin(phis), cl)
     z = oz + r * np.sin(lam_grid)[None, :]
-    gaps = z - terrain.height(x, y)
-
-    if np.any(gaps[:, 0] >= 0.0) or np.any(gaps[:, -1] <= 0.0):
-        if band < math.pi / 2.0 - 1e-9:
-            msg = (f"curve latitude leaves the scan band of "
-                   f"{math.degrees(band):.4f} deg; latitude bound breached")
-        else:
-            msg = "sphere does not straddle the ground over the traced azimuths"
-        raise GeometryViolation(msg)
-    signs = gaps > 0.0
-    flips = signs[:, :-1] != signs[:, 1:]
-    counts = flips.sum(axis=1)
+    cphi, sphi = np.cos(phis), np.sin(phis)
+    counts = np.empty(phis.size, dtype=int)
+    first = np.empty(phis.size, dtype=int)
+    f_lo, f_hi = np.empty(phis.size), np.empty(phis.size)
+    for start in range(0, phis.size, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        gaps = z - terrain.height(ox + r * np.outer(cphi[block], cl),
+                                  oy + r * np.outer(sphi[block], cl))
+        if np.any(gaps[:, 0] >= 0.0) or np.any(gaps[:, -1] <= 0.0):
+            if band < math.pi / 2.0 - 1e-9:
+                msg = (f"curve latitude leaves the scan band of "
+                       f"{math.degrees(band):.4f} deg; latitude bound breached")
+            else:
+                msg = "sphere does not straddle the ground over the traced azimuths"
+            raise GeometryViolation(msg)
+        signs = gaps > 0.0
+        flips = signs[:, :-1] != signs[:, 1:]
+        counts[block] = flips.sum(axis=1)
+        c = first[block] = np.argmax(flips, axis=1)
+        k = np.arange(c.size)
+        f_lo[block], f_hi[block] = gaps[k, c], gaps[k, c + 1]
     if np.any(counts != 1):
         bad = int(np.argmax(counts != 1))
         msg = (f"curve crosses the half-plane at azimuth "
@@ -280,17 +287,14 @@ def trace_ring(sphere: Sphere, terrain, step: float,
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
-    first = np.argmax(flips, axis=1)
-    cphi, sphi = np.cos(phis), np.sin(phis)
 
     def height_gap(lam: np.ndarray, rows: np.ndarray) -> np.ndarray:
         cm = np.cos(lam)
         return (oz + r * np.sin(lam)
                 - terrain.height(ox + r * cm * cphi[rows], oy + r * cm * sphi[rows]))
 
-    rows = np.arange(phis.size)
     lams = bracketed_roots(height_gap, lam_grid[first], lam_grid[first + 1],
-                           gaps[rows, first], gaps[rows, first + 1])
+                           f_lo, f_hi)
     cl = np.cos(lams)
     pts = np.column_stack([
         ox + r * cl * np.cos(phis),

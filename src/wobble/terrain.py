@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError
 
 _DEFAULT_SLOPE_SAMPLES = 40_000
+_SLOPE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -356,16 +357,21 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     n = max(int(math.isqrt(samples)), 100)
     xs = np.linspace(ext.xmin, ext.xmax, n)
     ys = np.linspace(ext.ymin, ext.ymax, n)
-    gx, gy = terrain.gradient(xs[None, :], ys[:, None])
-    g2 = (gx * gx + gy * gy).ravel()
+    # the grid in blocks of rows of about _SLOPE_BLOCK points, so the
+    # temporaries stay small at any sample count
+    g2 = np.empty((n, n))
+    rows = max(1, _SLOPE_BLOCK // n)
+    for i in range(0, n, rows):
+        gx, gy = terrain.gradient(xs[None, :], ys[i:i + rows, None])
+        g2[i:i + rows] = gx * gx + gy * gy
+    g2 = g2.ravel()
     if float(np.max(g2)) == 0.0:
         if not (isinstance(terrain, BumpTerrain) and any(b.amplitude for b in terrain.bumps)):
             return 0.0
     k = max(1, g2.size // 100)
     top = np.argpartition(g2, g2.size - k)[g2.size - k:]
-    X, Y = np.meshgrid(xs, ys)
-    cand_x = list(X.ravel()[top])
-    cand_y = list(Y.ravel()[top])
+    cand_x = list(xs[top % n])
+    cand_y = list(ys[top // n])
     if isinstance(terrain, BumpTerrain):
         ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         for b in terrain.bumps:
