@@ -7,19 +7,23 @@ meets it exactly once, so every point is a 1-D root in latitude. The trace
 keeps a cached polyline for warm starts. Every root is refined inside a
 certified bracket: a 1-degree sign scan ahead of each fresh bracket makes a
 breach of the uniqueness conditions surface as an error instead of a wrong
-answer. Brent's method (roots.bracketed_root) refines the one crossing a
-scalar scan admits; the trace refines all azimuths at once with
-roots.bracketed_roots.
+answer.
 
-The foot-circle kernels, `circle_crossings` for the circle about a table
-edge and `half_circle_crossings` for the vertical half-circle about a pivot,
-solve many rows at once: they scan the circles in blocks of _BLOCK_ROWS
-rows, check each row's certificates on its scan as array predicates, and
-refine every certified crossing in one bracket vector. A row that fails a
+Every circle crossing here goes through one kernel, `_solve_circles`: it
+scans many circles at once in blocks of _BLOCK_ROWS rows, checks each row's
+certificates on its scan as array predicates, and refines every certified
+crossing in one bracket vector (roots.bracketed_roots). The curve point at
+an azimuth is the crossing of the vertical half-circle about the sphere
+center, so `ring_point` (one row) and `trace_ring` (every grid azimuth) use
+it, as do the foot circles that close the table's square: `circle_crossings`
+for the circle about a table edge and `half_circle_crossings` for the
+vertical half-circle about a pivot. In these two a row that fails a
 certificate gets that certificate's error in the returned map and no point;
 the other rows are unaffected, so a caller that walks the rows in order
 raises the error of the first failing row. `circle_surface_intersection` is
-the one-row call of `circle_crossings`.
+the one-row call of `circle_crossings`. The warm-started curve solves of
+`GroundRing.point_at` and `chord_advance` refine one scalar root at a time
+with Brent's method (roots.bracketed_root).
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ def _scan_brackets(values: np.ndarray) -> list[int]:
 def ring_point(sphere: Sphere, terrain, azimuth: float,
                enforce_slope: bool = True) -> tuple[np.ndarray, float]:
     """Point of the sphere/ground curve in the vertical half-plane at
-    `azimuth`, with its latitude. Scans latitude at 1 degree, requires a
-    single crossing, then refines it with Brent's method.
+    `azimuth`, with its latitude: the crossing of the vertical half-circle
+    about the sphere center, scanned at 1 degree of latitude, required to
+    be single, then refined.
     """
     if enforce_slope:
         slope = terrain.slope_bound
@@ -74,35 +79,25 @@ def ring_point(sphere: Sphere, terrain, azimuth: float,
                 f"curve tracing needs terrain slope below 30.0000 deg for a "
                 f"unique azimuth graph, measured {math.degrees(slope):.4f} deg"
             )
-    ox, oy, oz = (float(v) for v in sphere.center)
-    r = sphere.radius
-    cphi, sphi = math.cos(azimuth), math.sin(azimuth)
 
-    def height_gap(lam: float) -> float:
-        cl = math.cos(lam)
-        x = ox + r * cl * cphi
-        y = oy + r * cl * sphi
-        return oz + r * math.sin(lam) - terrain.height(x, y)
+    def certify(gaps: np.ndarray, flips: np.ndarray):
+        bottom, top = float(gaps[0, 0]), float(gaps[0, -1])
+        if bottom >= 0.0 or top <= 0.0:
+            raise GeometryViolation(
+                "sphere does not straddle the ground along this azimuth "
+                f"(bottom gap {bottom:.3e}, top gap {top:.3e})"
+            )
+        count = int(flips.sum())
+        if count != 1:
+            raise ConditionViolation(
+                f"curve crosses this half-plane {count} times; the "
+                f"no-double-point condition (slope < 30 deg) is violated"
+            )
+        return np.argmax(flips, axis=1), {}
 
-    lams = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
-    gaps = np.array([height_gap(float(l)) for l in lams])
-    if gaps[0] >= 0.0 or gaps[-1] <= 0.0:
-        raise GeometryViolation(
-            "sphere does not straddle the ground along this azimuth "
-            f"(bottom gap {gaps[0]:.3e}, top gap {gaps[-1]:.3e})"
-        )
-    cells = _scan_brackets(gaps)
-    if len(cells) != 1:
-        raise ConditionViolation(
-            f"curve crosses this half-plane {len(cells)} times; the "
-            f"no-double-point condition (slope < 30 deg) is violated"
-        )
-    c = cells[0]
-    lam = bracketed_root(height_gap, float(lams[c]), float(lams[c + 1]),
-                         f_lo=float(gaps[c]), f_hi=float(gaps[c + 1]))
-    cl = math.cos(lam)
-    point = np.array([ox + r * cl * cphi, oy + r * cl * sphi, oz + r * math.sin(lam)])
-    return point, lam
+    points, lams, _ = _vertical_half_circles(terrain, sphere.center, [azimuth],
+                                             sphere.radius, _HALF_BETAS, certify)
+    return points[0], float(lams[0])
 
 
 @dataclass
@@ -254,18 +249,11 @@ def trace_ring(sphere: Sphere, terrain, step: float,
     band = min(math.pi / 2.0, max(2.0 * slope + math.radians(5.0), math.radians(10.0)))
     n_lam = max(int(math.ceil(2.0 * band / _DEG)) + 1, 11)
     lam_grid = np.linspace(-band, band, n_lam)
-    ox, oy, oz = (float(v) for v in sphere.center)
-    r = sphere.radius
-    cl = np.cos(lam_grid)
-    z = oz + r * np.sin(lam_grid)[None, :]
-    cphi, sphi = np.cos(phis), np.sin(phis)
-    counts = np.empty(phis.size, dtype=int)
-    first = np.empty(phis.size, dtype=int)
-    f_lo, f_hi = np.empty(phis.size), np.empty(phis.size)
-    for start in range(0, phis.size, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        gaps = z - terrain.height(ox + r * np.outer(cphi[block], cl),
-                                  oy + r * np.outer(sphi[block], cl))
+    # the curve point at each azimuth is the crossing of the vertical
+    # half-circle about the sphere center, scanned over the band
+    block_counts = []
+
+    def certify(gaps: np.ndarray, flips: np.ndarray):
         if np.any(gaps[:, 0] >= 0.0) or np.any(gaps[:, -1] <= 0.0):
             if band < math.pi / 2.0 - 1e-9:
                 msg = (f"curve latitude leaves the scan band of "
@@ -273,12 +261,12 @@ def trace_ring(sphere: Sphere, terrain, step: float,
             else:
                 msg = "sphere does not straddle the ground over the traced azimuths"
             raise GeometryViolation(msg)
-        signs = gaps > 0.0
-        flips = signs[:, :-1] != signs[:, 1:]
-        counts[block] = flips.sum(axis=1)
-        c = first[block] = np.argmax(flips, axis=1)
-        k = np.arange(c.size)
-        f_lo[block], f_hi[block] = gaps[k, c], gaps[k, c + 1]
+        block_counts.append(flips.sum(axis=1))
+        return np.argmax(flips, axis=1), {}
+
+    pts, lams, _ = _vertical_half_circles(terrain, sphere.center, phis,
+                                          sphere.radius, lam_grid, certify)
+    counts = np.concatenate(block_counts)
     if np.any(counts != 1):
         bad = int(np.argmax(counts != 1))
         msg = (f"curve crosses the half-plane at azimuth "
@@ -287,20 +275,6 @@ def trace_ring(sphere: Sphere, terrain, step: float,
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
-
-    def height_gap(lam: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        cm = np.cos(lam)
-        return (oz + r * np.sin(lam)
-                - terrain.height(ox + r * cm * cphi[rows], oy + r * cm * sphi[rows]))
-
-    lams = bracketed_roots(height_gap, lam_grid[first], lam_grid[first + 1],
-                           f_lo, f_hi)
-    cl = np.cos(lams)
-    pts = np.column_stack([
-        ox + r * cl * np.cos(phis),
-        oy + r * cl * np.sin(phis),
-        oz + r * np.sin(lams),
-    ])
 
     worst_lat = float(np.max(np.abs(lams)))
     # flat ground degenerates to latitude == bound == 0; only a real excess counts
@@ -323,7 +297,7 @@ def trace_ring(sphere: Sphere, terrain, step: float,
     c2 = math.cos(2.0 * slope) ** 2
     if c2 > s2:
         speed_factor = max(speed_factor, c2 / math.sqrt(c2 - s2))
-    cap = 2.0 * r * math.sin(grid_step / 2.0) * speed_factor * (1.0 + 1e-3)
+    cap = 2.0 * sphere.radius * math.sin(grid_step / 2.0) * speed_factor * (1.0 + 1e-3)
     if spacing > cap:
         msg = f"adjacent trace points spaced {spacing:.3e}, cap {cap:.3e}"
         if enforce:
@@ -442,6 +416,19 @@ def _solve_circles(terrain, centers, e_cos, e_sin, radius: float,
     return np.column_stack([x[:, 0], y[:, 0], z[:, 0]]), angles, errors
 
 
+def _vertical_half_circles(terrain, centers, azimuths, radius: float,
+                           grid: np.ndarray, certify):
+    """`_solve_circles` for the vertical half-circles of `radius` about each
+    row's center in the half-plane at azimuths[k]: the angle is the
+    elevation above the horizontal."""
+    psi = np.asarray(azimuths, dtype=float)
+    n = psi.size
+    c = np.broadcast_to(np.asarray(centers, dtype=float), (n, 3))
+    e_out = np.column_stack([np.cos(psi), np.sin(psi), np.zeros(n)])
+    e_up = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (n, 3))
+    return _solve_circles(terrain, c, e_out, e_up, radius, grid, certify)
+
+
 def circle_crossings(centers, axes, radius: float, terrain,
                      side: int = 1) -> tuple[np.ndarray, dict[int, WobbleError]]:
     """Where each row's circle about axes[k] through centers[k] meets the
@@ -511,12 +498,6 @@ def half_circle_crossings(centers, azimuths, radius: float, terrain):
     this order: the half-circle straddles the ground (bottom below, top
     above), and it crosses the ground exactly once.
     """
-    psi = np.asarray(azimuths, dtype=float)
-    n = psi.size
-    c = np.broadcast_to(np.asarray(centers, dtype=float), (n, 3))
-    e_out = np.column_stack([np.cos(psi), np.sin(psi), np.zeros(n)])
-    e_up = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (n, 3))
-
     def certify(gaps: np.ndarray, flips: np.ndarray):
         counts = flips.sum(axis=1)
         straddles = (gaps[:, -1] > 0.0) & (gaps[:, 0] < 0.0)
@@ -531,7 +512,8 @@ def half_circle_crossings(centers, azimuths, radius: float, terrain):
                     f"times; uniqueness needs slope below 45 deg")
         return np.argmax(flips, axis=1), failed
 
-    return _solve_circles(terrain, c, e_out, e_up, radius, _HALF_BETAS, certify)
+    return _vertical_half_circles(terrain, centers, azimuths, radius, _HALF_BETAS,
+                                  certify)
 
 
 def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,
