@@ -20,7 +20,7 @@ from .contact import (
     DropRotation,
     FootSet,
     TableSpec,
-    complete_fourth_foot,
+    complete_fourth_feet,
     drop_rotate,
     settle_three_feet,
     signed_heights,

@@ -286,16 +286,6 @@ def complete_fourth_feet(p1, p2, p3, tol_rel: float = 1e-6):
     return a + c - b, errors
 
 
-def complete_fourth_foot(p1, p2, p3, tol_rel: float = 1e-6) -> np.ndarray:
-    """Fourth corner of the square with consecutive corners p1, p2, p3: the
-    one-row call of `complete_fourth_feet`."""
-    corners, errors = complete_fourth_feet(
-        *(np.asarray(p, dtype=float)[None, :] for p in (p1, p2, p3)), tol_rel=tol_rel)
-    if errors:
-        raise errors[0]
-    return corners[0]
-
-
 @dataclass(frozen=True)
 class DropRotation:
     """Result of rotating the free foot about the opposite edge to the ground."""

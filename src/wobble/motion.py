@@ -17,11 +17,16 @@ half-circle kernel (ring.half_circle_crossings), while the march chords and
 the slide chords are solved in order, each searched from the last. Then
 `_squares` closes every sample's square in one pass: every foot 3 by the
 blocked circle kernel (ring.circle_crossings), every foot 4, and every
-contact height in one array call. A placement failure does not raise at
-once: it stops the stage at that sample, the samples before it are flagged
-and recorded in order, and only then is it raised. So the first breach in
-sample order, a flag or a placement failure, raises the same error as a
-sample-by-sample solve would, and override runs record the same warnings.
+contact height in one array call. A placement failure that a row reports
+(a failed circle certificate, corner check or chord search) does not raise
+at once: it stops the stage at that sample, the samples before it are
+flagged and recorded in order, and only then is it raised. So the first
+breach in sample order, a flag or such a failure, raises the same error as
+a sample-by-sample solve would, and override runs record the same
+warnings. An error raised by the terrain inside a batched call (a query
+outside its extent) or a NaN met while refining belongs to no one row: it
+aborts the stage before any of its samples is recorded. The workspace
+check in `_start` keeps every reachable foot circle inside the extent.
 Each motion's resolver is the one-sample call of the same stage functions.
 
 Motion "march" follows the curve where the circumsphere of the settled feet

@@ -20,8 +20,10 @@ for the circle about a table edge and `half_circle_crossings` for the
 vertical half-circle about a pivot. In these two a row that fails a
 certificate gets that certificate's error in the returned map and no point;
 the other rows are unaffected, so a caller that walks the rows in order
-raises the error of the first failing row. `circle_surface_intersection` is
-the one-row call of `circle_crossings`. The warm-started curve solves of
+raises the error of the first failing row. An error the terrain raises
+during a scan or a refinement (a query outside its extent), or a NaN met
+while refining, is raised for the whole call. `circle_surface_intersection`
+is the one-row call of `circle_crossings`. The warm-started curve solves of
 `GroundRing.point_at` and `chord_advance` refine one scalar root at a time
 with Brent's method (roots.bracketed_root).
 """
@@ -383,7 +385,8 @@ def _solve_circles(terrain, centers, e_cos, e_sin, radius: float,
     the gap changes sign, and returns (cells, errors): the grid cell holding
     each row's crossing, and the rows that fail with their errors. All certified
     crossings are then refined together. Returns (points, angles, errors);
-    a failed row's point and angle are NaN.
+    a failed row's point and angle are NaN. Errors from the terrain's
+    height queries, and a NaN during refinement, propagate for all rows.
     """
     n = len(centers)
     cos_g, sin_g = np.cos(grid), np.sin(grid)

@@ -35,6 +35,8 @@ from .errors import DomainError, NumericalFailure
 # least one float spacing
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAX_ITER = 200
+# absolute bracket width at which a row of bracketed_roots stops
+_XTOL = 1e-12
 
 
 def bracketed_root(fn, lo: float, hi: float, xtol: float = 1e-12,
@@ -100,13 +102,13 @@ def bracketed_root(fn, lo: float, hi: float, xtol: float = 1e-12,
     )
 
 
-def bracketed_roots(fn, lo, hi, f_lo, f_hi, xtol: float = 1e-12) -> np.ndarray:
+def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Root of every row's bracket [lo[k], hi[k]], where f_lo[k] and f_hi[k]
     are the function's values there and differ in sign.
 
     fn(x, rows) returns the values at x[j] of the functions of rows[j]; it
     is called only for rows that have not converged. A row stops when its
-    bracket is narrower than about xtol or its best value is exactly zero;
+    bracket is narrower than about _XTOL or its best value is exactly zero;
     an endpoint whose value is zero is returned as it is. The first row
     without a sign change, or with a NaN, raises an error naming it.
     """
@@ -150,7 +152,7 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi, xtol: float = 1e-12) -> np.ndarray:
         best1 = np.abs(f1) < np.abs(f2)
         xm = np.where(best1, x1, x2)
         width = np.abs(x2 - x1)
-        tol = 0.5 * (xtol + _RTOL * np.abs(xm))
+        tol = 0.5 * (_XTOL + _RTOL * np.abs(xm))
         done = (width < 2.0 * tol) | (np.where(best1, f1, f2) == 0.0)
         if np.any(done):
             out[rows[done]] = xm[done]

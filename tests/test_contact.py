@@ -6,7 +6,7 @@ import pytest
 from wobble.contact import (
     FootSet,
     TableSpec,
-    complete_fourth_foot,
+    complete_fourth_feet,
     drop_rotate,
     settle_three_feet,
     signed_heights,
@@ -117,14 +117,22 @@ def test_relabel_dichotomy_exactly_one_labeling_up():
         assert both_zero or (h_a > -tol) != (h_b > -tol)
 
 
+def _one_corner(p1, p2, p3):
+    corners, errors = complete_fourth_feet(
+        *(np.asarray(p, dtype=float)[None, :] for p in (p1, p2, p3)))
+    return corners[0], errors
+
+
 def test_complete_fourth_foot_trivial():
-    p4 = complete_fourth_foot((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    p4, errors = _one_corner((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    assert not errors
     assert np.allclose(p4, (0, 1, 0), atol=1e-15)
 
 
 def test_complete_fourth_foot_degenerate():
-    with pytest.raises(DomainError):
-        complete_fourth_foot((1, 1, 0), (1, 0, 0), (1, 1, 0))
+    _, errors = _one_corner((1, 1, 0), (1, 0, 0), (1, 1, 0))
+    assert list(errors) == [0]
+    assert isinstance(errors[0], DomainError)
 
 
 def test_complete_fourth_foot_tilted_squares():
@@ -137,7 +145,8 @@ def test_complete_fourth_foot_tilted_squares():
         b = a + rng.normal(size=3)
         angle = float(rng.uniform(0, 2 * math.pi))
         pts = [rotate_about_axis(p, a, b, angle) for p in base]
-        p4 = complete_fourth_foot(pts[0], pts[1], pts[2])
+        p4, errors = _one_corner(pts[0], pts[1], pts[2])
+        assert not errors
         assert np.linalg.norm(p4 - pts[3]) < 1e-9
         assert np.linalg.norm(p4 - pts[2]) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(p4 - pts[0]) == pytest.approx(1.0, abs=1e-9)
