@@ -18,6 +18,8 @@ from .geometry import SlopeThresholds, rotate_about_axis
 from .roots import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
+# relative tolerance on a square corner's edge lengths and its right angle
+_CORNER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
     return feet
 
 
-def complete_fourth_feet(p1, p2, p3, tol_rel: float = 1e-6):
+def complete_fourth_feet(p1, p2, p3):
     """Fourth corner of every row's square with consecutive corners p1[k],
     p2[k], p3[k]: (corners, errors by row).
 
@@ -269,8 +271,8 @@ def complete_fourth_feet(p1, p2, p3, tol_rel: float = 1e-6):
         cosang = (e1[:, 0] * e2[:, 0] + e1[:, 1] * e2[:, 1]
                   + e1[:, 2] * e2[:, 2]) / (l1 * l2)
     degenerate = (l1 == 0.0) | (l2 == 0.0)
-    unequal = np.abs(l1 - l2) > tol_rel * l1
-    skew = np.abs(cosang) > tol_rel
+    unequal = np.abs(l1 - l2) > _CORNER_TOL * l1
+    skew = np.abs(cosang) > _CORNER_TOL
     errors: dict[int, DomainError] = {}
     for k in np.flatnonzero(degenerate | unequal | skew):
         u, v = float(l1[k]), float(l2[k])
