@@ -310,7 +310,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         raise DomainError(f"campaign needs n >= 1, got {cfg.n}")
     if cfg.motion not in ("gamma", "rt"):
         raise DomainError(f"unknown motion {cfg.motion!r}; use 'gamma' or 'rt'")
+    # a bad step or table fails here, before any worker starts
     check_step(cfg.step)
+    TableSpec.square(cfg.side)
     seeds = _campaign_seeds(cfg)
     tasks = [(cfg, i, s) for i, s in enumerate(seeds)]
     workers = worker_count(cfg.n)

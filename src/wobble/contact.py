@@ -39,15 +39,15 @@ class TableSpec:
 
     @classmethod
     def square(cls, side: float, leg_length: float | None = None) -> "TableSpec":
-        if side <= 0:
-            raise DomainError(f"table side must be positive, got {side}")
+        if not (math.isfinite(side) and side > 0):
+            raise DomainError(f"table side must be finite and positive, got {side}")
         return cls(kind="square", side=float(side),
                    leg_length=float(leg_length if leg_length is not None else side))
 
     @classmethod
     def circle(cls, radius: float, foot_angles, leg_length: float | None = None) -> "TableSpec":
-        if radius <= 0:
-            raise DomainError(f"foot circle radius must be positive, got {radius}")
+        if not (math.isfinite(radius) and radius > 0):
+            raise DomainError(f"foot circle radius must be finite and positive, got {radius}")
         angles = tuple(float(a) for a in foot_angles)
         if len(angles) != 4:
             raise DomainError(f"need exactly 4 foot angles, got {len(angles)}")

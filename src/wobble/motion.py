@@ -6,15 +6,21 @@ way the free foot's signed height changes sign, so the intermediate value
 theorem hands us a placement with all four feet grounded.
 
 Both motions run on one driver and differ only in their path: `_start`
-checks the step, gates the slope, checks the workspace, settles and drops
-the free foot; `_record` flags each sample and `_check_endpoints` checks that
-the path ends one labeling further; `_breach` raises each condition breach,
-or records it as a warning under override.
+checks the step and the yaw, gates the slope, checks the workspace, settles
+and drops the free foot; `_squares` flags every sample's contact and
+rigidity, `_record` adds the motion's own flags and continuity and records
+each sample, and `_check_endpoints` checks that the path ends one labeling
+further; `_breach` raises each condition breach, or records it as a warning
+under override.
 
 Each stage places all its samples before recording any. Feet 1 and 2 come
-first: the pivot stage solves every foot 1 at once with the blocked
-half-circle kernel (ring.half_circle_crossings), while the march chords and
-the slide chords are solved in order, each searched from the last. Then
+first. The pivot stage solves every foot 1 at once with the blocked
+half-circle kernel (ring.half_circle_crossings). The slide stage traces its
+section curve once as a polyline, takes every chord's hint from it and
+solves all its chords together (`_slide_chords`). Only the march chords are
+still solved in order, each searched from the last: batching them waits
+until the `march` benchmark stops holding every op's output, or a faster
+march would read there as a memory regression (ROADMAP item 3). Then
 `_squares` closes every sample's square in one pass: every foot 3 by the
 blocked circle kernel (ring.circle_crossings), every foot 4, and every
 contact height in one array call. A placement failure that a row reports
@@ -68,11 +74,14 @@ from .ring import (
     half_circle_crossings,
     trace_ring,
 )
-from .roots import bracketed_root
+from .roots import bracketed_root, bracketed_roots
 
 _TWO_PI = 2.0 * math.pi
 _SLOPES = SlopeThresholds()
 DEFAULT_STEP = math.radians(0.25)
+# rows per block of the chord-hint search, which holds a (rows, window)
+# distance matrix; the window grows as the step shrinks
+_HINT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -178,8 +187,8 @@ def _breach(trace: MotionTrace, error: type, msg: str,
 
 def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
            step: float, override: bool) -> tuple[MotionTrace, float]:
-    """Check the step, gate the slope, check the workspace, settle and drop
-    the free foot.
+    """Check the step and the yaw, gate the slope, check the workspace,
+    settle and drop the free foot.
 
     Settling prefers a labeling whose free foot starts on or above the
     ground (an odd relabel usually swaps the rocking diagonal), but accepts
@@ -187,6 +196,8 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
     Returns the trace and the free foot's starting height; a start with all
     four feet down gets one settled sample and no drop."""
     check_step(step)
+    if not math.isfinite(yaw):
+        raise DomainError(f"yaw must be finite, got {yaw}")
     name, limit, limit_name = _GATES[kind]
     if table.kind != "square":
         raise DomainError(f"the {name} motion is defined for square tables")
@@ -227,17 +238,12 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
 
 def _record(trace: MotionTrace, i: int, sample: MotionSample, where: str,
             own_flags=()) -> None:
-    """Flag sample i (contact, rigidity, own_flags, continuity with the last
-    sample), raise or warn on any flag (the error names `where`), append it."""
-    table = trace.table
-    side = table.side
-    flags = []
-    if max(abs(h) for h in sample.contact.heights[:3]) > _contact_tolerance(table):
-        flags.append("contact")
-    if sample.feet.rigidity_residual(table) > 1e-9 * side:
-        flags.append("rigidity")
-    flags.extend(own_flags)
-    if trace.samples and abs(sample.contact.h4 - trace.samples[-1].contact.h4) > 0.2 * side:
+    """Add own_flags and continuity with the last sample to sample i's flags
+    (contact and rigidity, set by `_squares`), raise or warn on any flag
+    (the error names `where`), append it."""
+    flags = [*sample.flags, *own_flags]
+    if (trace.samples and abs(sample.contact.h4 - trace.samples[-1].contact.h4)
+            > 0.2 * trace.table.side):
         flags.append("continuity")
     if flags:
         _breach(trace, ConditionViolation,
@@ -262,11 +268,16 @@ def _check_endpoints(trace: MotionTrace) -> None:
                 f"endpoint identity violated: residuals {['%.2e' % c for c in checks]}")
 
 
+_SQUARE_FLAGS = ("contact", "rigidity")
+
+
 def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
              foot2: np.ndarray):
     """Close the square on edge 1-2 of every row in one pass: foot 3 where
     the circle about the edge through foot 2 meets the ground, foot 4 by the
-    parallelogram rule, then all four contact heights.
+    parallelogram rule, then all four contact heights, and flag every row
+    whose feet 1-3 leave the ground ("contact") or whose pairwise distances
+    leave the table's ("rigidity").
 
     Returns the samples (at params[k], in `stage`) of the rows before the
     first row that fails, and that row's error (None when every row
@@ -279,8 +290,14 @@ def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
     pts = np.stack([foot1[:m], foot2[:m], p3[:m], p4[:m]], axis=1)
     heights = pts[:, :, 2] - terrain.height(pts[:, :, 0], pts[:, :, 1])
     tol = _contact_tolerance(table)
+    d = pts[:, :, None, :] - pts[:, None, :, :]
+    rigidity = np.max(np.abs(np.sqrt((d * d).sum(axis=-1))
+                             - table.reference_distances()), axis=(1, 2))
+    flags = np.stack([np.max(np.abs(heights[:, :3]), axis=1) > tol,
+                      rigidity > 1e-9 * table.side], axis=1)
     samples = [MotionSample(param=float(params[k]), feet=FootSet(pts[k]), stage=stage,
-                            contact=ContactState(tuple(heights[k].tolist()), tol))
+                            contact=ContactState(tuple(heights[k].tolist()), tol),
+                            flags=tuple(f for f, on in zip(_SQUARE_FLAGS, flags[k]) if on))
                for k in range(m)]
     return samples, errors.get(m)
 
@@ -399,54 +416,107 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     return trace
 
 
-def _section_point(terrain, anchor: np.ndarray, direction_xy: np.ndarray,
-                   u: float) -> np.ndarray:
+def _section_points(terrain, anchor: np.ndarray, direction_xy: np.ndarray,
+                    u) -> np.ndarray:
+    """Points of the vertical-plane section curve at parameters u, an array
+    of any shape: one array height call. (..., 3)"""
+    u = np.asarray(u, dtype=float)
     x = float(anchor[0]) + u * float(direction_xy[0])
     y = float(anchor[1]) + u * float(direction_xy[1])
-    return np.array([x, y, terrain.height(x, y)])
+    return np.stack([x, y, terrain.height(x, y)], axis=-1)
 
 
-def _section_chord(terrain, anchor, direction_xy, u_from: float,
-                   base: np.ndarray, chord: float, hint: float,
-                   step: float) -> tuple[float, np.ndarray]:
-    """Parameter and point of the vertical-plane section curve at distance
-    `chord` ahead of `base`, the section point at u_from."""
-    # bracketed_root returns an endpoint or a point it evaluated, so the
-    # root's section point is always among the ones solved here
-    solved: dict[float, np.ndarray] = {}
+def _chord_hints(line_u: np.ndarray, line: np.ndarray, u_leads: np.ndarray,
+                 base: np.ndarray, chord: float) -> np.ndarray:
+    """Where the section polyline (points `line` at the sorted parameters
+    `line_u`) first reaches distance `chord` from base[k] ahead of
+    u_leads[k], interpolated on the segment that crosses it; the polyline's
+    end when it never does."""
+    m = len(u_leads)
+    hints = np.full(m, line_u[-1])
+    first = np.searchsorted(line_u, u_leads, side="right")
+    # a point is at least as far from the base as it is along the section,
+    # so each row's window ends one point past u_lead + chord
+    last = np.searchsorted(line_u, u_leads + chord, side="right") + 1
+    for b in range(0, m, _HINT_BLOCK):
+        rows = slice(b, b + _HINT_BLOCK)
+        span = int(np.max(last[rows] - first[rows])) + 1
+        idx = first[rows, None] + np.arange(span)
+        valid = idx < len(line_u)
+        idx = np.minimum(idx, len(line_u) - 1)
+        dist = np.linalg.norm(line[idx] - base[rows, None, :], axis=-1)
+        over = valid & (dist >= chord)
+        hit = np.flatnonzero(over.any(axis=1))
+        j = np.argmax(over[hit], axis=1)
+        u_j, d_j = line_u[idx[hit, j]], dist[hit, j]
+        # the point before the crossing: the last polyline point, or the
+        # base itself at u_lead when the first point ahead already crosses
+        prev = j > 0
+        jp = np.maximum(j - 1, 0)
+        u_p = np.where(prev, line_u[idx[hit, jp]], u_leads[rows][hit])
+        d_p = np.where(prev, dist[hit, jp], 0.0)
+        hints[b + hit] = u_p + (chord - d_p) / (d_j - d_p) * (u_j - u_p)
+    return hints
 
-    def gap(u: float) -> float:
-        p = solved[u] = _section_point(terrain, anchor, direction_xy, u)
-        d = p - base
-        return float(math.sqrt(float(np.dot(d, d)))) - chord
 
+def _slide_chords(terrain, anchor, direction_xy, u_leads: np.ndarray,
+                  base: np.ndarray, chord: float, hints: np.ndarray, step: float):
+    """Parameter and point of the section curve at distance `chord` ahead of
+    each row's base point (the section point at u_leads[k]), searched around
+    hints[k], all rows at once.
+
+    Each row's bracket starts max(4 step, 1e-6) either side of its hint,
+    clipped just ahead of u_lead, and doubles while it holds no sign change;
+    9 probes across it must show exactly one. Returns (u, points, errors):
+    NaN rows for the rows that fail, and errors maps each of those to its
+    BlockedMotion (no bracket) or ConditionViolation (several roots)."""
+    m = len(u_leads)
+
+    def gaps(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Chord gaps at u[j, i], a parameter of row rows[j]."""
+        d = _section_points(terrain, anchor, direction_xy, u) - base[rows, None, :]
+        return np.sqrt(np.sum(d * d, axis=-1)) - chord
+
+    floor = u_leads + 1e-12
     width = max(4.0 * step, 1e-6)
-    lo = max(hint - width, u_from + 1e-12)
-    hi = hint + width
-    g_lo, g_hi = gap(lo), gap(hi)
+    lo = np.maximum(hints - width, floor)
+    hi = hints + width
+    ends = gaps(np.stack([lo, hi], axis=1), np.arange(m))
+    g_lo, g_hi = ends[:, 0], ends[:, 1]
+    errors: dict[int, WobbleError] = {}
+    open_ = np.flatnonzero(~((g_lo < 0.0) & (g_hi > 0.0)))
+    solvable = np.ones(m, dtype=bool)
     tries = 0
-    while not (g_lo < 0.0 < g_hi):
+    while open_.size:
         width *= 2.0
-        lo = max(hint - width, u_from + 1e-12)
-        hi = hint + width
-        g_lo, g_hi = gap(lo), gap(hi)
         tries += 1
         if tries > 8 or width > 2.0 * chord:
-            raise BlockedMotion(
-                "section-curve chord found no bracket; the slide cannot advance"
-            )
-    probes = np.linspace(lo, hi, 9)
-    vals = np.empty(9)
-    vals[0], vals[8] = g_lo, g_hi
-    for i in range(1, 8):
-        vals[i] = gap(float(probes[i]))
+            solvable[open_] = False
+            for k in open_.tolist():
+                errors[k] = BlockedMotion(
+                    "section-curve chord found no bracket; the slide cannot advance")
+            break
+        lo[open_] = np.maximum(hints[open_] - width, floor[open_])
+        hi[open_] = hints[open_] + width
+        ends = gaps(np.stack([lo[open_], hi[open_]], axis=1), open_)
+        g_lo[open_], g_hi[open_] = ends[:, 0], ends[:, 1]
+        open_ = open_[~((g_lo[open_] < 0.0) & (g_hi[open_] > 0.0))]
+    rows = np.flatnonzero(solvable)
+    probes = np.linspace(lo[rows], hi[rows], 9, axis=1)
+    vals = np.empty((rows.size, 9))
+    vals[:, 0], vals[:, 8] = g_lo[rows], g_hi[rows]
+    vals[:, 1:8] = gaps(probes[:, 1:8], rows)
     signs = vals > 0.0
-    if int(np.count_nonzero(signs[:-1] != signs[1:])) != 1:
-        raise ConditionViolation(
-            "multiple section-curve chord roots in the bracket"
-        )
-    u = bracketed_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
-    return u, solved[u]
+    several = np.count_nonzero(signs[:, :-1] != signs[:, 1:], axis=1) != 1
+    for k in rows[several].tolist():
+        errors[k] = ConditionViolation("multiple section-curve chord roots in the bracket")
+    rows = rows[~several]
+    u = np.full(m, np.nan)
+    u[rows] = bracketed_roots(lambda x, r: gaps(x[:, None], rows[r])[:, 0],
+                              lo[rows], hi[rows], g_lo[rows], g_hi[rows])
+    points = np.full((m, 3), np.nan)
+    points[rows] = _section_points(terrain, anchor, direction_xy, u[rows])
+    return u, points, errors
 
 
 def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
@@ -484,26 +554,6 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
                                     np.broadcast_to(pivot, (m, 3)))
         return samples, failure or errors.get(m), betas
 
-    def slides(params, u_leads, hint: float, width: float):
-        """Foot 1 at each section parameter u_leads[k] and foot 2 one side
-        length ahead, searched around `hint` for the first row and around
-        the last row's foot 2 after that: (samples before the first failing
-        row, its error). The chords are solved in order, as in the march."""
-        foot1, foot2, failure = [], [], None
-        try:
-            for u_lead in u_leads:
-                p1 = _section_point(terrain, pivot, dir_xy, u_lead)
-                hint, p2 = _section_chord(terrain, pivot, dir_xy, u_lead, p1,
-                                          side, hint, width)
-                foot1.append(p1)
-                foot2.append(p2)
-        except WobbleError as exc:
-            failure = exc
-        samples, square_failure = _squares(table, terrain, "slide", params,
-                                           np.array(foot1).reshape(-1, 3),
-                                           np.array(foot2).reshape(-1, 3))
-        return samples, square_failure or failure
-
     n1 = max(1, int(math.ceil(sweep1 / step)))
     samples, failure, betas = pivots(sweep1 * np.arange(n1 + 1) / n1)
     for i, s in enumerate(samples):
@@ -511,11 +561,30 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
     if failure is not None:
         raise failure
     u0 = -side * math.cos(float(betas[n1]))
-    n2 = max(1, int(math.ceil(abs(u0) / (side * math.sin(step) if step < math.pi / 2 else side))))
+    spacing = side * math.sin(step) if step < math.pi / 2 else side
+    n2 = max(1, int(math.ceil(abs(u0) / spacing)))
     param_scale = (math.pi / 2.0) / max(abs(u0), 1e-12)
-    u_leads = [u0 * (1.0 - i / n2) for i in range(1, n2 + 1)]
-    samples, failure = slides([sweep1 + (u - u0) * param_scale for u in u_leads],
-                              u_leads, 0.0, abs(u0) / n2)
+    u_leads = np.array([u0 * (1.0 - i / n2) for i in range(1, n2 + 1)])
+    # the section curve from the first foot 1 to beyond the last foot 2, one
+    # side length past the pivot, traced once on the stage's grid
+    line_u = np.concatenate([u_leads, spacing * np.arange(1, math.ceil(side / spacing) + 2)])
+    line = _section_points(terrain, pivot, dir_xy, line_u)
+
+    def slides(params, u_leads: np.ndarray, foot1: np.ndarray):
+        """Foot 1 at each section parameter u_leads[k] (point foot1[k]) and
+        foot 2 one side length ahead, searched around the crossing of the
+        stage's section polyline: (samples before the first failing row,
+        its error)."""
+        hints = _chord_hints(line_u, line, u_leads, foot1, side)
+        _, foot2, errors = _slide_chords(terrain, pivot, dir_xy, u_leads, foot1,
+                                         side, hints, abs(u0) / n2)
+        m = min(errors, default=len(u_leads))
+        samples, failure = _squares(table, terrain, "slide", params, foot1[:m],
+                                    foot2[:m])
+        return samples, failure or errors.get(m)
+
+    samples, failure = slides([sweep1 + (u - u0) * param_scale for u in u_leads.tolist()],
+                              u_leads, line[:n2])
     for i, s in enumerate(samples, start=n1 + 1):
         _record(trace, i, s, "(slide)")
     if failure is not None:
@@ -526,10 +595,9 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
         if param <= sweep1:
             samples, failure, _ = pivots(np.array([param]))
             return _only(samples, failure)
-        u_lead = min(u0 + (param - sweep1) / param_scale, 0.0)
-        # the chord's far end sits between 0.65 and 1.0 side lengths ahead
-        # for any slope below 45 deg
-        return _only(*slides([param], [u_lead], u_lead + 0.825 * side, 0.05 * side))
+        u_lead = np.array([min(u0 + (param - sweep1) / param_scale, 0.0)])
+        return _only(*slides([param], u_lead,
+                             _section_points(terrain, pivot, dir_xy, u_lead)))
 
     trace.resolver = resolver
     return trace

@@ -168,14 +168,15 @@ def test_montecarlo_small_campaign(tmp_path):
     assert len(lines) == 4
 
 
-def test_montecarlo_deterministic_and_worker_independent(tmp_path):
+@pytest.mark.parametrize("motion", ["gamma", "rt"])
+def test_montecarlo_deterministic_and_worker_independent(motion, tmp_path):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-    r1 = run_cli(["montecarlo", "--n", "3", "--theta", "12", "--seed", "9",
-                  "--out", str(a)], cwd=tmp_path)
-    r2 = run_cli(["montecarlo", "--n", "3", "--theta", "12", "--seed", "9",
-                  "--out", str(b)], cwd=tmp_path)
-    r3 = run_cli(["montecarlo", "--n", "3", "--theta", "12", "--seed", "9",
-                  "--out", str(c)], cwd=tmp_path, env_extra={"WOBBLE_THREADS": "2"})
+    args = ["montecarlo", "--n", "3", "--theta", "12", "--seed", "9",
+            "--motion", motion]
+    r1 = run_cli([*args, "--out", str(a)], cwd=tmp_path)
+    r2 = run_cli([*args, "--out", str(b)], cwd=tmp_path)
+    r3 = run_cli([*args, "--out", str(c)], cwd=tmp_path,
+                 env_extra={"WOBBLE_THREADS": "2"})
     assert r1.returncode == r2.returncode == r3.returncode == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
@@ -241,4 +242,26 @@ def test_step_must_be_finite_and_positive(command, step, tmp_path, capsys):
         args += ["--n", "2"]
     assert main(args) == EXIT_FAILURE
     assert "trace step must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--yaw", "inf"], "yaw must be finite"),
+    (["solve", "--yaw", "nan"], "yaw must be finite"),
+    (["solve", "--side", "nan"], "table side must be finite and positive"),
+    (["solve", "--side", "inf"], "table side must be finite and positive"),
+    (["scan", "--circle", "nan", "--angles", "0,60,120,180"],
+     "foot circle radius must be finite and positive"),
+    (["montecarlo", "--n", "2", "--side", "nan"],
+     "table side must be finite and positive"),
+])
+def test_non_finite_yaw_or_size_is_domain_error(args, message, tmp_path, capsys):
+    # the campaign fails before it generates a terrain or starts a worker
+    out = tmp_path / "out.csv"
+    if args[0] != "montecarlo":
+        terrain = tmp_path / "flat.json"
+        terrain.write_text(serialize_terrain(flat_terrain()))
+        args = [*args, "--terrain", str(terrain)]
+    assert main([*args, "--out", str(out)]) == EXIT_FAILURE
+    assert message in capsys.readouterr().err
     assert not out.exists()

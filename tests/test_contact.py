@@ -24,6 +24,14 @@ def test_square_as_circle():
     assert [math.degrees(a) for a in angles] == pytest.approx([45, 135, 225, 315])
 
 
+@pytest.mark.parametrize("size", [math.nan, math.inf, 0.0, -1.0])
+def test_table_size_must_be_finite_and_positive(size):
+    with pytest.raises(DomainError, match="table side must be finite and positive"):
+        TableSpec.square(size)
+    with pytest.raises(DomainError, match="radius must be finite and positive"):
+        TableSpec.circle(size, [0.0, 1.0, 2.0, 3.0])
+
+
 def test_circle_table_rejects_bad_angle_order():
     with pytest.raises(DomainError):
         TableSpec.circle(1.0, [0.0, 3.0, 1.0, 5.0])

@@ -3,12 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from wobble.contact import ContactState, FootSet, TableSpec, settle_three_feet
-from wobble.errors import ConditionViolation, DomainError
+from wobble.contact import (
+    ContactState,
+    FootSet,
+    TableSpec,
+    settle_three_feet,
+    signed_heights,
+)
+from wobble.errors import BlockedMotion, ConditionViolation, DomainError
 from wobble.geometry import SlopeThresholds
 from wobble.motion import (
     MotionSample,
     MotionTrace,
+    _chord_hints,
+    _section_points,
+    _slide_chords,
+    _squares,
     find_equilibrium,
     run_march,
     run_pivot_slide,
@@ -263,9 +273,111 @@ class CountingTerrain:
 
 def test_pivot_slide_solves_each_stage_in_array_passes(hills30):
     # with one scan and one scalar refinement per sample and per foot, this
-    # solve made 944 array and 10,551 scalar height calls
+    # solve made 944 array and 10,551 scalar height calls; with the foot
+    # circles batched but one scalar chord search per slide sample, 3,227
+    # scalar calls
     terrain = CountingTerrain(hills30)
     result = find_equilibrium(run_pivot_slide(TABLE, terrain), terrain)
     assert result.found
     assert terrain.array <= 944 // 4
     assert terrain.scalar <= 10_551 // 2
+    assert terrain.scalar <= 3_227 // 5
+
+
+@pytest.mark.parametrize("yaw", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("run", [run_march, run_pivot_slide],
+                         ids=["march", "pivot_slide"])
+def test_yaw_must_be_finite(run, yaw, hills14):
+    with pytest.raises(DomainError, match="yaw must be finite"):
+        run(TABLE, hills14, yaw=yaw)
+
+
+def _section_rows(terrain, anchor, direction, u_leads, line_u, chord=1.0):
+    """Foot 1 at each u_lead, the polyline on line_u, and each row's chord
+    hint from it."""
+    base = _section_points(terrain, anchor, direction, u_leads)
+    line = _section_points(terrain, anchor, direction, line_u)
+    return base, line, _chord_hints(line_u, line, u_leads, base, chord)
+
+
+def test_slide_chords_alone_equal_batch(hills30):
+    anchor, direction = np.array([0.3, -0.2]), np.array([math.cos(0.7), math.sin(0.7)])
+    u_leads = np.linspace(-1.0, 0.0, 12)
+    line_u = np.arange(-1.0, 1.5, 0.01)
+    base, line, hints = _section_rows(hills30, anchor, direction, u_leads, line_u)
+    u, points, errors = _slide_chords(hills30, anchor, direction, u_leads, base,
+                                      1.0, hints, 0.01)
+    assert not errors
+    assert np.all(np.abs(np.linalg.norm(points - base, axis=1) - 1.0) < 1e-9)
+    for k in range(len(u_leads)):
+        one = slice(k, k + 1)
+        assert _chord_hints(line_u, line, u_leads[one], base[one], 1.0)[0] == hints[k]
+        u1, p1, e1 = _slide_chords(hills30, anchor, direction, u_leads[one],
+                                   base[one], 1.0, hints[one], 0.01)
+        assert not e1
+        assert u1[0] == u[k]
+        assert np.array_equal(p1[0], points[k])
+
+
+def test_slide_chords_on_flat_ground(flat):
+    anchor, direction = np.array([0.5, 0.25]), np.array([0.6, -0.8])
+    u_leads = np.linspace(-2.0, 1.0, 7)
+    base, _, hints = _section_rows(flat, anchor, direction, u_leads,
+                                   np.arange(-2.0, 3.0, 0.05))
+    u, _, errors = _slide_chords(flat, anchor, direction, u_leads, base, 1.0,
+                                 hints, 0.05)
+    assert not errors
+    assert np.max(np.abs(u - (u_leads + 1.0))) < 1e-12
+
+
+def test_slide_chords_map_failing_rows_and_solve_the_rest():
+    # a narrow steep bump at x = 1.9 puts three chord roots in row 2's
+    # bracket; row 1's hint sits far beyond its root; rows 0 and 3 are flat
+    terrain = BumpTerrain([(1.9, 0.0, 0.6, 0.02)], EXT)
+    anchor, direction = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+    u_leads = np.array([-4.0, -2.0, 1.0, 4.0])
+    base = _section_points(terrain, anchor, direction, u_leads)
+    u, points, errors = _slide_chords(terrain, anchor, direction, u_leads, base,
+                                      1.0, np.array([-3.0, 2.0, 2.0, 5.0]), 0.05)
+    assert sorted(errors) == [1, 2]
+    assert isinstance(errors[1], BlockedMotion)
+    assert "found no bracket" in str(errors[1])
+    assert isinstance(errors[2], ConditionViolation)
+    assert "multiple section-curve chord roots" in str(errors[2])
+    assert np.all(np.isnan(u[[1, 2]])) and np.all(np.isnan(points[[1, 2]]))
+    assert abs(u[0] + 3.0) < 1e-12 and abs(u[3] - 5.0) < 1e-12
+
+
+def _expected_square_flags(sample, terrain, table):
+    heights = signed_heights(sample.feet, terrain).heights
+    flags = []
+    if max(abs(h) for h in heights[:3]) > 1e-9 * table.side:
+        flags.append("contact")
+    if sample.feet.rigidity_residual(table) > 1e-9 * table.side:
+        flags.append("rigidity")
+    return flags
+
+
+@pytest.mark.parametrize("run, terrain_name",
+                         [(run_march, "hills14"), (run_pivot_slide, "hills30")],
+                         ids=["march", "pivot_slide"])
+def test_recorded_flags_match_per_sample_checks(run, terrain_name, request):
+    terrain = request.getfixturevalue(terrain_name)
+    trace = run(TABLE, terrain)
+    for s in trace.samples:
+        recorded = [f for f in s.flags if f in ("contact", "rigidity")]
+        assert recorded == _expected_square_flags(s, terrain, TABLE)
+
+
+def test_square_flags_match_per_sample_checks(flat):
+    # edge 1-2 one side long on a table 1e-7 longer: every row breaks
+    # rigidity; row 1 also lifts foot 1 off the ground
+    table = TableSpec.square(1.0 + 1e-7)
+    foot1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-6], [0.2, 0.1, 0.0]])
+    foot2 = foot1 * [1.0, 1.0, 0.0] + [1.0, 0.0, 0.0]
+    samples, failure = _squares(table, flat, "test", [0.0, 1.0, 2.0], foot1, foot2)
+    assert failure is None and len(samples) == 3
+    assert [s.flags for s in samples] == [("rigidity",), ("contact", "rigidity"),
+                                          ("rigidity",)]
+    for s in samples:
+        assert list(s.flags) == _expected_square_flags(s, flat, table)
