@@ -45,6 +45,7 @@ from .motion import (
 from .ring import check_step
 from .terrain import (
     Extent,
+    check_target_slope,
     estimate_slope_bound,
     generate_terrain,
     parse_terrain,
@@ -310,8 +311,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         raise DomainError(f"campaign needs n >= 1, got {cfg.n}")
     if cfg.motion not in ("gamma", "rt"):
         raise DomainError(f"unknown motion {cfg.motion!r}; use 'gamma' or 'rt'")
-    # a bad step or table fails here, before any worker starts
+    # a bad step, slope or table fails here, before any worker starts
     check_step(cfg.step)
+    check_target_slope(cfg.target_slope)
     TableSpec.square(cfg.side)
     seeds = _campaign_seeds(cfg)
     tasks = [(cfg, i, s) for i, s in enumerate(seeds)]

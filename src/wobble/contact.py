@@ -94,7 +94,7 @@ class FootSet:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.shape != (4, 3) or not np.all(np.isfinite(pts)):
+        if pts.shape != (4, 3) or not np.isfinite(pts).all():
             raise DomainError(f"foot set needs a finite (4,3) array, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)

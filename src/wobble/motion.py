@@ -678,13 +678,11 @@ def verify_equilibrium(feet: FootSet, table: TableSpec, terrain,
     n = normal / np.linalg.norm(normal)
     if n[2] < 0:
         n = -n
-    min_clear = math.inf
-    for i in range(4):
-        foot = feet.points[i]
-        for k in range(1, leg_samples + 1):
-            q = foot + n * (table.leg_length * k / leg_samples)
-            clear = float(q[2]) - terrain.height(float(q[0]), float(q[1]))
-            min_clear = min(min_clear, clear)
+    # every leg's sample points, foot by foot, in one height call
+    rise = table.leg_length * np.arange(1, leg_samples + 1) / leg_samples
+    q = feet.points[:, None, :] + n * rise[:, None]
+    clear = q[..., 2] - terrain.height(q[..., 0], q[..., 1])
+    min_clear = float(np.min(clear, initial=math.inf))
     return EquilibriumChecks(
         heights_ok=max_h < tol,
         max_abs_height=max_h,

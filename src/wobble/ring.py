@@ -370,9 +370,16 @@ def flat_chord_azimuth_gap(chord: float, radius: float) -> float:
 def _circle_points(centers, e_cos, e_sin, radius: float, cos_t, sin_t):
     """x, y, z of center + radius (cos t e_cos + sin t e_sin), rows of
     centers and directions along axis 0 and angles along axis 1."""
-    return tuple(centers[:, i, None]
-                 + radius * (cos_t * e_cos[:, i, None] + sin_t * e_sin[:, i, None])
-                 for i in range(3))
+    points = []
+    tmp = None
+    for i in range(3):
+        p = cos_t * e_cos[:, i, None]
+        tmp = np.multiply(sin_t, e_sin[:, i, None], out=tmp)
+        p += tmp
+        p *= radius
+        p += centers[:, i, None]
+        points.append(p)
+    return tuple(points)
 
 
 def _solve_circles(terrain, centers, e_cos, e_sin, radius: float,

@@ -22,6 +22,10 @@ from .errors import DomainError, ParseError, ValidationError
 
 _DEFAULT_SLOPE_SAMPLES = 40_000
 _SLOPE_BLOCK = 16384
+# largest points x bumps product that a bump-terrain array call evaluates
+# in one (bumps, points) pass; larger calls loop over the bumps (see
+# BumpTerrain for the measured crossover)
+_SMALL_KERNEL = 16384
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,15 @@ class Extent:
         )
 
     def require_inside(self, x, y) -> None:
-        xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        xa = np.asarray(x, dtype=float)
+        ya = np.asarray(y, dtype=float)
+        # one min/max pass settles the common case; a NaN fails it and
+        # then passes the elementwise test below, as it always has
+        if (xa.size and ya.size
+                and self.xmin <= xa.min() and xa.max() <= self.xmax
+                and self.ymin <= ya.min() and ya.max() <= self.ymax):
+            return
+        xa, ya = np.broadcast_arrays(xa, ya)
         bad = (xa < self.xmin) | (xa > self.xmax) | (ya < self.ymin) | (ya > self.ymax)
         if np.any(bad):
             i = int(np.argmax(bad.ravel()))
@@ -84,6 +96,30 @@ class BumpTerrain:
     The profile is smooth, has an analytic gradient, and its single-bump
     slope maximum sits on the ring r = sigma with value |A| e^{-1/2} / sigma.
     Immutable after construction; evaluation is side-effect free.
+
+    Array calls use one of two layouts. Both give every point exactly the
+    floating-point operations of the loop ``z += A * exp((dx * dx + dy * dy)
+    * (-0.5 / (s * s)))`` over the bumps in order from z = 0.0 (and its
+    gradient counterpart), so a point's value depends neither on the layout
+    nor on the other points of the call:
+
+    - small calls (points x bumps <= _SMALL_KERNEL) evaluate every bump in
+      one (bumps, points) pass, which saves the per-bump numpy calls that
+      dominate a call on a few points. The rows are added one by one in
+      bump order: a reduction over the bump axis such as ``sum`` may add
+      pairwise and move the last bit.
+    - larger calls loop over the bumps and write each step into buffers
+      allocated once per call: past about 16k elements a (bumps, points)
+      array costs more than the per-bump calls it saves. The offsets
+      x - cx and y - cy keep their inputs' own shapes, so a row-by-column
+      grid query computes them on its row and column only.
+
+    Measured on 20 bumps (2-core Xeon, numpy 2.4 with AVX-512, best of 7 in
+    each of three runs), one-pass against loop, in us: one point 29-67
+    against 160-308 for a height and 53-105 against 177-194 for a
+    gradient; 819 points 127-138 against 146-182 and 159-164 against
+    198-249; 1,024 points 314-334 against 166-176 and 357-370 against
+    215-232. Hence _SMALL_KERNEL = 16384, 819 points on 20 bumps.
     """
 
     kind = "bumps"
@@ -101,13 +137,18 @@ class BumpTerrain:
         self._packed = tuple(
             (b.cx, b.cy, b.amplitude, -0.5 / (b.sigma * b.sigma)) for b in self.bumps
         )
+        # the same constants as columns, plus the gradient's amplitude *
+        # (1 / sigma^2), for the small-call layout
+        cx, cy, amp, neg_half_inv = np.array(self._packed, dtype=float).reshape(-1, 4).T
+        self._columns = (cx, cy, amp, neg_half_inv, amp * (-2.0 * neg_half_inv))
         self._slope_cache: float | None = None
 
     def height(self, x, y):
         """Terrain height; accepts scalars or broadcastable arrays."""
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             self.extent.require_inside(x, y)
-            return self._height_array(np.asarray(x, float), np.asarray(y, float))
+            return self._height_array(np.asarray(x, float, order="C"),
+                                      np.asarray(y, float, order="C"))
         e = self.extent
         if not (e.xmin <= x <= e.xmax and e.ymin <= y <= e.ymax):
             e.require_inside(x, y)
@@ -120,31 +161,49 @@ class BumpTerrain:
         return z
 
     def _height_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # accumulate bump by bump: far fewer large temporaries than one
-        # (points x bumps) broadcast
-        z = np.zeros(np.broadcast(x, y).shape)
+        shape = np.broadcast(x, y).shape
+        if len(self._packed) * math.prod(shape) <= _SMALL_KERNEL:
+            _, _, e, lead = self._bump_rows(x, y, shape)
+            e *= self._columns[2].reshape(lead)
+            z = np.zeros(shape)
+            for row in e:
+                z += row
+            return z
+        z = np.zeros(shape)
+        t = np.empty(shape)
+        sx = np.empty(x.shape)
+        sy = np.empty(y.shape)
         for cx, cy, amp, neg_half_inv in self._packed:
-            dx = x - cx
-            dy = y - cy
-            z += amp * np.exp((dx * dx + dy * dy) * neg_half_inv)
+            np.subtract(x, cx, out=sx)
+            sx *= sx
+            np.subtract(y, cy, out=sy)
+            sy *= sy
+            np.add(sx, sy, out=t)
+            t *= neg_half_inv
+            np.exp(t, out=t)
+            t *= amp
+            z += t
         return z
+
+    def _bump_rows(self, x: np.ndarray, y: np.ndarray, shape):
+        """x - cx, y - cy and exp(r^2 * (-1 / (2 sigma^2))) with a leading
+        bump axis, and that axis's column shape; the differences keep
+        their inputs' own shapes."""
+        lead = (-1,) + (1,) * len(shape)
+        cx, cy, _, neg_half_inv, _ = self._columns
+        dx = x - cx.reshape(lead)
+        dy = y - cy.reshape(lead)
+        e = dx * dx + dy * dy
+        e *= neg_half_inv.reshape(lead)
+        np.exp(e, out=e)
+        return dx, dy, e, lead
 
     def gradient(self, x, y):
         """(df/dx, df/dy); accepts scalars or broadcastable arrays."""
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             self.extent.require_inside(x, y)
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            shape = np.broadcast(x, y).shape
-            gx = np.zeros(shape)
-            gy = np.zeros(shape)
-            for cx, cy, amp, neg_half_inv in self._packed:
-                dx = x - cx
-                dy = y - cy
-                w = (amp * (-2.0 * neg_half_inv)) * np.exp((dx * dx + dy * dy) * neg_half_inv)
-                gx -= w * dx
-                gy -= w * dy
-            return gx, gy
+            return self._gradient_array(np.asarray(x, float, order="C"),
+                                        np.asarray(y, float, order="C"))
         e = self.extent
         if not (e.xmin <= x <= e.xmax and e.ymin <= y <= e.ymax):
             e.require_inside(x, y)
@@ -157,6 +216,39 @@ class BumpTerrain:
             w = amp * math.exp(-0.5 * (dx * dx + dy * dy) * inv)
             gx -= w * dx * inv
             gy -= w * dy * inv
+        return gx, gy
+
+    def _gradient_array(self, x: np.ndarray, y: np.ndarray):
+        shape = np.broadcast(x, y).shape
+        if len(self._packed) * math.prod(shape) <= _SMALL_KERNEL:
+            dx, dy, w, lead = self._bump_rows(x, y, shape)
+            w *= self._columns[4].reshape(lead)
+            gx = np.zeros(shape)
+            gy = np.zeros(shape)
+            for row in w * dx:
+                gx -= row
+            for row in w * dy:
+                gy -= row
+            return gx, gy
+        gx = np.zeros(shape)
+        gy = np.zeros(shape)
+        t = np.empty(shape)
+        u = np.empty(shape)
+        dx = np.empty(x.shape)
+        dy = np.empty(y.shape)
+        sx = np.empty(x.shape)
+        sy = np.empty(y.shape)
+        for cx, cy, amp, neg_half_inv in self._packed:
+            np.subtract(x, cx, out=dx)
+            np.multiply(dx, dx, out=sx)
+            np.subtract(y, cy, out=dy)
+            np.multiply(dy, dy, out=sy)
+            np.add(sx, sy, out=t)
+            t *= neg_half_inv
+            np.exp(t, out=t)
+            t *= amp * (-2.0 * neg_half_inv)
+            gx -= np.multiply(t, dx, out=u)
+            gy -= np.multiply(t, dy, out=u)
         return gx, gy
 
     @property
@@ -323,23 +415,32 @@ def flat_terrain(extent: Extent | None = None) -> BumpTerrain:
 
 def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float,
                        levels: int = 14) -> float:
-    """Pattern-search refinement of |grad|^2 around candidate points."""
+    """Pattern-search refinement of |grad|^2 around candidate points.
+
+    Each level moves every candidate to the best of its 3 x 3 stencil. The
+    stencil's centre is the point picked at the level before, so its
+    |grad|^2 is carried over, not evaluated again: after the first level
+    only the 8 off-centre points are.
+    """
     px = np.array(xs, dtype=float)
     py = np.array(ys, dtype=float)
     offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+    off_centre = np.array([k for k in range(9) if k != 4])
+    rows = np.arange(px.size)
+    g2 = np.empty((px.size, 9))
     h = spacing
-    for _ in range(levels):
+    for level in range(levels):
         cx = np.clip(px[:, None] + offs[:, 0] * h, ext.xmin, ext.xmax)
         cy = np.clip(py[:, None] + offs[:, 1] * h, ext.ymin, ext.ymax)
-        gx, gy = terrain.gradient(cx, cy)
-        g2 = gx * gx + gy * gy
+        cols = slice(None) if level == 0 else off_centre
+        gx, gy = terrain.gradient(cx[:, cols], cy[:, cols])
+        g2[:, cols] = gx * gx + gy * gy
         pick = np.argmax(g2, axis=1)
-        rows = np.arange(px.size)
         px = cx[rows, pick]
         py = cy[rows, pick]
+        g2[:, 4] = g2[rows, pick]
         h *= 0.5
-    gx, gy = terrain.gradient(px, py)
-    return float(np.max(gx * gx + gy * gy))
+    return float(np.max(g2[:, 4]))
 
 
 def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
@@ -385,6 +486,12 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     return math.atan(math.sqrt(best))
 
 
+def check_target_slope(target_slope: float) -> None:
+    """Raise DomainError unless the target slope (radians) is in [0, pi/2)."""
+    if not (0.0 <= target_slope < math.pi / 2):
+        raise DomainError(f"target slope must be in [0, pi/2), got {target_slope}")
+
+
 def generate_terrain(seed: int, target_slope: float, bump_count: int,
                      extent: Extent) -> BumpTerrain:
     """Seeded random bump terrain with slope bound at most target_slope.
@@ -393,8 +500,7 @@ def generate_terrain(seed: int, target_slope: float, bump_count: int,
     generation so the sampled slope bound lands just under the target;
     bump_count = 0 or target 0 yields flat terrain.
     """
-    if not (0.0 <= target_slope < math.pi / 2):
-        raise DomainError(f"target slope must be in [0, pi/2), got {target_slope}")
+    check_target_slope(target_slope)
     if bump_count < 0:
         raise DomainError(f"bump count must be non-negative, got {bump_count}")
     rng = np.random.default_rng(seed)
@@ -460,6 +566,20 @@ def _require_field(doc: dict, name: str, where: str):
     return doc[name]
 
 
+def _number(value, what: str, cast=float):
+    """cast(value), with a value it cannot convert reported as a ParseError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{what} must be a number, got {value!r}") from None
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def parse_terrain(text: str) -> Terrain:
     """Parse the terrain file format; see serialize_terrain for the schema."""
     try:
@@ -470,23 +590,20 @@ def parse_terrain(text: str) -> Terrain:
         raise ParseError("terrain file must contain a JSON object")
     kind = _require_field(doc, "type", "terrain file")
     if kind == "bumps":
-        raw = _require_field(doc, "bumps", "bumps terrain")
+        raw = _list(_require_field(doc, "bumps", "bumps terrain"), "bumps")
         bumps = []
         for idx, b in enumerate(raw):
             where = f"bump {idx + 1}"
-            bumps.append(
-                Bump(
-                    float(_require_field(b, "cx", where)),
-                    float(_require_field(b, "cy", where)),
-                    float(_require_field(b, "amplitude", where)),
-                    float(_require_field(b, "sigma", where)),
-                )
-            )
+            if not isinstance(b, dict):
+                raise ParseError(f"{where} must be an object, got {b!r}")
+            bumps.append(Bump(*(
+                _number(_require_field(b, name, where), f"{where} {name}")
+                for name in Bump._fields)))
         if "extent" in doc:
-            e = doc["extent"]
+            e = _list(doc["extent"], "extent")
             if len(e) != 4:
                 raise ValidationError(f"extent must have 4 entries, got {len(e)}")
-            extent = Extent(*map(float, e))
+            extent = Extent(*(_number(v, "extent entry") for v in e))
         elif bumps:
             pad = 8.0 * max(b.sigma for b in bumps)
             extent = Extent(
@@ -499,16 +616,28 @@ def parse_terrain(text: str) -> Terrain:
             extent = Extent(-100.0, 100.0, -100.0, 100.0)
         return BumpTerrain(bumps, extent)
     if kind == "grid":
-        origin = _require_field(doc, "origin", "grid terrain")
-        spacing = float(_require_field(doc, "spacing", "grid terrain"))
-        rows = int(_require_field(doc, "rows", "grid terrain"))
-        cols = int(_require_field(doc, "cols", "grid terrain"))
-        heights = _require_field(doc, "heights", "grid terrain")
-        if rows * cols != len(heights):
+        origin = _list(_require_field(doc, "origin", "grid terrain"), "grid origin")
+        if len(origin) != 2:
+            raise ParseError(f"grid origin must have 2 entries, got {len(origin)}")
+        spacing = _number(_require_field(doc, "spacing", "grid terrain"), "grid spacing")
+        rows = _number(_require_field(doc, "rows", "grid terrain"), "grid rows", int)
+        cols = _number(_require_field(doc, "cols", "grid terrain"), "grid cols", int)
+        heights = _list(_require_field(doc, "heights", "grid terrain"), "grid heights")
+        if min(rows, cols) < 0 or rows * cols != len(heights):
             raise ValidationError(
                 f"grid declares {rows} x {cols} = {rows * cols} nodes but "
                 f"carries {len(heights)} heights"
             )
-        h = np.array([float(v) for v in heights]).reshape(rows, cols)
-        return GridTerrain((float(origin[0]), float(origin[1])), spacing, h)
+        # one conversion pass: a null height reads as NaN, which the grid
+        # rejects as non-finite
+        flat = "grid heights must be a flat list of numbers"
+        try:
+            h = np.array(heights, dtype=float)
+        except (TypeError, ValueError):
+            raise ParseError(flat) from None
+        if h.ndim != 1:
+            raise ParseError(flat)
+        return GridTerrain((_number(origin[0], "grid origin entry"),
+                            _number(origin[1], "grid origin entry")),
+                           spacing, h.reshape(rows, cols))
     raise ParseError(f"unknown terrain type {kind!r}")

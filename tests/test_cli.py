@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -265,3 +266,33 @@ def test_non_finite_yaw_or_size_is_domain_error(args, message, tmp_path, capsys)
     assert main([*args, "--out", str(out)]) == EXIT_FAILURE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "95", "-1"])
+def test_campaign_target_slope_checked_before_the_runs(theta, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["montecarlo", "--n", "1", "--theta", theta,
+                 "--out", str(out)]) == EXIT_FAILURE
+    assert "target slope must be in [0, pi/2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "bumps", "bumps": [{"cx": None, "cy": 0, "amplitude": 1, "sigma": 1}]},
+    {"type": "bumps", "extent": [-1, "x", -1, 1], "bumps": []},
+    {"type": "bumps", "bumps": [[0, 0, 1, 1]]},
+    {"type": "grid", "origin": [0], "spacing": 1, "rows": 2, "cols": 2,
+     "heights": [0, 0, 0, 0]},
+    {"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2,
+     "heights": [0, None, 0, 0]},
+    {"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2,
+     "heights": [0, "x", 0, 0]},
+    {"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2,
+     "heights": [0, [0, 1], 0, 0]},
+])
+def test_malformed_terrain_file_exits_4(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--terrain", str(path)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and err.count("\n") == 1

@@ -284,6 +284,28 @@ def test_pivot_slide_solves_each_stage_in_array_passes(hills30):
     assert terrain.scalar <= 3_227 // 5
 
 
+def test_verify_equilibrium_checks_legs_in_one_array_call(hills30):
+    result = find_equilibrium(run_pivot_slide(TABLE, hills30), hills30)
+    terrain = CountingTerrain(hills30)
+    checks = verify_equilibrium(result.feet, TABLE, terrain)
+    # the 4 x 50 leg points are one array call; the four foot heights stay
+    # the scalar calls of signed_heights, so the reported max |h_i| keeps
+    # its bits
+    assert terrain.array == 1
+    assert terrain.scalar == 4
+    assert checks.max_abs_height == result.max_abs_height
+    # the same leg points queried one at a time
+    n = np.cross(result.feet.p3 - result.feet.p1, result.feet.p4 - result.feet.p2)
+    n = n / np.linalg.norm(n)
+    if n[2] < 0:
+        n = -n
+    clear = [float(q[2]) - hills30.height(float(q[0]), float(q[1]))
+             for foot in result.feet.points for k in range(1, 51)
+             for q in [foot + n * (TABLE.leg_length * k / 50)]]
+    assert checks.legs_clear == (min(clear) > 0.0)
+    assert abs(checks.min_leg_clearance - min(clear)) < 1e-12
+
+
 @pytest.mark.parametrize("yaw", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("run", [run_march, run_pivot_slide],
                          ids=["march", "pivot_slide"])

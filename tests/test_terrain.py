@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wobble import terrain as terrain_mod
 from wobble.errors import DomainError, ParseError, ValidationError
 from wobble.terrain import (
     BumpTerrain,
@@ -221,3 +222,201 @@ def test_generated_slope_bound_needs_no_second_estimate(seed, degrees):
     # set by generate_terrain from its own estimate, not sampled again
     assert t._slope_cache is not None
     assert abs(t.slope_bound - estimate_slope_bound(t)) <= 1e-12
+
+
+# ---------------------------------------------------------------- kernels
+#
+# The array kernels evaluate one bump at a time on large calls and all bumps
+# in one (bumps, points) pass on small ones. Both must give each point
+# exactly the floating-point operations of the plain per-bump expression
+# below, in the same order, so every result is compared for equality.
+
+
+def _reference_height(t, x, y):
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    z = np.zeros(np.broadcast(x, y).shape)
+    for b in t.bumps:
+        neg_half_inv = -0.5 / (b.sigma * b.sigma)
+        dx = x - b.cx
+        dy = y - b.cy
+        z += b.amplitude * np.exp((dx * dx + dy * dy) * neg_half_inv)
+    return z
+
+
+def _reference_gradient(t, x, y):
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    shape = np.broadcast(x, y).shape
+    gx = np.zeros(shape)
+    gy = np.zeros(shape)
+    for b in t.bumps:
+        neg_half_inv = -0.5 / (b.sigma * b.sigma)
+        dx = x - b.cx
+        dy = y - b.cy
+        w = (b.amplitude * (-2.0 * neg_half_inv)) * np.exp((dx * dx + dy * dy) * neg_half_inv)
+        gx -= w * dx
+        gy -= w * dy
+    return gx, gy
+
+
+def _same_bits(a, b):
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_kernels_match(t, x, y):
+    assert _same_bits(t.height(x, y), _reference_height(t, x, y))
+    got = t.gradient(x, y)
+    want = _reference_gradient(t, x, y)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+# points at which a 20-bump call switches from the one-pass layout to the
+# per-bump loop
+_CROSSOVER = terrain_mod._SMALL_KERNEL // 20
+
+
+@pytest.mark.parametrize("name", ["hills14", "hills30", "flat"])
+@pytest.mark.parametrize("n", [0, 1, _CROSSOVER - 1, _CROSSOVER, _CROSSOVER + 1, 11_552])
+def test_kernels_match_per_bump_reference(name, n, request):
+    t = request.getfixturevalue(name)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-8.0, 8.0, n)
+    y = rng.uniform(-8.0, 8.0, n)
+    _assert_kernels_match(t, x, y)
+    # a row against a column, as the slope grid queries
+    _assert_kernels_match(t, x[None, :], y[: max(1, n // 100), None])
+
+
+@pytest.mark.parametrize("name", ["hills14", "hills30", "flat"])
+def test_kernels_match_reference_on_stencil_and_grid_shapes(name, request):
+    t = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    _assert_kernels_match(t, rng.uniform(-8, 8, (560, 8)), rng.uniform(-8, 8, (560, 8)))
+    xs = np.linspace(-8.0, 8.0, 200)
+    _assert_kernels_match(t, xs[None, :], xs[:81, None])
+    _assert_kernels_match(t, xs[None, :5], xs[:3, None])
+    _assert_kernels_match(t, np.float64(0.25), xs[:7])
+    _assert_kernels_match(t, np.asarray(0.25), np.asarray(-1.5))
+    # the columns of one (k, 2) point array, as foot positions are passed
+    pts = rng.uniform(-8, 8, (300, 2))
+    _assert_kernels_match(t, pts[:, 0], pts[:, 1])
+
+
+@pytest.mark.parametrize("n", [40, 11_552])
+def test_point_alone_equals_point_in_batch(hills30, n):
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-8.0, 8.0, n)
+    y = rng.uniform(-8.0, 8.0, n)
+    z = hills30.height(x, y)
+    gx, gy = hills30.gradient(x, y)
+    for k in (0, n // 2, n - 1):
+        one_x, one_y = x[k:k + 1], y[k:k + 1]
+        assert _same_bits(hills30.height(one_x, one_y), z[k:k + 1])
+        ax, ay = hills30.gradient(one_x, one_y)
+        assert _same_bits(ax, gx[k:k + 1]) and _same_bits(ay, gy[k:k + 1])
+
+
+@pytest.mark.parametrize("n", [4, 11_552])
+def test_array_query_outside_extent_names_first_bad_point(hills14, n):
+    x = np.zeros((2, n // 2))
+    y = np.zeros((2, n // 2))
+    # ravel order: (0, 1) comes before (1, 0), and (1, 0) is further out
+    x[1, 0] = 9.5
+    y[0, 1] = -8.25
+    for query in (hills14.height, hills14.gradient):
+        with pytest.raises(DomainError, match=r"\(0\.0, -8\.25\)"):
+            query(x, y)
+
+
+def test_nan_and_empty_queries_pass_the_extent_check(hills14):
+    z = hills14.height(np.array([np.nan, 0.0]), np.array([0.0, 0.0]))
+    assert np.isnan(z[0]) and np.isfinite(z[1])
+    gx, gy = hills14.gradient(np.array([0.0]), np.array([np.nan]))
+    assert np.isnan(gx[0]) and np.isnan(gy[0])
+    empty = np.array([])
+    assert hills14.height(empty, empty).shape == (0,)
+    assert hills14.gradient(empty, 0.0)[0].shape == (0,)
+
+
+# --------------------------------------------------------- slope estimate
+
+
+def _reference_refine(terrain, ext, xs, ys, spacing, levels=14):
+    """The 9-point pattern search, every stencil point evaluated anew."""
+    px = np.array(xs, dtype=float)
+    py = np.array(ys, dtype=float)
+    offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+    h = spacing
+    for _ in range(levels):
+        cx = np.clip(px[:, None] + offs[:, 0] * h, ext.xmin, ext.xmax)
+        cy = np.clip(py[:, None] + offs[:, 1] * h, ext.ymin, ext.ymax)
+        gx, gy = terrain.gradient(cx, cy)
+        g2 = gx * gx + gy * gy
+        pick = np.argmax(g2, axis=1)
+        rows = np.arange(px.size)
+        px = cx[rows, pick]
+        py = cy[rows, pick]
+        h *= 0.5
+    gx, gy = terrain.gradient(px, py)
+    return float(np.max(gx * gx + gy * gy))
+
+
+@pytest.mark.parametrize("name", ["hills14", "hills30", "plane10", "single_bump"])
+def test_slope_estimate_equals_nine_point_search(name, request, monkeypatch):
+    if name == "single_bump":
+        t = BumpTerrain([(0.0, 0.0, 0.8, 1.7)], Extent(-20, 20, -20, 20))
+    else:
+        t = request.getfixturevalue(name)
+    got = estimate_slope_bound(t)
+    monkeypatch.setattr(terrain_mod, "_refine_candidates", _reference_refine)
+    assert got == estimate_slope_bound(t)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 39])
+def test_generated_terrain_unchanged_by_carried_centre(seed, monkeypatch):
+    got = serialize_terrain(generate_terrain(seed, math.radians(20.0), 20, EXT))
+    monkeypatch.setattr(terrain_mod, "_refine_candidates", _reference_refine)
+    assert got == serialize_terrain(generate_terrain(seed, math.radians(20.0), 20, EXT))
+
+
+# ----------------------------------------------------------- file errors
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"type": "bumps", "bumps": [{"cx": null, "cy": 0, "amplitude": 1, "sigma": 1}]}',
+     ParseError),
+    ('{"type": "bumps", "extent": [-1, "x", -1, 1], "bumps": []}', ParseError),
+    ('{"type": "bumps", "extent": 4, "bumps": []}', ParseError),
+    ('{"type": "bumps", "bumps": [3]}', ParseError),
+    ('{"type": "bumps", "bumps": {"cx": 0}}', ParseError),
+    ('{"type": "grid", "origin": [0], "spacing": 1, "rows": 2, "cols": 2, '
+     '"heights": [0, 0, 0, 0]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": null, "rows": 2, "cols": 2, '
+     '"heights": [0, 0, 0, 0]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": "x", "cols": 2, '
+     '"heights": [0, 0, 0, 0]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
+     '"heights": [0, "x", 0, 0]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
+     '"heights": [0, [1], 0, 0]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 1, "cols": 2, '
+     '"heights": [[0, 1], [2, 3]]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
+     '"heights": [0, null, 0, 0]}', ValidationError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": -1, "cols": -1, '
+     '"heights": [0]}', ValidationError),
+])
+def test_malformed_terrain_fields_are_typed_errors(text, error):
+    with pytest.raises(error):
+        parse_terrain(text)
+
+
+def test_grid_heights_convert_as_float_does():
+    text = ('{"type": "grid", "origin": [0, "1"], "spacing": 1, "rows": 2, "cols": 2, '
+            '"heights": [0, true, "2", 3.5]}')
+    g = parse_terrain(text)
+    assert g.origin == (0.0, 1.0)
+    assert g.heights.tolist() == [[0.0, 1.0], [2.0, 3.5]]
