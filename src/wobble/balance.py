@@ -21,7 +21,7 @@ from .contact import TableSpec
 from .errors import DomainError
 from .geometry import diagonal_intersection_ratios
 from .roots import bracketed_root
-from .terrain import Extent
+from .terrain import Extent, check_target_slope
 
 _TWO_PI = 2.0 * math.pi
 
@@ -242,6 +242,13 @@ class ScalingStudy:
     reference_exponent: float = 3.0     # cubic-order reference claim
 
 
+def check_slope_levels(slope_levels) -> None:
+    """Raise DomainError unless every slope level (radians) is in [0, pi/2):
+    past 90 deg the tangent that scales the bumps turns negative."""
+    for level in slope_levels:
+        check_target_slope(float(level))
+
+
 def distortion_scaling_study(table: TableSpec, terrain, slope_levels,
                              center=(0.0, 0.0), n: int = 4096) -> ScalingStudy:
     """Rescale one bump layout to each target slope, find a balance angle,
@@ -251,6 +258,7 @@ def distortion_scaling_study(table: TableSpec, terrain, slope_levels,
     from .terrain import BumpTerrain
 
     levels = [float(s) for s in slope_levels]
+    check_slope_levels(levels)
     if len(levels) < 3:
         raise DomainError(f"need at least 3 slope levels, got {len(levels)}")
     if not isinstance(terrain, BumpTerrain) or not terrain.bumps:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .balance import (
     approximate_equilibrium,
+    check_slope_levels,
     distortion_scaling_study,
     find_balance_angles,
     height_scan,
@@ -45,6 +46,7 @@ from .motion import (
 from .ring import check_step
 from .terrain import (
     Extent,
+    check_bump_count,
     check_target_slope,
     estimate_slope_bound,
     generate_terrain,
@@ -311,9 +313,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         raise DomainError(f"campaign needs n >= 1, got {cfg.n}")
     if cfg.motion not in ("gamma", "rt"):
         raise DomainError(f"unknown motion {cfg.motion!r}; use 'gamma' or 'rt'")
-    # a bad step, slope or table fails here, before any worker starts
+    # a bad step, slope, bump count or table fails here, before any worker
+    # starts
     check_step(cfg.step)
     check_target_slope(cfg.target_slope)
+    check_bump_count(cfg.bump_count)
     TableSpec.square(cfg.side)
     seeds = _campaign_seeds(cfg)
     tasks = [(cfg, i, s) for i, s in enumerate(seeds)]
@@ -389,6 +393,8 @@ def _make_table(args) -> TableSpec:
 def _cmd_scan(args) -> int:
     levels = ([math.radians(s) for s in _parse_numbers(args.study, "--study")]
               if args.study else None)
+    # a bad level fails before the scan writes its table
+    check_slope_levels(levels or ())
     terrain = _load_terrain(args.terrain)
     table = _make_table(args)
     center = _parse_pair(args.center, "--center")

@@ -26,6 +26,13 @@ _SLOPE_BLOCK = 16384
 # in one (bumps, points) pass; larger calls loop over the bumps (see
 # BumpTerrain for the measured crossover)
 _SMALL_KERNEL = 16384
+# relative margin on the gradient and curvature bounds: it covers the
+# rounding of their own evaluation, which is some 1e-12 relative at worst
+_BOUND_MARGIN = 1e-9
+_EPS = float(np.finfo(float).eps)
+# relative margin of the slope search's drop test: far above the rounding
+# of a computed |grad|^2
+_PRUNE_MARGIN = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,9 @@ class BumpTerrain:
         # (1 / sigma^2), for the small-call layout
         cx, cy, amp, neg_half_inv = np.array(self._packed, dtype=float).reshape(-1, 4).T
         self._columns = (cx, cy, amp, neg_half_inv, amp * (-2.0 * neg_half_inv))
+        # sigma and |A| / sigma, a bump's slope scale, for gradient_bound
+        self._sigma = np.array([b.sigma for b in self.bumps], dtype=float)
+        self._slope_scale = np.abs(amp) / self._sigma
         self._slope_cache: float | None = None
 
     def height(self, x, y):
@@ -250,6 +260,50 @@ class BumpTerrain:
             gx -= np.multiply(t, dx, out=u)
             gy -= np.multiply(t, dy, out=u)
         return gx, gy
+
+    def gradient_bound(self, x, y, radius):
+        """Upper bound of |grad f| over the disc of `radius` about each (x, y).
+
+        Bump k's slope is |A_k| / s_k * phi(d / s_k) at distance d from its
+        centre, with phi(u) = u exp(-u^2 / 2) rising up to u = 1 and falling
+        after it. Over the disc, d ranges over [max(0, d_k - radius),
+        d_k + radius], so the bump's largest slope there is phi at the point
+        of that range nearest to 1; the bound is the sum over the bumps,
+        times 1 + _BOUND_MARGIN. It is exact for one bump on a disc that
+        holds its ring d = s, and 0 on flat ground. A NaN input gives NaN.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        radius = np.asarray(radius, dtype=float)
+        shape = np.broadcast(x, y, radius).shape
+        lead = (-1,) + (1,) * len(shape)
+        cx, cy = self._columns[0], self._columns[1]
+        sigma = self._sigma.reshape(lead)
+        d = np.hypot(x - cx.reshape(lead), y - cy.reshape(lead))
+        u = np.minimum(np.maximum(np.maximum(d - radius, 0.0) / sigma, 1.0),
+                       (d + radius) / sigma)
+        bound = (self._slope_scale.reshape(lead) * u * np.exp(-0.5 * u * u)).sum(axis=0)
+        return bound * (1.0 + _BOUND_MARGIN)
+
+    def curvature_bound(self) -> float:
+        """Upper bound of the Hessian's operator norm anywhere: sum |A_k| /
+        s_k^2, times 1 + _BOUND_MARGIN. A bump's Hessian has the eigenvalues
+        A / s^2 (u^2 - 1) e^{-u^2/2} and -A / s^2 e^{-u^2/2}, both at most
+        |A| / s^2 in size, so |grad f| is Lipschitz with this constant."""
+        return (1.0 + _BOUND_MARGIN) * sum(
+            abs(b.amplitude) / (b.sigma * b.sigma) for b in self.bumps)
+
+    def height_rounding(self) -> float:
+        """Upper bound of the rounding error of any height this terrain
+        computes, array or scalar.
+
+        A bump term A exp(q) is off by at most 12 ulp of |A|: q carries a
+        few ulp of relative error and |q| e^q <= 1/e. Each of the n
+        additions adds one ulp of the running sum, at most sum |A_k|. The
+        bound is 64 times (n + 12) ulp of sum |A_k|.
+        """
+        return 64.0 * (len(self.bumps) + 12) * _EPS * sum(
+            abs(b.amplitude) for b in self.bumps)
 
     @property
     def slope_bound(self) -> float:
@@ -399,6 +453,23 @@ class GridTerrain:
             return float(gx), float(gy)
         return gx, gy
 
+    # A certified bound of the interpolant's slope needs each cell's
+    # bicubic coefficients (ROADMAP item 2). Until then the grid reports
+    # +inf, which settles nothing: its callers evaluate every point.
+
+    def gradient_bound(self, x, y, radius):
+        """+inf for every (x, y): no certified slope bound yet."""
+        return np.full(np.broadcast(np.asarray(x), np.asarray(y),
+                                    np.asarray(radius)).shape, math.inf)
+
+    def curvature_bound(self) -> float:
+        """+inf: no certified curvature bound yet."""
+        return math.inf
+
+    def height_rounding(self) -> float:
+        """+inf: no rounding analysis of the bicubic kernel yet."""
+        return math.inf
+
     @property
     def slope_bound(self) -> float:
         if self._slope_cache is None:
@@ -421,12 +492,25 @@ def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float,
     stencil's centre is the point picked at the level before, so its
     |grad|^2 is carried over, not evaluated again: after the first level
     only the 8 off-centre points are.
+
+    A candidate that cannot win is dropped. Its carried |grad|^2 never
+    falls, and its later stencils stay within 2h of it on each axis, where
+    h is the next level's step (h + h/2 + ... < 2h; the clip to the extent
+    only shortens a move). |grad f| is Lipschitz with the constant H of
+    `curvature_bound`, so no later value of the candidate exceeds
+    (sqrt(g2) + 2 sqrt(2) H h)^2. When that, with a relative margin, is
+    below the best carried value, the candidate keeps its carried value
+    and is not evaluated again. The rows are independent (a point's
+    kernel value does not depend on the call), so the result is the one
+    the full search returns, bit for bit.
     """
     px = np.array(xs, dtype=float)
     py = np.array(ys, dtype=float)
     offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
     off_centre = np.array([k for k in range(9) if k != 4])
-    rows = np.arange(px.size)
+    reach = 2.0 * math.sqrt(2.0) * terrain.curvature_bound()
+    carried = np.empty(px.size)
+    live = np.arange(px.size)
     g2 = np.empty((px.size, 9))
     h = spacing
     for level in range(levels):
@@ -435,12 +519,17 @@ def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float,
         cols = slice(None) if level == 0 else off_centre
         gx, gy = terrain.gradient(cx[:, cols], cy[:, cols])
         g2[:, cols] = gx * gx + gy * gy
+        rows = np.arange(px.size)
         pick = np.argmax(g2, axis=1)
         px = cx[rows, pick]
         py = cy[rows, pick]
-        g2[:, 4] = g2[rows, pick]
+        g2[:, 4] = carried[live] = g2[rows, pick]
         h *= 0.5
-    return float(np.max(g2[:, 4]))
+        # a NaN reach or value never drops a candidate
+        top = np.sqrt(g2[:, 4]) + reach * h
+        keep = ~(top * top * (1.0 + _PRUNE_MARGIN) < np.max(carried))
+        live, px, py, g2 = live[keep], px[keep], py[keep], g2[keep]
+    return float(np.max(carried))
 
 
 def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
@@ -492,6 +581,12 @@ def check_target_slope(target_slope: float) -> None:
         raise DomainError(f"target slope must be in [0, pi/2), got {target_slope}")
 
 
+def check_bump_count(bump_count: int) -> None:
+    """Raise DomainError unless the bump count is non-negative."""
+    if bump_count < 0:
+        raise DomainError(f"bump count must be non-negative, got {bump_count}")
+
+
 def generate_terrain(seed: int, target_slope: float, bump_count: int,
                      extent: Extent) -> BumpTerrain:
     """Seeded random bump terrain with slope bound at most target_slope.
@@ -501,8 +596,7 @@ def generate_terrain(seed: int, target_slope: float, bump_count: int,
     bump_count = 0 or target 0 yields flat terrain.
     """
     check_target_slope(target_slope)
-    if bump_count < 0:
-        raise DomainError(f"bump count must be non-negative, got {bump_count}")
+    check_bump_count(bump_count)
     rng = np.random.default_rng(seed)
     span = min(extent.width, extent.height)
     sigma_lo, sigma_hi = 0.035 * span, 0.10 * span
@@ -566,12 +660,20 @@ def _require_field(doc: dict, name: str, where: str):
     return doc[name]
 
 
-def _number(value, what: str, cast=float):
-    """cast(value), with a value it cannot convert reported as a ParseError."""
+def _number(value, what: str) -> float:
+    """float(value), with a value it cannot convert reported as a ParseError."""
     try:
-        return cast(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{what} must be a number, got {value!r}") from None
+
+
+def _count(value, what: str) -> int:
+    """A whole number of grid nodes; 2.0 reads as 2, 2.7 is a ParseError."""
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ParseError(f"{what} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def _list(value, what: str) -> list:
@@ -620,8 +722,8 @@ def parse_terrain(text: str) -> Terrain:
         if len(origin) != 2:
             raise ParseError(f"grid origin must have 2 entries, got {len(origin)}")
         spacing = _number(_require_field(doc, "spacing", "grid terrain"), "grid spacing")
-        rows = _number(_require_field(doc, "rows", "grid terrain"), "grid rows", int)
-        cols = _number(_require_field(doc, "cols", "grid terrain"), "grid cols", int)
+        rows = _count(_require_field(doc, "rows", "grid terrain"), "grid rows")
+        cols = _count(_require_field(doc, "cols", "grid terrain"), "grid cols")
         heights = _list(_require_field(doc, "heights", "grid terrain"), "grid heights")
         if min(rows, cols) < 0 or rows * cols != len(heights):
             raise ValidationError(

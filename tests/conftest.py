@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from wobble.terrain import Extent, GridTerrain, flat_terrain, generate_terrain
@@ -36,3 +37,23 @@ def hills12():
 @pytest.fixture(scope="session")
 def hills30():
     return generate_terrain(5, math.radians(30.0), 20, EXTENT)
+
+
+class EveryNode:
+    """A terrain whose gradient bound is +inf, so the foot-circle scans
+    settle no cell and evaluate every grid node: the full scan that the
+    settled scan must reproduce bit for bit. Everything else delegates."""
+
+    def __init__(self, terrain):
+        self.inner = terrain
+
+    def gradient_bound(self, x, y, radius):
+        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, math.inf)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.fixture(scope="session")
+def every_node():
+    return EveryNode

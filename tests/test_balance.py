@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wobble import balance as balance_mod
 from wobble.balance import (
     SphericalCapGround,
     approximate_equilibrium,
@@ -167,6 +168,16 @@ def test_scaling_study_needs_three_levels(hills12):
     with pytest.raises(DomainError):
         distortion_scaling_study(SQUARE, hills12,
                                  [math.radians(2), math.radians(4)], (0, 0))
+
+
+@pytest.mark.parametrize("bad", [math.radians(95.0), math.nan, math.radians(-3.0)],
+                         ids=["95deg", "nan", "-3deg"])
+def test_scaling_study_checks_every_level_first(bad, hills12, monkeypatch):
+    # the check comes before any scan
+    monkeypatch.setattr(balance_mod, "height_scan", None)
+    with pytest.raises(DomainError, match=r"target slope must be in \[0, pi/2\)"):
+        distortion_scaling_study(SQUARE, hills12,
+                                 [math.radians(5.0), bad, math.radians(10.0)], (0, 0))
 
 
 def test_scaling_study_zero_level_excluded(hills12):

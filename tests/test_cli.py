@@ -277,11 +277,32 @@ def test_campaign_target_slope_checked_before_the_runs(theta, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_campaign_bump_count_checked_before_the_runs(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["montecarlo", "--n", "1", "--bumps", "-1",
+                 "--out", str(out)]) == EXIT_FAILURE
+    assert "bump count must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["5,95,10", "5,nan,10", "5,-3,10"])
+def test_scan_study_levels_checked_before_the_scan(levels, tmp_path, capsys):
+    terrain = tmp_path / "flat.json"
+    terrain.write_text(serialize_terrain(flat_terrain()))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--terrain", str(terrain), "--study", levels,
+                 "--out", str(out)]) == EXIT_FAILURE
+    assert "target slope must be in [0, pi/2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"type": "bumps", "bumps": [{"cx": None, "cy": 0, "amplitude": 1, "sigma": 1}]},
     {"type": "bumps", "extent": [-1, "x", -1, 1], "bumps": []},
     {"type": "bumps", "bumps": [[0, 0, 1, 1]]},
     {"type": "grid", "origin": [0], "spacing": 1, "rows": 2, "cols": 2,
+     "heights": [0, 0, 0, 0]},
+    {"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2.7, "cols": 2,
      "heights": [0, 0, 0, 0]},
     {"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2,
      "heights": [0, None, 0, 0]},

@@ -253,16 +253,19 @@ def test_step_must_be_finite_and_positive(run, step, hills14):
 
 
 class CountingTerrain:
-    """Delegates to a terrain and counts its scalar and array height calls."""
+    """Delegates to a terrain and counts its scalar and array height calls,
+    and the points of the array calls."""
 
     def __init__(self, terrain):
         self.inner = terrain
         self.scalar = 0
         self.array = 0
+        self.points = 0
 
     def height(self, x, y):
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             self.array += 1
+            self.points += np.broadcast(x, y).size
         else:
             self.scalar += 1
         return self.inner.height(x, y)
@@ -282,6 +285,31 @@ def test_pivot_slide_solves_each_stage_in_array_passes(hills30):
     assert terrain.array <= 944 // 4
     assert terrain.scalar <= 10_551 // 2
     assert terrain.scalar <= 3_227 // 5
+    # with every foot-circle scan point evaluated, 285,238 array points
+    assert terrain.points <= 285_238 // 3
+
+
+def _sample_bits(s: MotionSample):
+    return (repr((s.param, s.contact.heights, s.contact.tolerance, s.stage,
+                  s.azimuth2, s.latitude1, s.latitude2, s.sphere_residual,
+                  s.surface_residual, s.flags)),
+            s.feet.points.tobytes())
+
+
+@pytest.mark.parametrize("run, terrain_name", [
+    (run_pivot_slide, "hills30"), (run_pivot_slide, "hills14"),
+    (run_march, "hills14"), (run_march, "hills12"),
+], ids=["pivot_slide-hills30", "pivot_slide-hills14", "march-hills14", "march-hills12"])
+def test_trace_equals_every_node_trace(run, terrain_name, request, every_node):
+    terrain = request.getfixturevalue(terrain_name)
+    got = run(TABLE, terrain)
+    want = run(TABLE, every_node(terrain))
+    assert [_sample_bits(s) for s in got.samples] == [_sample_bits(s) for s in want.samples]
+    assert got.warnings == want.warnings and got.relabeled == want.relabeled
+    a, b = find_equilibrium(got, terrain), find_equilibrium(want, every_node(terrain))
+    assert a.found and b.found
+    assert a.parameter == b.parameter
+    assert a.feet.points.tobytes() == b.feet.points.tobytes()
 
 
 def test_verify_equilibrium_checks_legs_in_one_array_call(hills30):

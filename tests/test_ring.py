@@ -247,3 +247,134 @@ def test_kernel_failures_keep_their_types_per_row():
     assert sorted(errors) == [0, 1]
     assert isinstance(errors[0], ConditionViolation) and "4 times" in str(errors[0])
     assert isinstance(errors[1], GeometryViolation)
+
+
+# ------------------------------------------- settled scan against every node
+
+
+class CountingPoints:
+    """Delegates to a terrain and counts the points of its array height
+    calls."""
+
+    def __init__(self, terrain):
+        self.inner = terrain
+        self.points = 0
+
+    def height(self, x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            self.points += np.broadcast(x, y).size
+        return self.inner.height(x, y)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _same_errors(got, want):
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert type(got[k]) is type(want[k]) and str(got[k]) == str(want[k])
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _random_circles(terrain, n, spread, lift, seed):
+    # centers around the ground, axes up to about 17 deg from horizontal
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-spread, spread, size=(n, 2))
+    z = terrain.height(xy[:, 0], xy[:, 1]) + rng.uniform(-lift, lift, n)
+    az = rng.uniform(-math.pi, math.pi, n)
+    axes = np.column_stack([np.cos(az), np.sin(az), rng.uniform(-0.3, 0.3, n)])
+    return np.column_stack([xy, z]), axes, az
+
+
+def _steep_pair():
+    # a steep bump and a thin ridge: circles that miss the ground, have
+    # their top below it, or cross it four times
+    return BumpTerrain([(0.0, 0.0, 1.5, 0.6), (0.0, 0.52, 0.62, 0.055)], EXT)
+
+
+@pytest.mark.parametrize("name", ["hills14", "hills30", "single_bump", "flat", "steep"])
+def test_settled_scan_equals_every_node_scan(name, request, every_node):
+    if name == "single_bump":
+        terrain = BumpTerrain([(0.4, -0.3, 0.5, 1.1)], EXT)
+    elif name == "steep":
+        terrain = _steep_pair()
+    else:
+        terrain = request.getfixturevalue(name)
+    spread, lift = (1.5, 0.8) if name == "steep" else (5.0, 0.3)
+    # 300 rows: two full blocks and a short one
+    centers, axes, az = _random_circles(terrain, 300, spread, lift, seed=7)
+    ref = every_node(terrain)
+    counted = CountingPoints(terrain)
+    for side in (1, -1):
+        got = circle_crossings(centers, axes, 0.7, counted, side=side)
+        want = circle_crossings(centers, axes, 0.7, ref, side=side)
+        _same_bits(got[0], want[0])
+        _same_errors(got[1], want[1])
+    got = half_circle_crossings(centers, az, 0.7, terrain)
+    want = half_circle_crossings(centers, az, 0.7, ref)
+    for g, w in zip(got[:2], want[:2]):
+        _same_bits(g, w)
+    _same_errors(got[2], want[2])
+    # the two sides' scans skipped most of their 2 x 361 nodes per circle
+    assert counted.points < 300 * 2 * 361 // 3
+    if name == "steep":
+        kinds = {str(e).split(";")[0][:30] for e in want[2].values()}
+        kinds |= {str(e)[:30] for e in
+                  circle_crossings(centers, axes, 0.7, ref, side=1)[1].values()}
+        assert {"circle does not cross the grou", "top of the foot circle is not ",
+                "circle crosses the ground 4 ti",
+                "vertical foot circle does not "} <= kinds
+        return
+    sphere = Sphere(center=np.array([0.3, -0.2, terrain.height(0.3, -0.2)]),
+                    radius=0.75)
+    got, want = trace_ring(sphere, terrain, STEP), trace_ring(sphere, ref, STEP)
+    for attr in ("azimuths", "latitudes", "points"):
+        _same_bits(getattr(got, attr), getattr(want, attr))
+    assert got.warnings == want.warnings
+    for azimuth in np.linspace(-math.pi, math.pi, 9):
+        got, want = ring_point(sphere, terrain, azimuth), ring_point(sphere, ref, azimuth)
+        _same_bits(got[0], want[0])
+        assert got[1] == want[1]
+
+
+def test_existing_failing_rows_equal_every_node(every_node):
+    x_axis = np.array([1.0, 0.0, 0.0])
+    ridge = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)
+    centers = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 0.0], [0.0, 0.0, -5.0]])
+    for terrain in (ridge, _steep_pair()):
+        got = circle_crossings(centers, np.tile(x_axis, (3, 1)), 0.7, terrain)
+        want = circle_crossings(centers, np.tile(x_axis, (3, 1)), 0.7, every_node(terrain))
+        _same_bits(got[0], want[0])
+        _same_errors(got[1], want[1])
+    _, errors = circle_crossings(centers, np.tile(x_axis, (3, 1)), 0.7, ridge)
+    assert "4 times" in str(errors[1]) and "at all" in str(errors[0])
+
+
+def test_scan_leaving_the_extent_raises_the_full_scan_error(hills14, flat):
+    # rows 0..149 walk toward x = 8; the full scan names the first point
+    # outside in ravel order, after 4 blocks of rows that stay inside
+    xs = np.linspace(0.0, 7.6, 150)
+    centers = np.column_stack([xs, np.full(150, 0.3),
+                               hills14.height(xs, np.full(150, 0.3))])
+    axes = np.tile([0.3, 1.0, 0.1], (150, 1))
+    with pytest.raises(DomainError) as info:
+        circle_crossings(centers, axes, 0.7, hills14)
+    assert str(info.value) == ("query point (8.00016841506545, 0.12029679016638295) "
+                               "outside terrain extent [-8.0, 8.0] x [-8.0, 8.0]")
+    with pytest.raises(DomainError) as info:
+        half_circle_crossings(centers, np.linspace(1.0, 0.0, 150), 0.7, hills14)
+    assert str(info.value) == ("query point (8.002380954595072, 0.32206917412574254) "
+                               "outside terrain extent [-8.0, 8.0] x [-8.0, 8.0]")
+    # a certificate of an earlier 32-row block still fails first: on flat
+    # ground a sphere half sunk misses the latitude band at every azimuth,
+    # and azimuths past 16 deg leave the extent at y = 8
+    sunk = Sphere(center=np.array([0.0, 7.7, -0.5]), radius=0.75)
+    with pytest.raises(GeometryViolation, match="scan band"):
+        trace_ring(sunk, flat, STEP)
+    afloat = Sphere(center=np.array([0.0, 7.7, 0.1]), radius=0.75)
+    with pytest.raises(DomainError, match="outside terrain extent"):
+        trace_ring(afloat, flat, STEP)

@@ -382,6 +382,86 @@ def test_generated_terrain_unchanged_by_carried_centre(seed, monkeypatch):
     assert got == serialize_terrain(generate_terrain(seed, math.radians(20.0), 20, EXT))
 
 
+# ------------------------------------------------ gradient and curvature
+
+
+def test_gradient_bound_covers_dense_samples(hills30):
+    rng = np.random.default_rng(11)
+    xy = rng.uniform(-6.0, 6.0, size=(200, 2))
+    radii = rng.uniform(0.05, 2.0, 200)
+    bounds = hills30.gradient_bound(xy[:, 0], xy[:, 1], radii)
+    # 20 radii x 72 angles per disc, centre included
+    rho = np.linspace(0.0, 1.0, 20)[:, None] * radii
+    phi = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
+    for k in range(200):
+        x = xy[k, 0] + np.outer(rho[:, k], np.cos(phi))
+        y = xy[k, 1] + np.outer(rho[:, k], np.sin(phi))
+        gx, gy = hills30.gradient(x, y)
+        assert np.max(np.hypot(gx, gy)) <= bounds[k]
+
+
+def test_gradient_bound_exact_for_one_bump_on_its_ring():
+    amp, sigma = -0.8, 1.7
+    t = BumpTerrain([(0.5, -0.4, amp, sigma)], Extent(-20, 20, -20, 20))
+    ring_slope = abs(amp) * math.exp(-0.5) / sigma
+    # discs that hold a point of the ring r = sigma: centre at distance d,
+    # radius at least |d - sigma|
+    for d, radius in [(0.0, 1.7), (0.0, 3.0), (1.7, 0.01), (1.0, 0.8),
+                      (3.0, 1.4), (2.5, 10.0)]:
+        got = float(t.gradient_bound(0.5 + d * 0.6, -0.4 + d * 0.8, radius))
+        assert ring_slope <= got <= ring_slope * (1.0 + 2e-9)
+    # a disc inside the ring sees less
+    assert float(t.gradient_bound(0.5, -0.4, 1.0)) < ring_slope
+
+
+def test_gradient_bound_zero_on_flat_ground(flat):
+    assert np.array_equal(flat.gradient_bound(np.array([0.0, 3.0]), 1.0, 2.0), [0.0, 0.0])
+    assert flat.curvature_bound() == 0.0
+
+
+@pytest.mark.parametrize("name", ["hills14", "hills30"])
+def test_curvature_bound_covers_hessian_norms(name, request):
+    t = request.getfixturevalue(name)
+    xs = np.linspace(-7.9, 7.9, 121)
+    x, y = np.meshgrid(xs, xs)
+    step = 1e-5
+    gxx, gyx = t.gradient(x + step, y)
+    gxx_m, gyx_m = t.gradient(x - step, y)
+    gxy, gyy = t.gradient(x, y + step)
+    gxy_m, gyy_m = t.gradient(x, y - step)
+    hess = np.empty(x.shape + (2, 2))
+    hess[..., 0, 0] = (gxx - gxx_m) / (2 * step)
+    hess[..., 1, 1] = (gyy - gyy_m) / (2 * step)
+    hess[..., 0, 1] = hess[..., 1, 0] = 0.5 * ((gyx - gyx_m) + (gxy - gxy_m)) / (2 * step)
+    norms = np.linalg.norm(hess, ord=2, axis=(-2, -1))
+    assert np.max(norms) <= t.curvature_bound()
+    # and the bound is no wild overestimate
+    assert t.curvature_bound() < 20.0 * np.max(norms)
+
+
+def test_grid_bounds_settle_nothing(plane10):
+    assert np.all(plane10.gradient_bound(np.zeros(3), np.zeros(3), 1.0) == math.inf)
+    assert plane10.curvature_bound() == math.inf
+    assert plane10.height_rounding() == math.inf
+
+
+def test_slope_search_drops_candidates_that_cannot_win(hills30, monkeypatch):
+    # 40,000 grid points, and 63,280 refinement points with every candidate
+    # searched to the end: 560 candidates, 9 points at the first level and
+    # 8 at each of the 13 others
+    points = []
+    gradient = BumpTerrain.gradient
+
+    def counted(self, x, y):
+        points.append(np.broadcast(x, y).size)
+        return gradient(self, x, y)
+
+    monkeypatch.setattr(BumpTerrain, "gradient", counted)
+    estimate_slope_bound(hills30)
+    assert points[0] == 16_200 and sum(points[:3]) == 40_000
+    assert sum(points[3:]) < 63_280 // 2
+
+
 # ----------------------------------------------------------- file errors
 
 
@@ -398,6 +478,8 @@ def test_generated_terrain_unchanged_by_carried_centre(seed, monkeypatch):
      '"heights": [0, 0, 0, 0]}', ParseError),
     ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": "x", "cols": 2, '
      '"heights": [0, 0, 0, 0]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2.7, "cols": 2, '
+     '"heights": [0, 0, 0, 0]}', ParseError),
     ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
      '"heights": [0, "x", 0, 0]}', ParseError),
     ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
@@ -412,6 +494,12 @@ def test_generated_terrain_unchanged_by_carried_centre(seed, monkeypatch):
 def test_malformed_terrain_fields_are_typed_errors(text, error):
     with pytest.raises(error):
         parse_terrain(text)
+
+
+def test_whole_float_grid_counts_parse():
+    g = parse_terrain('{"type": "grid", "origin": [0, 0], "spacing": 1, '
+                      '"rows": 2.0, "cols": 2, "heights": [0, 1, 2, 3]}')
+    assert g.heights.shape == (2, 2)
 
 
 def test_grid_heights_convert_as_float_does():
