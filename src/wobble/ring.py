@@ -55,8 +55,8 @@ outside the extent raises the same error, naming the same first point,
 after the same earlier certificates. In serial 16-run pivot-slide
 campaigns (CPU time, median of 5) the settled scan in 128-row blocks cut
 the time from 0.96 s to 0.64 s; 64-row blocks took 0.68 s and 256-row
-blocks 0.65 s, and _COARSE from 6 to 12 took 0.63-0.65 s against 0.68 s
-at 15 (2-core Xeon, numpy 2.4).
+blocks 0.65 s, and _COARSE from 6 to 12 took 0.63-0.67 s in two sets of
+runs against 0.68 s at 15 (2-core Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
