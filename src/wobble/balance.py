@@ -21,9 +21,12 @@ from .contact import TableSpec
 from .errors import DomainError
 from .geometry import diagonal_intersection_ratios
 from .roots import bracketed_root
-from .terrain import Extent, check_target_slope
+from .terrain import Extent, UncertifiedBounds, check_target_slope
 
 _TWO_PI = 2.0 * math.pi
+# half-width of the cap fit's grid of center offsets, as a fraction of the
+# feet's extent
+_CAP_CENTER_RANGE = 0.5
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class BalanceAngles:
     tangential: tuple[float, ...] = ()  # near-zero grid angles without a crossing
 
 
-def find_balance_angles(scan: HeightScan, tol_scale: float | None = None) -> BalanceAngles:
+def find_balance_angles(scan: HeightScan) -> BalanceAngles:
     """All transversal roots of g over a full turn, each refined to 1e-12
     with Brent's method inside the grid cell where g changes sign.
 
@@ -132,7 +135,7 @@ def find_balance_angles(scan: HeightScan, tol_scale: float | None = None) -> Bal
     an even number of times, at least twice.
     """
     g = scan.g_values
-    scale = tol_scale if tol_scale is not None else scan.table.char_length
+    scale = scan.table.char_length
     if float(np.max(np.abs(g))) <= 1e-10 * scale:
         return BalanceAngles(roots=(), slopes=(), degenerate=True)
     thetas = scan.thetas
@@ -185,8 +188,7 @@ def _best_rigid_fit(body: np.ndarray, target: np.ndarray):
 
 
 def approximate_equilibrium(table: TableSpec, terrain, center,
-                            theta_bar: float, z0: float = 0.0,
-                            g_tol: float | None = None) -> RestCandidate:
+                            theta_bar: float, z0: float = 0.0) -> RestCandidate:
     """Surface contact points at a balance angle, with their coplanarity
     residual and the shape distortion relative to the rigid table."""
     rho, angles = table.as_circle
@@ -201,7 +203,7 @@ def approximate_equilibrium(table: TableSpec, terrain, center,
     h = z0 - q[:, 2]
     g = ((1.0 - alpha) * h[0] + alpha * h[2]
          - (1.0 - beta) * h[1] - beta * h[3])
-    tol = g_tol if g_tol is not None else 1e-9 * scale
+    tol = 1e-9 * scale
     if abs(g) > tol:
         raise DomainError(
             f"theta = {math.degrees(theta_bar):.4f} deg is not a balance angle "
@@ -304,9 +306,10 @@ def distortion_scaling_study(table: TableSpec, terrain, slope_levels,
                         height_exponent=h_exp, height_fit_residual=h_res)
 
 
-class SphericalCapGround:
+class SphericalCapGround(UncertifiedBounds):
     """Analytic piece of a very large sphere, bulging upward, apex at the
-    origin. Satisfies the terrain evaluation protocol."""
+    origin. Satisfies the terrain evaluation protocol; its bounds are the
+    uncertified +inf ones."""
 
     kind = "cap"
 
@@ -386,8 +389,7 @@ class CapFitReport:
 
 
 def sphere_cap_fit_scan(feet_xy: np.ndarray, cap: SphericalCapGround,
-                        theta_steps: int = 24, center_range: float = 0.5,
-                        center_steps: int = 3) -> CapFitReport:
+                        theta_steps: int = 24, center_steps: int = 3) -> CapFitReport:
     """Scan rigid placements of a planar foot quadrilateral against the cap.
 
     For each horizontal placement (turn angle x center offset) the height and
@@ -424,7 +426,8 @@ def sphere_cap_fit_scan(feet_xy: np.ndarray, cap: SphericalCapGround,
     best = math.inf
     best_theta = 0.0
     best_center = (0.0, 0.0)
-    offsets = np.linspace(-center_range * scale, center_range * scale, center_steps)
+    offsets = np.linspace(-_CAP_CENTER_RANGE * scale, _CAP_CENTER_RANGE * scale,
+                          center_steps)
     thetas = _TWO_PI * np.arange(theta_steps) / theta_steps
     count = 0
     for theta in thetas:

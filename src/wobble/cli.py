@@ -187,8 +187,6 @@ class CampaignConfig:
     bump_count: int = 20
     side: float = 1.0
     extent: Extent = Extent(-8.0, 8.0, -8.0, 8.0)
-    center: tuple[float, float] = (0.0, 0.0)
-    yaw: float = 0.0
     override: bool = False
 
 
@@ -229,8 +227,7 @@ def _run_one(args) -> dict:
         rec["theta_measured_deg"] = math.degrees(terrain.slope_bound)
         table = TableSpec.square(cfg.side)
         runner = run_march if cfg.motion == "gamma" else run_pivot_slide
-        trace = runner(table, terrain, cfg.center, cfg.yaw, step=cfg.step,
-                       override=cfg.override)
+        trace = runner(table, terrain, step=cfg.step, override=cfg.override)
         result = find_equilibrium(trace, terrain)
         rec["found"] = result.found
         rec["degenerate"] = result.degenerate

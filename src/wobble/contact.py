@@ -20,6 +20,10 @@ from .roots import bracketed_root
 _TWO_PI = 2.0 * math.pi
 # relative tolerance on a square corner's edge lengths and its right angle
 _CORNER_TOL = 1e-6
+# settling stops once every contact residual is below this fraction of the
+# table's size, and fails after _SETTLE_MAX_ITER Newton steps
+_SETTLE_TOL = 1e-12
+_SETTLE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,7 @@ def _posed_points(body: np.ndarray, center_xy, yaw: float, z0: float,
 
 
 def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
-                      label_shift: int = 0, tol: float | None = None,
-                      max_iter: int = 100) -> FootSet:
+                      label_shift: int = 0) -> FootSet:
     """Place the table so feet 1, 2 and 3 rest exactly on the ground.
 
     Damped Newton iteration on (height, pitch, roll) from a horizontal guess
@@ -195,8 +198,7 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
             f"{math.degrees(terrain.slope_bound):.4f} deg"
         )
     scale = table.char_length
-    if tol is None:
-        tol = 1e-12 * scale
+    tol = _SETTLE_TOL * scale
     body = np.roll(table.body_points(), -label_shift, axis=0)
     cx, cy = float(center_xy[0]), float(center_xy[1])
 
@@ -213,7 +215,7 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
     r = residual(u)
     best = float(np.max(np.abs(r)))
     eps = 1e-7 * max(scale, 1.0)
-    for _ in range(max_iter):
+    for _ in range(_SETTLE_MAX_ITER):
         if best < tol:
             break
         jac = np.empty((3, 3))
@@ -240,7 +242,7 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
             )
     else:
         raise NumericalFailure(
-            f"settle did not converge in {max_iter} iterations "
+            f"settle did not converge in {_SETTLE_MAX_ITER} iterations "
             f"(last residual {best:.3e})", residual=best,
         )
     feet = FootSet(_posed_points(body, (cx, cy), yaw, u[0], u[1], u[2]))

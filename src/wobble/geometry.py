@@ -15,6 +15,10 @@ import numpy as np
 from .errors import CoplanarPoints, DomainError
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+# relative volume below which four points count as coplanar
+_DEGENERACY_EPS = 1e-9
+# tolerance on the unit lengths and dot products of an orthonormal triple
+_ORTHO_TOL = 1e-9
 
 
 def norm(v) -> float:
@@ -55,11 +59,11 @@ class Sphere:
             raise DomainError(f"sphere radius must be positive, got {self.radius}")
 
 
-def sphere_through(p1, p2, p3, p4, degeneracy_eps: float = 1e-9) -> Sphere:
+def sphere_through(p1, p2, p3, p4) -> Sphere:
     """Unique sphere through four points.
 
     Raises CoplanarPoints when the tetrahedron volume falls below
-    degeneracy_eps times the cube of the largest pairwise distance.
+    _DEGENERACY_EPS times the cube of the largest pairwise distance.
     """
     pts = [np.asarray(p, dtype=float) for p in (p1, p2, p3, p4)]
     scale = max(norm(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
@@ -67,9 +71,9 @@ def sphere_through(p1, p2, p3, p4, degeneracy_eps: float = 1e-9) -> Sphere:
         raise DomainError("all four points coincide")
     e = np.array([pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0]])
     vol = abs(float(np.linalg.det(e))) / 6.0
-    if vol < degeneracy_eps * scale**3:
+    if vol < _DEGENERACY_EPS * scale**3:
         raise CoplanarPoints(
-            f"points are near-coplanar (volume {vol:.3e} < {degeneracy_eps:.0e}"
+            f"points are near-coplanar (volume {vol:.3e} < {_DEGENERACY_EPS:.0e}"
             f" * scale^3); no unique sphere"
         )
     # Plane-bisector system: 2*(p_i - p_1) . O = |p_i|^2 - |p_1|^2
@@ -97,7 +101,7 @@ def rotate_about_axis(p, axis_a, axis_b, angle: float) -> np.ndarray:
     return a + rotated
 
 
-def orthotriple_inclination_residual(u, v, w, ortho_tol: float = 1e-9) -> float:
+def orthotriple_inclination_residual(u, v, w) -> float:
     """|sin^2(th_u) + sin^2(th_v) + sin^2(th_w) - 1| for an orthonormal triple.
 
     The identity forces max inclination >= arcsin(1/sqrt(3)) = 35.264 deg:
@@ -106,13 +110,13 @@ def orthotriple_inclination_residual(u, v, w, ortho_tol: float = 1e-9) -> float:
     vs = [np.asarray(x, dtype=float) for x in (u, v, w)]
     for i, x in enumerate(vs):
         n = norm(x)
-        if abs(n - 1.0) > ortho_tol:
+        if abs(n - 1.0) > _ORTHO_TOL:
             raise DomainError(f"vector {i + 1} is not unit length (|v| = {n!r})")
     for (i, a), (j, b) in (((0, vs[0]), (1, vs[1])),
                            ((0, vs[0]), (2, vs[2])),
                            ((1, vs[1]), (2, vs[2]))):
         d = float(np.dot(a, b))
-        if abs(d) > ortho_tol:
+        if abs(d) > _ORTHO_TOL:
             raise DomainError(
                 f"vectors {i + 1} and {j + 1} are not orthogonal (dot = {d!r})"
             )

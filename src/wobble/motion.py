@@ -15,25 +15,31 @@ under override.
 
 Each stage places all its samples before recording any. Feet 1 and 2 come
 first. The pivot stage solves every foot 1 at once with the blocked
-half-circle kernel (ring.half_circle_crossings). The slide stage traces its
-section curve once as a polyline, takes every chord's hint from it and
-solves all its chords together (`_slide_chords`). Only the march chords are
-still solved in order, each searched from the last: batching them waits
-until the `march` benchmark stops holding every op's output, or a faster
-march would read there as a memory regression (ROADMAP item 3). Then
-`_squares` closes every sample's square in one pass: every foot 3 by the
-blocked circle kernel (ring.circle_crossings), every foot 4, and every
-contact height in one array call. A placement failure that a row reports
-(a failed circle certificate, corner check or chord search) does not raise
-at once: it stops the stage at that sample, the samples before it are
-flagged and recorded in order, and only then is it raised. So the first
-breach in sample order, a flag or such a failure, raises the same error as
-a sample-by-sample solve would, and override runs record the same
-warnings. An error raised by the terrain inside a batched call (a query
-outside its extent) or a NaN met while refining belongs to no one row: it
-aborts the stage before any of its samples is recorded. The workspace
-check in `_start` keeps every reachable foot circle inside the extent.
-Each motion's resolver is the one-sample call of the same stage functions.
+half-circle kernel (ring.half_circle_crossings). The slide stage puts each
+foot 1 on the section curve of the vertical plane through feet 2-3; its
+foot 2 stays one side length ahead in that plane, where the forward
+vertical half-circle about foot 1 meets the ground, so one call of the same
+kernel places every foot 2. The half-circle always straddles the ground
+(its ends lie one side length below and above foot 1), so the only
+placement failure of a foot 2 is a ConditionViolation (exit code 3) when
+the kernel's 1-degree scan of the whole half-circle counts other than one
+crossing. Only the march chords are still solved in order, each searched
+from the last: batching them waits until the `march` benchmark stops
+holding every op's output, or a faster march would read there as a memory
+regression (ROADMAP item 3). Then `_squares` closes every sample's square
+in one pass: every foot 3 by the blocked circle kernel
+(ring.circle_crossings), every foot 4, and every contact height in one
+array call. A placement failure that a row reports (a failed circle
+certificate or corner check) does not raise at once: it stops the stage at
+that sample, the samples before it are flagged and recorded in order, and
+only then is it raised. So the first breach in sample order, a flag or such
+a failure, raises the same error as a sample-by-sample solve would, and
+override runs record the same warnings. An error raised by the terrain
+inside a batched call (a query outside its extent) or a NaN met while
+refining belongs to no one row: it aborts the stage before any of its
+samples is recorded. The workspace check in `_start` keeps every reachable
+foot circle inside the extent. Each motion's resolver is the one-sample
+call of the same stage functions.
 
 Motion "march" follows the curve where the circumsphere of the settled feet
 and the dropped free foot meets the ground, certified up to a 14.47 deg
@@ -59,7 +65,6 @@ from .contact import (
     signed_heights,
 )
 from .errors import (
-    BlockedMotion,
     ConditionViolation,
     DomainError,
     GeometryViolation,
@@ -74,14 +79,13 @@ from .ring import (
     half_circle_crossings,
     trace_ring,
 )
-from .roots import bracketed_root, bracketed_roots
+from .roots import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
 _SLOPES = SlopeThresholds()
 DEFAULT_STEP = math.radians(0.25)
-# rows per block of the chord-hint search, which holds a (rows, window)
-# distance matrix; the window grows as the step shrinks
-_HINT_BLOCK = 64
+# points sampled along each leg by the clearance check
+_LEG_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -426,99 +430,6 @@ def _section_points(terrain, anchor: np.ndarray, direction_xy: np.ndarray,
     return np.stack([x, y, terrain.height(x, y)], axis=-1)
 
 
-def _chord_hints(line_u: np.ndarray, line: np.ndarray, u_leads: np.ndarray,
-                 base: np.ndarray, chord: float) -> np.ndarray:
-    """Where the section polyline (points `line` at the sorted parameters
-    `line_u`) first reaches distance `chord` from base[k] ahead of
-    u_leads[k], interpolated on the segment that crosses it; the polyline's
-    end when it never does."""
-    m = len(u_leads)
-    hints = np.full(m, line_u[-1])
-    first = np.searchsorted(line_u, u_leads, side="right")
-    # a point is at least as far from the base as it is along the section,
-    # so each row's window ends one point past u_lead + chord
-    last = np.searchsorted(line_u, u_leads + chord, side="right") + 1
-    for b in range(0, m, _HINT_BLOCK):
-        rows = slice(b, b + _HINT_BLOCK)
-        span = int(np.max(last[rows] - first[rows])) + 1
-        idx = first[rows, None] + np.arange(span)
-        valid = idx < len(line_u)
-        idx = np.minimum(idx, len(line_u) - 1)
-        dist = np.linalg.norm(line[idx] - base[rows, None, :], axis=-1)
-        over = valid & (dist >= chord)
-        hit = np.flatnonzero(over.any(axis=1))
-        j = np.argmax(over[hit], axis=1)
-        u_j, d_j = line_u[idx[hit, j]], dist[hit, j]
-        # the point before the crossing: the last polyline point, or the
-        # base itself at u_lead when the first point ahead already crosses
-        prev = j > 0
-        jp = np.maximum(j - 1, 0)
-        u_p = np.where(prev, line_u[idx[hit, jp]], u_leads[rows][hit])
-        d_p = np.where(prev, dist[hit, jp], 0.0)
-        hints[b + hit] = u_p + (chord - d_p) / (d_j - d_p) * (u_j - u_p)
-    return hints
-
-
-def _slide_chords(terrain, anchor, direction_xy, u_leads: np.ndarray,
-                  base: np.ndarray, chord: float, hints: np.ndarray, step: float):
-    """Parameter and point of the section curve at distance `chord` ahead of
-    each row's base point (the section point at u_leads[k]), searched around
-    hints[k], all rows at once.
-
-    Each row's bracket starts max(4 step, 1e-6) either side of its hint,
-    clipped just ahead of u_lead, and doubles while it holds no sign change;
-    9 probes across it must show exactly one. Returns (u, points, errors):
-    NaN rows for the rows that fail, and errors maps each of those to its
-    BlockedMotion (no bracket) or ConditionViolation (several roots)."""
-    m = len(u_leads)
-
-    def gaps(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Chord gaps at u[j, i], a parameter of row rows[j]."""
-        d = _section_points(terrain, anchor, direction_xy, u) - base[rows, None, :]
-        return np.sqrt(np.sum(d * d, axis=-1)) - chord
-
-    floor = u_leads + 1e-12
-    width = max(4.0 * step, 1e-6)
-    lo = np.maximum(hints - width, floor)
-    hi = hints + width
-    ends = gaps(np.stack([lo, hi], axis=1), np.arange(m))
-    g_lo, g_hi = ends[:, 0], ends[:, 1]
-    errors: dict[int, WobbleError] = {}
-    open_ = np.flatnonzero(~((g_lo < 0.0) & (g_hi > 0.0)))
-    solvable = np.ones(m, dtype=bool)
-    tries = 0
-    while open_.size:
-        width *= 2.0
-        tries += 1
-        if tries > 8 or width > 2.0 * chord:
-            solvable[open_] = False
-            for k in open_.tolist():
-                errors[k] = BlockedMotion(
-                    "section-curve chord found no bracket; the slide cannot advance")
-            break
-        lo[open_] = np.maximum(hints[open_] - width, floor[open_])
-        hi[open_] = hints[open_] + width
-        ends = gaps(np.stack([lo[open_], hi[open_]], axis=1), open_)
-        g_lo[open_], g_hi[open_] = ends[:, 0], ends[:, 1]
-        open_ = open_[~((g_lo[open_] < 0.0) & (g_hi[open_] > 0.0))]
-    rows = np.flatnonzero(solvable)
-    probes = np.linspace(lo[rows], hi[rows], 9, axis=1)
-    vals = np.empty((rows.size, 9))
-    vals[:, 0], vals[:, 8] = g_lo[rows], g_hi[rows]
-    vals[:, 1:8] = gaps(probes[:, 1:8], rows)
-    signs = vals > 0.0
-    several = np.count_nonzero(signs[:, :-1] != signs[:, 1:], axis=1) != 1
-    for k in rows[several].tolist():
-        errors[k] = ConditionViolation("multiple section-curve chord roots in the bracket")
-    rows = rows[~several]
-    u = np.full(m, np.nan)
-    u[rows] = bracketed_roots(lambda x, r: gaps(x[:, None], rows[r])[:, 0],
-                              lo[rows], hi[rows], g_lo[rows], g_hi[rows])
-    points = np.full((m, 3), np.nan)
-    points[rows] = _section_points(terrain, anchor, direction_xy, u[rows])
-    return u, points, errors
-
-
 def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
                     yaw: float = 0.0, step: float = DEFAULT_STEP,
                     override: bool = False) -> MotionTrace:
@@ -541,7 +452,8 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
         )
     # slide stage: both edge endpoints ride the section curve of the vertical
     # plane through feet 2-3 until the edge lands on (p2, p3)
-    dir_xy = np.array([math.cos(psi_b + math.pi), math.sin(psi_b + math.pi)])
+    psi_slide = psi_b + math.pi
+    dir_xy = np.array([math.cos(psi_slide), math.sin(psi_slide)])
 
     def pivots(params: np.ndarray):
         """Edge 1-2 turned by each of `params` about foot 2, foot 1 on the
@@ -565,26 +477,21 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
     n2 = max(1, int(math.ceil(abs(u0) / spacing)))
     param_scale = (math.pi / 2.0) / max(abs(u0), 1e-12)
     u_leads = np.array([u0 * (1.0 - i / n2) for i in range(1, n2 + 1)])
-    # the section curve from the first foot 1 to beyond the last foot 2, one
-    # side length past the pivot, traced once on the stage's grid
-    line_u = np.concatenate([u_leads, spacing * np.arange(1, math.ceil(side / spacing) + 2)])
-    line = _section_points(terrain, pivot, dir_xy, line_u)
 
-    def slides(params, u_leads: np.ndarray, foot1: np.ndarray):
-        """Foot 1 at each section parameter u_leads[k] (point foot1[k]) and
-        foot 2 one side length ahead, searched around the crossing of the
-        stage's section polyline: (samples before the first failing row,
-        its error)."""
-        hints = _chord_hints(line_u, line, u_leads, foot1, side)
-        _, foot2, errors = _slide_chords(terrain, pivot, dir_xy, u_leads, foot1,
-                                         side, hints, abs(u0) / n2)
-        m = min(errors, default=len(u_leads))
+    def slides(params, foot1: np.ndarray):
+        """Foot 1 at each point foot1[k] of the section and foot 2 one side
+        length ahead, where the forward vertical half-circle about foot 1
+        meets the ground: (samples before the first failing row, its
+        error)."""
+        foot2, _, errors = half_circle_crossings(
+            foot1, np.full(len(foot1), psi_slide), side, terrain)
+        m = min(errors, default=len(foot1))
         samples, failure = _squares(table, terrain, "slide", params, foot1[:m],
                                     foot2[:m])
         return samples, failure or errors.get(m)
 
     samples, failure = slides([sweep1 + (u - u0) * param_scale for u in u_leads.tolist()],
-                              u_leads, line[:n2])
+                              _section_points(terrain, pivot, dir_xy, u_leads))
     for i, s in enumerate(samples, start=n1 + 1):
         _record(trace, i, s, "(slide)")
     if failure is not None:
@@ -596,8 +503,7 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
             samples, failure, _ = pivots(np.array([param]))
             return _only(samples, failure)
         u_lead = np.array([min(u0 + (param - sweep1) / param_scale, 0.0)])
-        return _only(*slides([param], u_lead,
-                             _section_points(terrain, pivot, dir_xy, u_lead)))
+        return _only(*slides([param], _section_points(terrain, pivot, dir_xy, u_lead)))
 
     trace.resolver = resolver
     return trace
@@ -666,8 +572,7 @@ def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
         intervals=intervals)
 
 
-def verify_equilibrium(feet: FootSet, table: TableSpec, terrain,
-                       leg_samples: int = 50) -> EquilibriumChecks:
+def verify_equilibrium(feet: FootSet, table: TableSpec, terrain) -> EquilibriumChecks:
     """Independent pass/fail report: contact residuals, rigidity, and leg
     clearance sampled along each leg from the foot up to the tabletop."""
     tol = _contact_tolerance(table)
@@ -679,7 +584,7 @@ def verify_equilibrium(feet: FootSet, table: TableSpec, terrain,
     if n[2] < 0:
         n = -n
     # every leg's sample points, foot by foot, in one height call
-    rise = table.leg_length * np.arange(1, leg_samples + 1) / leg_samples
+    rise = table.leg_length * np.arange(1, _LEG_SAMPLES + 1) / _LEG_SAMPLES
     q = feet.points[:, None, :] + n * rise[:, None]
     clear = q[..., 2] - terrain.height(q[..., 0], q[..., 1])
     min_clear = float(np.min(clear, initial=math.inf))

@@ -33,6 +33,8 @@ _EPS = float(np.finfo(float).eps)
 # relative margin of the slope search's drop test: far above the rounding
 # of a computed |grad|^2
 _PRUNE_MARGIN = 2.0 ** -20
+# halvings of the slope search's stencil step
+_REFINE_LEVELS = 14
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,26 @@ class BumpTerrain:
         return self._slope_cache
 
 
-class GridTerrain:
+class UncertifiedBounds:
+    """The bound methods of the terrain protocol for a terrain without
+    certified bounds: each answer is +inf, which settles nothing, so its
+    callers evaluate every point."""
+
+    def gradient_bound(self, x, y, radius):
+        """+inf for every (x, y): no certified slope bound."""
+        return np.full(np.broadcast(np.asarray(x), np.asarray(y),
+                                    np.asarray(radius)).shape, math.inf)
+
+    def curvature_bound(self) -> float:
+        """+inf: no certified curvature bound."""
+        return math.inf
+
+    def height_rounding(self) -> float:
+        """+inf: no rounding analysis of the height kernel."""
+        return math.inf
+
+
+class GridTerrain(UncertifiedBounds):
     """Row-major height samples with C1 piecewise-bicubic interpolation.
 
     Node x = origin_x + col * spacing, node y = origin_y + row * spacing.
@@ -321,6 +342,9 @@ class GridTerrain:
     edges), which makes the interpolant reproduce node values exactly and
     keeps the gradient continuous across cell boundaries. Bilinear would be
     merely C0 and the solver needs a tangent plane everywhere.
+
+    A certified bound of the interpolant's slope needs each cell's bicubic
+    coefficients (ROADMAP item 2); until then the bounds are +inf.
     """
 
     kind = "grid"
@@ -453,23 +477,6 @@ class GridTerrain:
             return float(gx), float(gy)
         return gx, gy
 
-    # A certified bound of the interpolant's slope needs each cell's
-    # bicubic coefficients (ROADMAP item 2). Until then the grid reports
-    # +inf, which settles nothing: its callers evaluate every point.
-
-    def gradient_bound(self, x, y, radius):
-        """+inf for every (x, y): no certified slope bound yet."""
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y),
-                                    np.asarray(radius)).shape, math.inf)
-
-    def curvature_bound(self) -> float:
-        """+inf: no certified curvature bound yet."""
-        return math.inf
-
-    def height_rounding(self) -> float:
-        """+inf: no rounding analysis of the bicubic kernel yet."""
-        return math.inf
-
     @property
     def slope_bound(self) -> float:
         if self._slope_cache is None:
@@ -484,8 +491,7 @@ def flat_terrain(extent: Extent | None = None) -> BumpTerrain:
     return BumpTerrain((), extent or Extent(-100.0, 100.0, -100.0, 100.0))
 
 
-def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float,
-                       levels: int = 14) -> float:
+def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float) -> float:
     """Pattern-search refinement of |grad|^2 around candidate points.
 
     Each level moves every candidate to the best of its 3 x 3 stencil. The
@@ -513,7 +519,7 @@ def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float,
     live = np.arange(px.size)
     g2 = np.empty((px.size, 9))
     h = spacing
-    for level in range(levels):
+    for level in range(_REFINE_LEVELS):
         cx = np.clip(px[:, None] + offs[:, 0] * h, ext.xmin, ext.xmax)
         cy = np.clip(py[:, None] + offs[:, 1] * h, ext.ymin, ext.ymax)
         cols = slice(None) if level == 0 else off_centre

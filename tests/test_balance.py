@@ -16,6 +16,8 @@ from wobble.balance import (
 )
 from wobble.contact import TableSpec
 from wobble.errors import DomainError
+from wobble.geometry import Sphere
+from wobble.ring import circle_surface_intersection, ring_point
 from wobble.terrain import BumpTerrain, Extent, GridTerrain
 
 EXT = Extent(-8.0, 8.0, -8.0, 8.0)
@@ -217,6 +219,24 @@ def test_cap_scan_noncyclic_bounded_away():
     report = sphere_cap_fit_scan(feet, cap, theta_steps=8, center_steps=3)
     assert report.min_residual > 1e-4 * defect / 0.01 * 0.5
     assert report.min_residual > 0.0
+
+
+def test_cap_meets_circles_and_spheres():
+    # the cap answers the terrain protocol's bound queries, so the foot
+    # circle and curve kernels run on it
+    cap = SphericalCapGround(100.0, Extent(-10.0, 10.0, -10.0, 10.0))
+
+    def off_cap(q):
+        return abs(float(np.linalg.norm(q - cap.sphere_center)) - cap.radius)
+
+    center = np.array([1.0, -0.5, cap.height(1.0, -0.5)])
+    q = circle_surface_intersection(center, np.array([1.0, 0.3, 0.2]), 0.7, cap)
+    assert off_cap(q) < 1e-12
+    assert abs(float(np.linalg.norm(q - center)) - 0.7) < 1e-12
+    sphere = Sphere(np.array([0.5, -0.3, cap.height(0.5, -0.3) + 0.2]), 0.8)
+    q, _ = ring_point(sphere, cap, 0.4)
+    assert off_cap(q) < 1e-12
+    assert abs(float(np.linalg.norm(q - sphere.center)) - sphere.radius) < 1e-12
 
 
 def test_cap_scan_plane_limit_fits_anything():

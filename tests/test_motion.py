@@ -10,20 +10,18 @@ from wobble.contact import (
     settle_three_feet,
     signed_heights,
 )
-from wobble.errors import BlockedMotion, ConditionViolation, DomainError
+from wobble.errors import ConditionViolation, DomainError
 from wobble.geometry import SlopeThresholds
 from wobble.motion import (
     MotionSample,
     MotionTrace,
-    _chord_hints,
-    _section_points,
-    _slide_chords,
     _squares,
     find_equilibrium,
     run_march,
     run_pivot_slide,
     verify_equilibrium,
 )
+from wobble.ring import half_circle_crossings
 from wobble.terrain import BumpTerrain, Extent, flat_terrain, generate_terrain
 
 EXT = Extent(-8.0, 8.0, -8.0, 8.0)
@@ -342,60 +340,49 @@ def test_yaw_must_be_finite(run, yaw, hills14):
         run(TABLE, hills14, yaw=yaw)
 
 
-def _section_rows(terrain, anchor, direction, u_leads, line_u, chord=1.0):
-    """Foot 1 at each u_lead, the polyline on line_u, and each row's chord
-    hint from it."""
-    base = _section_points(terrain, anchor, direction, u_leads)
-    line = _section_points(terrain, anchor, direction, line_u)
-    return base, line, _chord_hints(line_u, line, u_leads, base, chord)
-
-
-def test_slide_chords_alone_equal_batch(hills30):
-    anchor, direction = np.array([0.3, -0.2]), np.array([math.cos(0.7), math.sin(0.7)])
-    u_leads = np.linspace(-1.0, 0.0, 12)
-    line_u = np.arange(-1.0, 1.5, 0.01)
-    base, line, hints = _section_rows(hills30, anchor, direction, u_leads, line_u)
-    u, points, errors = _slide_chords(hills30, anchor, direction, u_leads, base,
-                                      1.0, hints, 0.01)
+def test_half_circle_crossings_on_tilted_plane(plane10):
+    # from a base on z = x tan 10deg, the crossing at azimuth psi sits at
+    # elevation gamma with tan gamma = tan 10deg cos psi
+    rng = np.random.default_rng(10)
+    xy = rng.uniform(-5.0, 5.0, (20, 2))
+    base = np.column_stack([xy, xy[:, 0] * math.tan(math.radians(10.0))])
+    psi = rng.uniform(-math.pi, math.pi, 20)
+    points, _, errors = half_circle_crossings(base, psi, 1.0, plane10)
     assert not errors
-    assert np.all(np.abs(np.linalg.norm(points - base, axis=1) - 1.0) < 1e-9)
-    for k in range(len(u_leads)):
-        one = slice(k, k + 1)
-        assert _chord_hints(line_u, line, u_leads[one], base[one], 1.0)[0] == hints[k]
-        u1, p1, e1 = _slide_chords(hills30, anchor, direction, u_leads[one],
-                                   base[one], 1.0, hints[one], 0.01)
-        assert not e1
-        assert u1[0] == u[k]
-        assert np.array_equal(p1[0], points[k])
+    gamma = np.arctan(math.tan(math.radians(10.0)) * np.cos(psi))
+    expected = base + np.column_stack([np.cos(gamma) * np.cos(psi),
+                                       np.cos(gamma) * np.sin(psi), np.sin(gamma)])
+    assert np.max(np.abs(points - expected)) < 1e-11
 
 
-def test_slide_chords_on_flat_ground(flat):
-    anchor, direction = np.array([0.5, 0.25]), np.array([0.6, -0.8])
-    u_leads = np.linspace(-2.0, 1.0, 7)
-    base, _, hints = _section_rows(flat, anchor, direction, u_leads,
-                                   np.arange(-2.0, 3.0, 0.05))
-    u, _, errors = _slide_chords(flat, anchor, direction, u_leads, base, 1.0,
-                                 hints, 0.05)
-    assert not errors
-    assert np.max(np.abs(u - (u_leads + 1.0))) < 1e-12
-
-
-def test_slide_chords_map_failing_rows_and_solve_the_rest():
-    # a narrow steep bump at x = 1.9 puts three chord roots in row 2's
-    # bracket; row 1's hint sits far beyond its root; rows 0 and 3 are flat
+def test_half_circle_crossings_map_failing_rows_and_solve_the_rest():
+    # a narrow steep bump at x = 1.9 crosses row 2's half-circle three
+    # times; rows 0, 1 and 3 meet flat ground one unit ahead
     terrain = BumpTerrain([(1.9, 0.0, 0.6, 0.02)], EXT)
-    anchor, direction = np.array([0.0, 0.0]), np.array([1.0, 0.0])
     u_leads = np.array([-4.0, -2.0, 1.0, 4.0])
-    base = _section_points(terrain, anchor, direction, u_leads)
-    u, points, errors = _slide_chords(terrain, anchor, direction, u_leads, base,
-                                      1.0, np.array([-3.0, 2.0, 2.0, 5.0]), 0.05)
-    assert sorted(errors) == [1, 2]
-    assert isinstance(errors[1], BlockedMotion)
-    assert "found no bracket" in str(errors[1])
+    base = np.column_stack([u_leads, np.zeros(4),
+                            terrain.height(u_leads, np.zeros(4))])
+    points, _, errors = half_circle_crossings(base, np.zeros(4), 1.0, terrain)
+    assert sorted(errors) == [2]
     assert isinstance(errors[2], ConditionViolation)
-    assert "multiple section-curve chord roots" in str(errors[2])
-    assert np.all(np.isnan(u[[1, 2]])) and np.all(np.isnan(points[[1, 2]]))
-    assert abs(u[0] + 3.0) < 1e-12 and abs(u[3] - 5.0) < 1e-12
+    assert "3 times" in str(errors[2])
+    assert np.all(np.isnan(points[2]))
+    for k in (0, 1, 3):
+        assert np.max(np.abs(points[k] - [u_leads[k] + 1.0, 0.0, 0.0])) < 1e-12
+
+
+def test_slide_foot2_one_side_ahead_in_the_slide_plane(hills30):
+    trace = run_pivot_slide(TABLE, hills30)
+    p2, p3 = trace.start_feet.p2, trace.start_feet.p3
+    ahead = (p3 - p2)[:2] / np.linalg.norm((p3 - p2)[:2])
+    normal = np.array([-ahead[1], ahead[0]])
+    slides = [s for s in trace.samples if s.stage == "slide"]
+    assert slides
+    for s in slides:
+        edge = s.feet.p2 - s.feet.p1
+        assert abs(np.linalg.norm(edge) - TABLE.side) < 1e-9
+        assert abs(float(np.dot(s.feet.p2[:2] - p2[:2], normal))) < 1e-9
+        assert float(np.dot(edge[:2], ahead)) > 0.0
 
 
 def _expected_square_flags(sample, terrain, table):
