@@ -40,6 +40,7 @@ from .motion import (
     EquilibriumResult,
     MotionTrace,
     find_equilibrium,
+    flag_names,
     run_march,
     run_pivot_slide,
 )
@@ -123,20 +124,20 @@ def _load_terrain(path: str):
 
 def trace_csv_lines(trace: MotionTrace):
     yield TRACE_HEADER
-    r_over_l = (trace.sphere.radius / trace.table.side
-                if trace.sphere is not None else None)
-    for s in trace.samples:
-        coords = []
-        for i in range(4):
-            coords.extend(_fmt(float(v)) for v in s.feet.points[i])
-        lat = math.degrees(s.latitude1) if s.latitude1 is not None else None
+    r_over_l = _fmt(trace.sphere.radius / trace.table.side
+                    if trace.sphere is not None else None)
+    n = len(trace)
+    lats = trace.latitude1.tolist() if trace.latitude1 is not None else [None] * n
+    for param, coords, h4, lat, flags in zip(
+            trace.params.tolist(), trace.feet.reshape(n, 12).tolist(),
+            trace.h4_values.tolist(), lats, trace.flags.tolist()):
         row = [
-            _fmt(math.degrees(s.param)),
-            *coords,
-            _fmt(float(s.contact.h4)),
-            _fmt(r_over_l),
-            _fmt(lat),
-            ";".join(s.flags),
+            _fmt(math.degrees(param)),
+            *map(_fmt, coords),
+            _fmt(h4),
+            r_over_l,
+            _fmt(math.degrees(lat) if lat is not None else None),
+            ";".join(flag_names(flags)),
         ]
         yield ",".join(row)
 
@@ -146,7 +147,7 @@ def format_equilibrium_report(result: EquilibriumResult, trace: MotionTrace) -> 
         f"motion:          {trace.kind}",
         f"slope bound est: {math.degrees(trace.slope_bound):.4f} deg",
         f"table side:      {trace.table.side}",
-        f"samples:         {len(trace.samples)}",
+        f"samples:         {len(trace)}",
         f"relabeled:       {'yes' if trace.relabeled else 'no'}",
         f"equilibrium:     {'found' if result.found else 'not found'}",
     ]
@@ -239,14 +240,13 @@ def _run_one(args) -> dict:
         if trace.sphere is not None:
             rec["r_over_l"] = trace.sphere.radius / cfg.side
         if cfg.motion == "gamma" and not trace.degenerate_start:
-            lats = [abs(v) for s in trace.samples
-                    for v in (s.latitude1, s.latitude2) if v is not None]
-            rec["lat_max_deg"] = math.degrees(max(lats)) if lats else None
+            lat = np.maximum(np.abs(trace.latitude1), np.abs(trace.latitude2))
+            rec["lat_max_deg"] = math.degrees(float(np.max(lat)))
             rec["lat_bound_deg"] = math.degrees(trace.ring.latitude_bound)
-            rec["sphere_resid"] = max(s.sphere_residual for s in trace.samples)
-            rec["surface_resid"] = max(s.surface_residual for s in trace.samples)
-            phi2 = [s.azimuth2 for s in trace.samples if s.azimuth2 is not None]
-            rec["monotone_ok"] = all(b > a for a, b in zip(phi2, phi2[1:]))
+            rec["sphere_resid"] = float(np.max(trace.sphere_residual))
+            rec["surface_resid"] = float(np.max(trace.surface_residual))
+            phi2 = trace.azimuth2
+            rec["monotone_ok"] = bool(np.all(phi2[1:] > phi2[:-1]))
         if result.found:
             rec["sweep_deg"] = math.degrees(result.sweep)
             rec["table_rot_deg"] = math.degrees(result.table_rotation)

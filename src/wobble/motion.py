@@ -9,9 +9,9 @@ Both motions run on one driver and differ only in their path: `_start`
 checks the step and the yaw, gates the slope, checks the workspace, settles
 and drops the free foot; `_squares` flags every sample's contact and
 rigidity, `_record` adds the motion's own flags and continuity and records
-each sample, and `_check_endpoints` checks that the path ends one labeling
-further; `_breach` raises each condition breach, or records it as a warning
-under override.
+a stage's samples, and `_check_endpoints` checks that the path ends one
+labeling further; `_breach` raises each condition breach, or records it as
+a warning under override.
 
 Each stage places all its samples before recording any. Feet 1 and 2 come
 first. The pivot stage solves every foot 1 at once with the blocked
@@ -24,9 +24,9 @@ kernel places every foot 2. The half-circle always straddles the ground
 placement failure of a foot 2 is a ConditionViolation (exit code 3) when
 the kernel's 1-degree scan of the whole half-circle counts other than one
 crossing. Only the march chords are still solved in order, each searched
-from the last: batching them waits until the `march` benchmark stops
-holding every op's output, or a faster march would read there as a memory
-regression (ROADMAP item 3). Then `_squares` closes every sample's square
+from the last: batching them (ROADMAP items 1-2) waits until the `march`
+benchmark stops holding every op's output, or a faster march would read
+there as a memory regression. Then `_squares` closes every sample's square
 in one pass: every foot 3 by the blocked circle kernel
 (ring.circle_crossings), every foot 4, and every contact height in one
 array call. A placement failure that a row reports (a failed circle
@@ -41,6 +41,13 @@ samples is recorded. The workspace check in `_start` keeps every reachable
 foot circle inside the extent. Each motion's resolver is the one-sample
 call of the same stage functions.
 
+A trace keeps its samples as columns, one row per sample: the parameters,
+the feet (n, 4, 3), the four signed heights (n, 4), a stage code (an index
+into STAGES), a flag bitmask (bit k set for FLAGS[k]) and, for the march,
+foot 2's azimuth, both latitudes and both residuals. A stage's rows are
+flagged, checked and appended in array passes; `MotionTrace.sample(i)`
+builds one MotionSample on demand.
+
 Motion "march" follows the curve where the circumsphere of the settled feet
 and the dropped free foot meets the ground, certified up to a 14.47 deg
 slope. Motion "pivot_slide" rotates the leading edge about foot 2, then
@@ -50,7 +57,7 @@ slides it within a vertical plane onto edge 2-3, certified up to 35.264 deg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,6 +95,22 @@ DEFAULT_STEP = math.radians(0.25)
 _LEG_SAMPLES = 50
 
 
+# a sample's stage, by its code in the trace's stage column
+STAGES = ("settled", "march", "pivot", "slide")
+# the breached checks, bit k of a row's flag mask for FLAGS[k], in the
+# order a sample lists them
+FLAGS = ("contact", "rigidity", "latitude", "monotone", "continuity")
+_CONTACT, _RIGIDITY, _LATITUDE, _MONOTONE, _CONTINUITY = (1 << k for k in range(5))
+# the march's own columns; None in a trace of the other motion
+_MARCH_COLUMNS = ("azimuth2", "latitude1", "latitude2", "sphere_residual",
+                  "surface_residual")
+
+
+def flag_names(mask: int) -> tuple[str, ...]:
+    """The names of the checks set in a row's flag mask, in FLAGS order."""
+    return tuple(name for k, name in enumerate(FLAGS) if mask >> k & 1)
+
+
 @dataclass(frozen=True)
 class MotionSample:
     param: float
@@ -102,12 +125,22 @@ class MotionSample:
     flags: tuple[str, ...] = ()
 
 
+def _row_sample(rows, k: int, tolerance: float) -> MotionSample:
+    """Row k of a mapping of sample columns, as a MotionSample."""
+    march = ({name: float(rows[name][k]) for name in _MARCH_COLUMNS}
+             if rows.get("azimuth2") is not None else {})
+    return MotionSample(param=float(rows["params"][k]), feet=FootSet(rows["feet"][k]),
+                        contact=ContactState(tuple(rows["heights"][k].tolist()),
+                                             tolerance),
+                        stage=STAGES[rows["stages"][k]],
+                        flags=flag_names(int(rows["flags"][k])), **march)
+
+
 @dataclass
 class MotionTrace:
     kind: str                           # "march" or "pivot_slide"
     table: TableSpec
     terrain: object
-    samples: list[MotionSample]
     start_feet: FootSet
     center_xy: tuple[float, float]
     yaw: float
@@ -121,14 +154,32 @@ class MotionTrace:
     warnings: list[str] = field(default_factory=list)
     resolver: object = None             # param -> MotionSample, for refinement
     ring: GroundRing | None = None
+    # the samples, one row each
+    params: np.ndarray = field(default_factory=lambda: np.empty(0))
+    feet: np.ndarray = field(default_factory=lambda: np.empty((0, 4, 3)))
+    heights: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+    stages: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
+    flags: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint8))
+    # the march's columns (see _MARCH_COLUMNS)
+    azimuth2: np.ndarray | None = None
+    latitude1: np.ndarray | None = None
+    latitude2: np.ndarray | None = None
+    sphere_residual: np.ndarray | None = None
+    surface_residual: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.params.size
+
+    def sample(self, i: int) -> MotionSample:
+        return _row_sample(vars(self), i, _contact_tolerance(self.table))
 
     @property
-    def params(self) -> np.ndarray:
-        return np.array([s.param for s in self.samples])
+    def samples(self) -> list[MotionSample]:
+        return [self.sample(i) for i in range(len(self))]
 
     @property
     def h4_values(self) -> np.ndarray:
-        return np.array([s.contact.h4 for s in self.samples])
+        return self.heights[:, 3]
 
     def table_rotation(self, sample: MotionSample) -> float:
         """Horizontal azimuth change of edge 1->2 since the start."""
@@ -206,8 +257,7 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
     if table.kind != "square":
         raise DomainError(f"the {name} motion is defined for square tables")
     slope = terrain.slope_bound
-    trace = MotionTrace(kind=kind, table=table, terrain=terrain, samples=[],
-                        start_feet=None,
+    trace = MotionTrace(kind=kind, table=table, terrain=terrain, start_feet=None,
                         center_xy=(float(center_xy[0]), float(center_xy[1])),
                         yaw=yaw, step=step, override=override, slope_bound=slope)
     if slope >= limit:
@@ -233,46 +283,50 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
     trace.start_feet = feet0
     if abs(state0.h4) <= tol:
         trace.degenerate_start = True
-        trace.samples.append(MotionSample(param=0.0, feet=feet0, contact=state0,
-                                          stage="settled"))
+        trace.params = np.zeros(1)
+        trace.feet = feet0.points[None]
+        trace.heights = np.array([state0.heights])
+        trace.stages = np.zeros(1, dtype=np.int8)
+        trace.flags = np.zeros(1, dtype=np.uint8)
     else:
         trace.drop = drop_rotate(feet0, terrain, tol_scale=table.side, allow_below=True)
     return trace, state0.h4
 
 
-def _record(trace: MotionTrace, i: int, sample: MotionSample, where: str,
-            own_flags=()) -> None:
-    """Add own_flags and continuity with the last sample to sample i's flags
-    (contact and rigidity, set by `_squares`), raise or warn on any flag
-    (the error names `where`), append it."""
-    flags = [*sample.flags, *own_flags]
-    if (trace.samples and abs(sample.contact.h4 - trace.samples[-1].contact.h4)
-            > 0.2 * trace.table.side):
-        flags.append("continuity")
-    if flags:
+def _record(trace: MotionTrace, rows: dict, where, own_flags=0) -> None:
+    """Add own_flags (a mask per row) and continuity with the previous
+    sample to the flags of a stage's rows (contact and rigidity, set by
+    `_squares`), raise on the first flagged row or, under override, record
+    a warning for each, and append the rows' columns to the trace. The
+    error names where(k) of row k, or `where` itself if it is a string."""
+    flags = rows["flags"] | own_flags
+    h4 = np.concatenate([trace.heights[-1:, 3], rows["heights"][:, 3]])
+    jump = np.abs(np.diff(h4)) > 0.2 * trace.table.side
+    flags[flags.size - jump.size:] |= jump * np.uint8(_CONTINUITY)
+    start = len(trace)
+    for k in np.flatnonzero(flags).tolist():
+        names = list(flag_names(int(flags[k])))
         _breach(trace, ConditionViolation,
-                f"{trace.kind.replace('_', '-')} sample {i} {where} failed "
-                f"checks {flags}",
-                f"sample {i} ({sample.stage}): {','.join(flags)}")
-        sample = replace(sample, flags=tuple(flags))
-    trace.samples.append(sample)
+                f"{trace.kind.replace('_', '-')} sample {start + k} "
+                f"{where if isinstance(where, str) else where(k)} failed checks {names}",
+                f"sample {start + k} ({STAGES[rows['stages'][k]]}): {','.join(names)}")
+    rows["flags"] = flags
+    for name, column in rows.items():
+        old = getattr(trace, name)
+        setattr(trace, name, column if old is None else np.concatenate([old, column]))
 
 
 def _check_endpoints(trace: MotionTrace) -> None:
     """The first sample is the settled start; the last puts feet 1, 2 and 3
     on the start feet 2 and 3 and on the dropped free foot."""
     feet0 = trace.start_feet
-    first = trace.samples[0].feet
-    last = trace.samples[-1].feet
-    pairs = ((last.p1, feet0.p2), (last.p2, feet0.p3),
-             (last.p3, trace.drop.landed), (first.points, feet0.points))
+    first, last = trace.feet[0], trace.feet[-1]
+    pairs = ((last[0], feet0.p2), (last[1], feet0.p3),
+             (last[2], trace.drop.landed), (first, feet0.points))
     checks = [float(np.linalg.norm(a - b)) for a, b in pairs]
     if max(checks) > 1e-9 * trace.table.side:
         _breach(trace, GeometryViolation,
                 f"endpoint identity violated: residuals {['%.2e' % c for c in checks]}")
-
-
-_SQUARE_FLAGS = ("contact", "rigidity")
 
 
 def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
@@ -283,8 +337,8 @@ def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
     whose feet 1-3 leave the ground ("contact") or whose pairwise distances
     leave the table's ("rigidity").
 
-    Returns the samples (at params[k], in `stage`) of the rows before the
-    first row that fails, and that row's error (None when every row
+    Returns the sample columns (at params[k], in `stage`) of the rows before
+    the first row that fails, and that row's error (None when every row
     stands)."""
     p3, errors = circle_crossings(foot2, foot2 - foot1, table.side, terrain, side=1)
     p4, corner_errors = complete_fourth_feet(foot1, foot2, p3)
@@ -292,57 +346,59 @@ def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
         errors.setdefault(k, exc)
     m = min(errors, default=len(foot1))
     pts = np.stack([foot1[:m], foot2[:m], p3[:m], p4[:m]], axis=1)
+    # the check that FootSet makes of each placement
+    if not np.isfinite(pts).all():
+        raise DomainError("foot set needs a finite (4,3) array, got shape (4, 3)")
     heights = pts[:, :, 2] - terrain.height(pts[:, :, 0], pts[:, :, 1])
     tol = _contact_tolerance(table)
     d = pts[:, :, None, :] - pts[:, None, :, :]
     rigidity = np.max(np.abs(np.sqrt((d * d).sum(axis=-1))
                              - table.reference_distances()), axis=(1, 2))
-    flags = np.stack([np.max(np.abs(heights[:, :3]), axis=1) > tol,
-                      rigidity > 1e-9 * table.side], axis=1)
-    samples = [MotionSample(param=float(params[k]), feet=FootSet(pts[k]), stage=stage,
-                            contact=ContactState(tuple(heights[k].tolist()), tol),
-                            flags=tuple(f for f, on in zip(_SQUARE_FLAGS, flags[k]) if on))
-               for k in range(m)]
-    return samples, errors.get(m)
+    flags = (np.where(np.max(np.abs(heights[:, :3]), axis=1) > tol, _CONTACT, 0)
+             | np.where(rigidity > 1e-9 * table.side, _RIGIDITY, 0)).astype(np.uint8)
+    rows = {"params": np.asarray(params, dtype=float)[:m], "feet": pts,
+            "heights": heights, "stages": np.full(m, STAGES.index(stage), dtype=np.int8),
+            "flags": flags}
+    return rows, errors.get(m)
 
 
-def _only(samples: list[MotionSample], failure: WobbleError | None) -> MotionSample:
+def _only(rows: dict, failure: WobbleError | None, table: TableSpec) -> MotionSample:
     """The sample of a one-row solve, or its error."""
     if failure is not None:
         raise failure
-    return samples[0]
+    return _row_sample(rows, 0, _contact_tolerance(table))
 
 
-def _march_samples(ring: GroundRing, table: TableSpec, params, phis,
-                   hint_gap: float):
+def _march_rows(ring: GroundRing, table: TableSpec, params, phis, hint_gap: float):
     """The marching square at each azimuth phis[k] (march parameter
     params[k]): foot 1 on the curve, foot 2 a chord ahead, searched
     `hint_gap` ahead of the first sample and then one last gap ahead, feet 3
     and 4 by `_squares`. The chords are solved in order; a failure stops
     them, and later rows wait for the earlier ones to be recorded. Returns
-    the samples before the first failing row and that row's error."""
+    the sample columns, the march's among them, of the rows before the first
+    failing row and that row's error."""
     chords, failure = [], None
+    sph = ring.sphere
     try:
         for phi in phis:
             p1, lat1 = ring.point_at(phi)
             p2, phi2, lat2 = chord_advance(ring, p1, phi, table.side, phi + hint_gap)
             hint_gap = phi2 - phi
-            chords.append((p1, lat1, p2, phi2, lat2))
+            sres = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
+                       for p in (p1, p2))
+            chords.append((p1, p2, phi2, lat1, lat2, sres))
     except WobbleError as exc:
         failure = exc
-    samples, square_failure = _squares(
+    rows, square_failure = _squares(
         table, ring.terrain, "march", params,
         np.array([c[0] for c in chords]).reshape(-1, 3),
-        np.array([c[2] for c in chords]).reshape(-1, 3))
-    sph = ring.sphere
-    marched = []
-    for s, (p1, lat1, p2, phi2, lat2) in zip(samples, chords):
-        sres = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
-                   for p in (p1, p2))
-        marched.append(replace(
-            s, azimuth2=phi2, latitude1=lat1, latitude2=lat2, sphere_residual=sres,
-            surface_residual=max(abs(h) for h in s.contact.heights[:3])))
-    return marched, square_failure or failure
+        np.array([c[1] for c in chords]).reshape(-1, 3))
+    m = len(rows["params"])
+    phi2, lat1, lat2, sres = np.array([c[2:] for c in chords[:m]],
+                                      dtype=float).reshape(m, 4).T
+    rows.update(azimuth2=phi2, latitude1=lat1, latitude2=lat2, sphere_residual=sres,
+                surface_residual=np.max(np.abs(rows["heights"][:, :3]), axis=1))
+    return rows, square_failure or failure
 
 
 def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
@@ -394,27 +450,24 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     n = max(1, int(math.ceil(gap12 / step)))
     phis = [phi_start + gap12 * i / n for i in range(n + 1)]
     # we know where foot 2 sits; later samples reuse the last gap
-    samples, failure = _march_samples(ring, table, [phi - phi_start for phi in phis],
-                                      phis, gap12)
-    for i, s in enumerate(samples):
-        own = []
-        lat = max(abs(s.latitude1), abs(s.latitude2))
-        if lat >= ring.latitude_bound and lat > 1e-12:
-            own.append("latitude")
-        if trace.samples and s.azimuth2 <= trace.samples[-1].azimuth2:
-            own.append("monotone")
-        _record(trace, i, s, f"at azimuth {math.degrees(phis[i]):.4f} deg", own)
+    rows, failure = _march_rows(ring, table, [phi - phi_start for phi in phis], phis,
+                                gap12)
+    lat = np.maximum(np.abs(rows["latitude1"]), np.abs(rows["latitude2"]))
+    azimuth2 = rows["azimuth2"]
+    own = (np.where((lat >= ring.latitude_bound) & (lat > 1e-12), _LATITUDE, 0)
+           | np.where(np.append(False, azimuth2[1:] <= azimuth2[:-1]), _MONOTONE, 0))
+    _record(trace, rows, lambda k: f"at azimuth {math.degrees(phis[k]):.4f} deg",
+            own.astype(np.uint8))
     if failure is not None:
         raise failure
     _check_endpoints(trace)
 
-    sample_params = trace.params
-    sample_phi2 = np.array([s.azimuth2 for s in trace.samples])
+    sample_params, sample_phi2 = trace.params, trace.azimuth2
 
     def resolver(param: float) -> MotionSample:
         phi = phi_start + param
         gap_hint = float(np.interp(param, sample_params, sample_phi2)) - phi
-        return _only(*_march_samples(ring, table, [param], [phi], gap_hint))
+        return _only(*_march_rows(ring, table, [param], [phi], gap_hint), table)
 
     trace.resolver = resolver
     return trace
@@ -457,19 +510,19 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
 
     def pivots(params: np.ndarray):
         """Edge 1-2 turned by each of `params` about foot 2, foot 1 on the
-        vertical half-circle about it: (samples before the first failing
-        row, its error, foot 1's elevation per row)."""
+        vertical half-circle about it: (the sample columns of the rows
+        before the first failing row, its error, foot 1's elevation per
+        row)."""
         foot1, betas, errors = half_circle_crossings(pivot, psi_a + params, side,
                                                      terrain)
         m = min(errors, default=len(params))
-        samples, failure = _squares(table, terrain, "pivot", params, foot1[:m],
-                                    np.broadcast_to(pivot, (m, 3)))
-        return samples, failure or errors.get(m), betas
+        rows, failure = _squares(table, terrain, "pivot", params, foot1[:m],
+                                 np.broadcast_to(pivot, (m, 3)))
+        return rows, failure or errors.get(m), betas
 
     n1 = max(1, int(math.ceil(sweep1 / step)))
-    samples, failure, betas = pivots(sweep1 * np.arange(n1 + 1) / n1)
-    for i, s in enumerate(samples):
-        _record(trace, i, s, "(pivot)")
+    rows, failure, betas = pivots(sweep1 * np.arange(n1 + 1) / n1)
+    _record(trace, rows, "(pivot)")
     if failure is not None:
         raise failure
     u0 = -side * math.cos(float(betas[n1]))
@@ -481,29 +534,28 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
     def slides(params, foot1: np.ndarray):
         """Foot 1 at each point foot1[k] of the section and foot 2 one side
         length ahead, where the forward vertical half-circle about foot 1
-        meets the ground: (samples before the first failing row, its
-        error)."""
+        meets the ground: (the sample columns of the rows before the first
+        failing row, its error)."""
         foot2, _, errors = half_circle_crossings(
             foot1, np.full(len(foot1), psi_slide), side, terrain)
         m = min(errors, default=len(foot1))
-        samples, failure = _squares(table, terrain, "slide", params, foot1[:m],
-                                    foot2[:m])
-        return samples, failure or errors.get(m)
+        rows, failure = _squares(table, terrain, "slide", params, foot1[:m], foot2[:m])
+        return rows, failure or errors.get(m)
 
-    samples, failure = slides([sweep1 + (u - u0) * param_scale for u in u_leads.tolist()],
-                              _section_points(terrain, pivot, dir_xy, u_leads))
-    for i, s in enumerate(samples, start=n1 + 1):
-        _record(trace, i, s, "(slide)")
+    rows, failure = slides([sweep1 + (u - u0) * param_scale for u in u_leads.tolist()],
+                           _section_points(terrain, pivot, dir_xy, u_leads))
+    _record(trace, rows, "(slide)")
     if failure is not None:
         raise failure
     _check_endpoints(trace)
 
     def resolver(param: float) -> MotionSample:
         if param <= sweep1:
-            samples, failure, _ = pivots(np.array([param]))
-            return _only(samples, failure)
+            rows, failure, _ = pivots(np.array([param]))
+            return _only(rows, failure, table)
         u_lead = np.array([min(u0 + (param - sweep1) / param_scale, 0.0)])
-        return _only(*slides([param], _section_points(terrain, pivot, dir_xy, u_lead)))
+        return _only(*slides([param], _section_points(terrain, pivot, dir_xy, u_lead)),
+                     table)
 
     trace.resolver = resolver
     return trace
@@ -518,14 +570,13 @@ def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
     sign change, is not refined: its endpoint sample is the placement.
     """
     tol = _contact_tolerance(trace.table)
-    samples = trace.samples
-    if not samples:
+    if not len(trace):
         raise DomainError("empty motion trace")
     h4 = trace.h4_values
     params = trace.params
 
     if trace.degenerate_start or abs(h4[0]) <= tol:
-        s = samples[0]
+        s = trace.sample(0)
         checks = verify_equilibrium(s.feet, trace.table, terrain)
         return EquilibriumResult(
             found=True, parameter=float(params[0]), feet=s.feet,
@@ -533,16 +584,14 @@ def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
             table_rotation=0.0, legs_clear=checks.legs_clear, sign_changes=0,
             intervals=(), degenerate=True)
 
-    crossings = []
-    for i in range(len(samples) - 1):
-        a, b = float(h4[i]), float(h4[i + 1])
-        if (a > tol and b <= tol) or (a < -tol and b >= -tol) or a * b < 0.0:
-            crossings.append(i)
+    a, b = h4[:-1], h4[1:]
+    crossings = np.flatnonzero(((a > tol) & (b <= tol)) | ((a < -tol) & (b >= -tol))
+                               | (a * b < 0.0)).tolist()
     if not crossings:
         return EquilibriumResult(
             found=False, parameter=None, feet=None, max_abs_height=None,
             sweep=float(params[-1] - params[0]),
-            table_rotation=trace.table_rotation(samples[-1]),
+            table_rotation=trace.table_rotation(trace.sample(-1)),
             legs_clear=None, sign_changes=0, intervals=(),
             min_abs_h4=float(np.min(np.abs(h4))))
 
@@ -551,7 +600,7 @@ def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
     if trace.resolver is None:
         raise DomainError("trace has no resolver; cannot refine the crossing")
     a, b = float(h4[i0]), float(h4[i0 + 1])
-    best = samples[i0] if abs(a) < abs(b) else samples[i0 + 1]
+    best = trace.sample(i0 if abs(a) < abs(b) else i0 + 1)
     if (a > 0.0) != (b > 0.0):
         def h4_at(param: float) -> float:
             nonlocal best

@@ -49,14 +49,16 @@ refinement reads (the grid's ends, the circle's top, the two ends of each
 crossing cell) is a real evaluation. Results, errors and their order are
 the full scan's, bit for bit.
 
-A block whose circles may leave the terrain's extent (by their continuous
-bounding box) runs the full scan in blocks of _FULL_ROWS rows, so a query
-outside the extent raises the same error, naming the same first point,
-after the same earlier certificates. In serial 16-run pivot-slide
-campaigns (CPU time, median of 5) the settled scan in 128-row blocks cut
-the time from 0.96 s to 0.64 s; 64-row blocks took 0.68 s and 256-row
-blocks 0.65 s, and _COARSE from 6 to 12 took 0.63-0.67 s in two sets of
-runs against 0.68 s at 15 (2-core Xeon, numpy 2.4).
+A block of fewer than _SETTLED_MIN_ROWS rows (a one-row resolve, or a
+short last block) runs the full scan, which is cheaper there. A block whose
+circles may leave the terrain's extent (by their continuous bounding box)
+runs the full scan in blocks of _FULL_ROWS rows, so a query outside the
+extent raises the same error, naming the same first point, after the same
+earlier certificates. In serial 16-run pivot-slide campaigns (CPU time,
+median of 5) the settled scan in 128-row blocks cut the time from 0.96 s to
+0.64 s; 64-row blocks took 0.68 s and 256-row blocks 0.65 s, and _COARSE
+from 6 to 12 took 0.63-0.67 s in two sets of runs against 0.68 s at 15
+(2-core Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -87,6 +89,10 @@ _FULL_ROWS = 32
 # rows per settled-scan block, a multiple of _FULL_ROWS (see the measured
 # campaigns in the module docstring)
 _BLOCK_ROWS = 128
+# a block of fewer rows runs the full scan: one 361-node row took 138 us
+# settled (plus 12 us for the extent check) against 85 us full, 2 rows 157
+# against 136 us and 4 rows 174 against 203 us (timeit, 20-bump terrain)
+_SETTLED_MIN_ROWS = 4
 # coarse node spacing of the settled scan, in grid steps; it divides 180,
 # so the circle's top (index 180) and both ends are coarse nodes
 _COARSE = 10
@@ -525,12 +531,13 @@ def _solve_circles(terrain, centers, e_cos, e_sin, radius: float,
     for start in range(0, n, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         args = (terrain, centers[block], e_cos[block], e_sin[block], radius)
-        if _inside_extent(*args):
+        if n - start >= _SETTLED_MIN_ROWS and _inside_extent(*args):
             settle(start, *_settled_scan(*args, grid, cos_g, sin_g, layout))
             continue
-        # a circle that may leave the extent: the full scan in blocks of
-        # _FULL_ROWS raises the query error of the first bad point, after
-        # the certificates of the blocks before it, as it always has
+        # a short block, or a circle that may leave the extent: the full
+        # scan in blocks of _FULL_ROWS raises the query error of the first
+        # bad point, after the certificates of the blocks before it, as it
+        # always has
         for sub in range(start, min(start + _BLOCK_ROWS, n), _FULL_ROWS):
             part = slice(sub, sub + _FULL_ROWS)
             settle(sub, *_full_scan(terrain, centers[part], e_cos[part], e_sin[part],

@@ -119,7 +119,7 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
     out = np.where(f1 == 0.0, x1, x2)
     open_ = (f1 != 0.0) & (f2 != 0.0)
     bad = open_ & (np.isnan(f1) | np.isnan(f2) | ((f1 < 0.0) == (f2 < 0.0)))
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         raise DomainError(
             f"row {k}: root bracket [{float(x1[k])!r}, {float(x2[k])!r}] does "
@@ -139,8 +139,9 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
         steps += 1
         xt = x1 + t * (x2 - x1)
         ft = np.asarray(fn(xt, rows), dtype=float)
-        if np.any(np.isnan(ft)):
-            k = int(rows[np.argmax(np.isnan(ft))])
+        nan = np.isnan(ft)
+        if nan.any():
+            k = int(rows[np.argmax(nan)])
             raise NumericalFailure(f"row {k}: root refinement met a NaN value")
         # x3 is the point the bracket just dropped
         keep = (ft < 0.0) == (f1 < 0.0)
@@ -154,8 +155,10 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
         width = np.abs(x2 - x1)
         tol = 0.5 * (_XTOL + _RTOL * np.abs(xm))
         done = (width < 2.0 * tol) | (np.where(best1, f1, f2) == 0.0)
-        if np.any(done):
+        if done.any():
             out[rows[done]] = xm[done]
+            if done.all():
+                break
             live = ~done
             rows, x1, x2, x3, f1, f2, f3, width, tol = (
                 a[live] for a in (rows, x1, x2, x3, f1, f2, f3, width, tol))
@@ -163,12 +166,13 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
         # they bound a monotone curve between x1 and x2, else bisection
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
+            d12, d32 = f1 - f2, f3 - f2
+            phi = d12 / d32
             alpha = (x3 - x1) / (x2 - x1)
-            iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
-                   - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+            iqi = f1 / d12 * f3 / d32 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
             safe = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-        # every step lands at least tol inside the bracket
+        # every step lands at least tol inside the bracket (np.clip's
+        # arithmetic, without its dispatch)
         t_min = tol / width
-        t = np.clip(np.where(safe, iqi, 0.5), t_min, 1.0 - t_min)
+        t = np.minimum(np.maximum(np.where(safe, iqi, 0.5), t_min), 1.0 - t_min)
     return out

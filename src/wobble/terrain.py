@@ -21,6 +21,8 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError
 
 _DEFAULT_SLOPE_SAMPLES = 40_000
+# the sample grid is held whole: 10^8 samples take 800 MB
+_MAX_SLOPE_SAMPLES = 10**8
 _SLOPE_BLOCK = 16384
 # largest points x bumps product that a bump-terrain array call evaluates
 # in one (bumps, points) pass; larger calls loop over the bumps (see
@@ -344,7 +346,7 @@ class GridTerrain(UncertifiedBounds):
     merely C0 and the solver needs a tangent plane everywhere.
 
     A certified bound of the interpolant's slope needs each cell's bicubic
-    coefficients (ROADMAP item 2); until then the bounds are +inf.
+    coefficients (ROADMAP item 4); until then the bounds are +inf.
     """
 
     kind = "grid"
@@ -545,10 +547,13 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     Uniform grid of about `samples` points, then pattern-search refinement
     around the top 1% (and, for bump terrain, around each bump's slope ring).
     The result is a lower bound on the true supremum and is reported as an
-    estimate.
+    estimate. The grid is held whole, so a count above 10^8 is refused
+    before anything is allocated.
     """
     if samples < 10_000:
         raise DomainError(f"slope estimation needs at least 10^4 samples, got {samples}")
+    if samples > _MAX_SLOPE_SAMPLES:
+        raise DomainError(f"slope estimation takes at most 10^8 samples, got {samples}")
     ext = extent or terrain.extent
     n = max(int(math.isqrt(samples)), 100)
     xs = np.linspace(ext.xmin, ext.xmax, n)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,23 @@ from pathlib import Path
 import pytest
 
 import wobble
-from wobble.cli import EXIT_FAILURE, EXIT_USAGE, main, worker_count
-from wobble.terrain import flat_terrain, parse_terrain, serialize_terrain
+from wobble.cli import (
+    EXIT_FAILURE,
+    EXIT_USAGE,
+    TRACE_HEADER,
+    main,
+    trace_csv_lines,
+    worker_count,
+)
+from wobble.contact import TableSpec
+from wobble.motion import run_march, run_pivot_slide
+from wobble.terrain import (
+    Extent,
+    flat_terrain,
+    generate_terrain,
+    parse_terrain,
+    serialize_terrain,
+)
 
 # The directory that holds the imported package, absolute, so the child
 # finds the same `wobble` whatever its cwd and however PYTHONPATH was given.
@@ -317,3 +333,61 @@ def test_malformed_terrain_file_exits_4(doc, tmp_path, capsys):
     assert main(["check", "--terrain", str(path)]) == EXIT_FAILURE
     err = capsys.readouterr().err
     assert err.startswith("failure: ") and err.count("\n") == 1
+
+
+def test_check_refuses_a_sample_count_too_large_to_hold(tmp_path, capsys):
+    # 10^12 samples would be an 8 TB grid; the count is refused before the
+    # grid is allocated, with the domain-error exit and one line
+    terrain = tmp_path / "flat.json"
+    terrain.write_text(serialize_terrain(flat_terrain()))
+    assert main(["check", "--terrain", str(terrain),
+                 "--samples", "1000000000000"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("failure: slope estimation takes at most 10^8 "
+                            "samples, got 1000000000000\n")
+
+
+def _reference_trace_csv_lines(trace):
+    """The trace CSV written sample by sample from `trace.sample(i)`."""
+    def fmt(value):
+        return "" if value is None else repr(float(value))
+
+    r_over_l = (trace.sphere.radius / trace.table.side
+                if trace.sphere is not None else None)
+    lines = [TRACE_HEADER]
+    for i in range(len(trace)):
+        s = trace.sample(i)
+        lat = math.degrees(s.latitude1) if s.latitude1 is not None else None
+        lines.append(",".join([fmt(math.degrees(s.param)),
+                               *(fmt(v) for v in s.feet.points.ravel()),
+                               fmt(s.contact.h4), fmt(r_over_l), fmt(lat),
+                               ";".join(s.flags)]))
+    return lines
+
+
+def _latitude_flagged_march():
+    # the slope pinned at 1 deg puts the latitude bound at 2 deg, which
+    # every sample of this march exceeds: under override each row carries
+    # the "latitude" flag and a warning
+    terrain = generate_terrain(2, math.radians(12.0), 20, Extent(-8.0, 8.0, -8.0, 8.0))
+    terrain._slope_cache = math.radians(1.0)
+    trace = run_march(TableSpec.square(1.0), terrain, override=True)
+    assert trace.flags.all() and len(trace.warnings) > len(trace)
+    return trace
+
+
+@pytest.mark.parametrize("case", ["march-hills14", "pivot_slide-hills30",
+                                  "march-override-flags"])
+def test_trace_csv_matches_sample_by_sample_reference(case, request):
+    table = TableSpec.square(1.0)
+    if case == "march-hills14":
+        trace = run_march(table, request.getfixturevalue("hills14"))
+    elif case == "pivot_slide-hills30":
+        trace = run_pivot_slide(table, request.getfixturevalue("hills30"))
+    else:
+        trace = _latitude_flagged_march()
+    got = "\n".join(trace_csv_lines(trace)).encode()
+    want = "\n".join(_reference_trace_csv_lines(trace)).encode()
+    assert len(trace) > 300
+    assert got == want

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wobble.contact import (
-    ContactState,
     FootSet,
     TableSpec,
     settle_three_feet,
@@ -15,8 +14,10 @@ from wobble.geometry import SlopeThresholds
 from wobble.motion import (
     MotionSample,
     MotionTrace,
+    _record,
     _squares,
     find_equilibrium,
+    flag_names,
     run_march,
     run_pivot_slide,
     verify_equilibrium,
@@ -155,16 +156,17 @@ def test_relabel_path_taken_when_free_foot_sinks():
 
 
 def _synthetic_trace(flat, h4_values):
+    # one settled placement repeated, with the given free-foot heights
     feet = settle_three_feet(TABLE, flat, (0.0, 0.0), 0.0)
-    samples = [
-        MotionSample(param=float(i), feet=feet,
-                     contact=ContactState((0.0, 0.0, 0.0, h), 1e-9),
-                     stage="synthetic")
-        for i, h in enumerate(h4_values)
-    ]
-    return MotionTrace(kind="march", table=TABLE, terrain=flat, samples=samples,
+    n = len(h4_values)
+    return MotionTrace(kind="march", table=TABLE, terrain=flat,
                        start_feet=feet, center_xy=(0.0, 0.0), yaw=0.0,
-                       step=1.0, override=False, slope_bound=0.0)
+                       step=1.0, override=False, slope_bound=0.0,
+                       params=np.arange(n, dtype=float),
+                       feet=np.repeat(feet.points[None], n, axis=0),
+                       heights=np.column_stack([np.zeros((n, 3)), h4_values]),
+                       stages=np.zeros(n, dtype=np.int8),
+                       flags=np.zeros(n, dtype=np.uint8))
 
 
 def test_find_equilibrium_no_sign_change(flat):
@@ -385,12 +387,12 @@ def test_slide_foot2_one_side_ahead_in_the_slide_plane(hills30):
         assert float(np.dot(edge[:2], ahead)) > 0.0
 
 
-def _expected_square_flags(sample, terrain, table):
-    heights = signed_heights(sample.feet, terrain).heights
+def _expected_square_flags(feet, terrain, table):
+    heights = signed_heights(feet, terrain).heights
     flags = []
     if max(abs(h) for h in heights[:3]) > 1e-9 * table.side:
         flags.append("contact")
-    if sample.feet.rigidity_residual(table) > 1e-9 * table.side:
+    if feet.rigidity_residual(table) > 1e-9 * table.side:
         flags.append("rigidity")
     return flags
 
@@ -403,7 +405,7 @@ def test_recorded_flags_match_per_sample_checks(run, terrain_name, request):
     trace = run(TABLE, terrain)
     for s in trace.samples:
         recorded = [f for f in s.flags if f in ("contact", "rigidity")]
-        assert recorded == _expected_square_flags(s, terrain, TABLE)
+        assert recorded == _expected_square_flags(s.feet, terrain, TABLE)
 
 
 def test_square_flags_match_per_sample_checks(flat):
@@ -412,9 +414,58 @@ def test_square_flags_match_per_sample_checks(flat):
     table = TableSpec.square(1.0 + 1e-7)
     foot1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-6], [0.2, 0.1, 0.0]])
     foot2 = foot1 * [1.0, 1.0, 0.0] + [1.0, 0.0, 0.0]
-    samples, failure = _squares(table, flat, "test", [0.0, 1.0, 2.0], foot1, foot2)
-    assert failure is None and len(samples) == 3
-    assert [s.flags for s in samples] == [("rigidity",), ("contact", "rigidity"),
-                                          ("rigidity",)]
-    for s in samples:
-        assert list(s.flags) == _expected_square_flags(s, flat, table)
+    rows, failure = _squares(table, flat, "pivot", [0.0, 1.0, 2.0], foot1, foot2)
+    assert failure is None and len(rows["params"]) == 3
+    flags = [flag_names(int(mask)) for mask in rows["flags"]]
+    assert flags == [("rigidity",), ("contact", "rigidity"), ("rigidity",)]
+    for names, feet in zip(flags, rows["feet"]):
+        assert list(names) == _expected_square_flags(FootSet(feet), flat, table)
+
+
+def test_pivot_slide_builds_no_foot_set_per_row(hills30, monkeypatch):
+    # the trace keeps its samples as columns, so a FootSet is built only at
+    # the start, the drop, the re-solves and the result; with one per row
+    # this solve built about 590
+    built = [0]
+    post_init = FootSet.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(FootSet, "__post_init__", counting)
+    trace = run_pivot_slide(TABLE, hills30)
+    result = find_equilibrium(trace, hills30)
+    assert result.found and len(trace) > 500
+    assert built[0] <= 40
+
+
+def test_record_raises_the_first_flagged_row_or_warns_each(flat):
+    # the rows of test_square_flags_match_per_sample_checks: every row
+    # breaks rigidity and row 1 also contact
+    table = TableSpec.square(1.0 + 1e-7)
+    foot1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-6], [0.2, 0.1, 0.0]])
+    foot2 = foot1 * [1.0, 1.0, 0.0] + [1.0, 0.0, 0.0]
+    rows, _ = _squares(table, flat, "pivot", [0.0, 1.0, 2.0], foot1, foot2)
+    # the same rows again with the free foot 0.5 higher: continuity breaks
+    # between the two blocks only
+    lifted = {name: column.copy() for name, column in rows.items()}
+    lifted["heights"][:, 3] += 0.5
+
+    def empty_trace(override):
+        return MotionTrace(kind="pivot_slide", table=table, terrain=flat,
+                           start_feet=None, center_xy=(0.0, 0.0), yaw=0.0,
+                           step=1.0, override=override, slope_bound=0.0)
+
+    with pytest.raises(ConditionViolation) as err:
+        _record(empty_trace(False), rows, "(pivot)")
+    assert str(err.value) == "pivot-slide sample 0 (pivot) failed checks ['rigidity']"
+    trace = empty_trace(True)
+    _record(trace, rows, "(pivot)")
+    _record(trace, lifted, "(pivot)")
+    assert trace.warnings == [
+        "sample 0 (pivot): rigidity", "sample 1 (pivot): contact,rigidity",
+        "sample 2 (pivot): rigidity", "sample 3 (pivot): rigidity,continuity",
+        "sample 4 (pivot): contact,rigidity", "sample 5 (pivot): rigidity"]
+    assert len(trace) == 6 and trace.params.tolist() == [0.0, 1.0, 2.0] * 2
+    assert trace.sample(3).flags == ("rigidity", "continuity")
