@@ -6,8 +6,10 @@ same circle, so the four height functions are shifts of one another and
 share the same full-turn integral. The weighted combination pinned by the
 diagonal crossing ratios then integrates to zero, and each of its roots
 marks an angle where the four surface contact points turn coplanar: an
-approximate rest placement. Also here: the large-sphere scan showing that
-non-concyclic feet admit no such placement on a sphere.
+approximate rest placement. The roots are the sign changes of the scanned
+combination, refined together by roots.bracketed_roots. Also here: the
+large-sphere scan showing that non-concyclic feet admit no such placement
+on a sphere.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .contact import TableSpec
 from .errors import DomainError
 from .geometry import diagonal_intersection_ratios
-from .roots import bracketed_root
+from .roots import bracketed_roots
 from .terrain import Extent, UncertifiedBounds, check_target_slope
 
 _TWO_PI = 2.0 * math.pi
@@ -29,19 +31,27 @@ _TWO_PI = 2.0 * math.pi
 _CAP_CENTER_RANGE = 0.5
 
 
+def _balance_combination(v, alpha: float, beta: float):
+    """(1 - alpha) v[0] + alpha v[2] - (1 - beta) v[1] - beta v[3]: the
+    weights that the diagonal crossing ratios pin, applied to the feet's
+    heights (the balance function g) or to their points."""
+    return ((1.0 - alpha) * v[0] + alpha * v[2]
+            - (1.0 - beta) * v[1] - beta * v[3])
+
+
 @dataclass(frozen=True)
 class HeightScan:
     """Foot heights h_i(theta) on a uniform full-turn grid.
 
-    Heights are measured as z0 minus the ground height under each foot; the
-    reference height z0 cancels from every quantity of interest. When
-    height_funcs is set (testing hook) it overrides the terrain lookup.
+    A foot's height is minus the ground height under it, for the table held
+    level at height zero: a common height would cancel from every quantity
+    of interest. When height_funcs is set (testing hook) it overrides the
+    terrain lookup.
     """
 
     table: TableSpec
     terrain: object
     center: tuple[float, float]
-    z0: float
     thetas: np.ndarray
     heights: np.ndarray          # shape (4, N)
     alpha: float
@@ -52,32 +62,23 @@ class HeightScan:
     def n(self) -> int:
         return self.thetas.size
 
-    def foot_xy(self, theta, index: int):
-        rho, angles = self.table.as_circle
-        a = angles[index]
-        return (self.center[0] + rho * np.cos(theta + a),
-                self.center[1] + rho * np.sin(theta + a))
-
     def heights_at(self, theta):
-        """Continuous h_i(theta) for refinement; vectorized over theta."""
+        """Continuous h_i(theta), shape (4,) + theta's; vectorized over theta."""
         if self.height_funcs is not None:
             return np.array([f(theta) for f in self.height_funcs])
-        out = []
-        for i in range(4):
-            x, y = self.foot_xy(theta, i)
-            out.append(self.z0 - self.terrain.height(x, y))
-        return np.array(out)
+        rho, angles = self.table.as_circle
+        cx, cy = self.center
+        # 0.0 - h keeps level ground at +0.0
+        return np.array([0.0 - self.terrain.height(cx + rho * np.cos(theta + a),
+                                                   cy + rho * np.sin(theta + a))
+                         for a in angles])
 
     def g_at(self, theta):
-        h = self.heights_at(theta)
-        return ((1.0 - self.alpha) * h[0] + self.alpha * h[2]
-                - (1.0 - self.beta) * h[1] - self.beta * h[3])
+        return _balance_combination(self.heights_at(theta), self.alpha, self.beta)
 
     @property
     def g_values(self) -> np.ndarray:
-        h = self.heights
-        return ((1.0 - self.alpha) * h[0] + self.alpha * h[2]
-                - (1.0 - self.beta) * h[1] - self.beta * h[3])
+        return _balance_combination(self.heights, self.alpha, self.beta)
 
     def integrals(self) -> np.ndarray:
         """Full-turn trapezoid integral of each foot's height (periodic grid)."""
@@ -87,8 +88,8 @@ class HeightScan:
         return float(self.g_values.mean() * _TWO_PI)
 
 
-def height_scan(table: TableSpec, terrain, center=(0.0, 0.0), n: int = 4096,
-                z0: float = 0.0) -> HeightScan:
+def height_scan(table: TableSpec, terrain, center=(0.0, 0.0),
+                n: int = 4096) -> HeightScan:
     """Scan all four foot heights over a uniform theta grid of size n."""
     if n < 256 or (n & (n - 1)) != 0:
         raise DomainError(f"scan size must be a power of two >= 256, got {n}")
@@ -100,13 +101,11 @@ def height_scan(table: TableSpec, terrain, center=(0.0, 0.0), n: int = 4096,
         )
     alpha, beta = diagonal_intersection_ratios(*angles)
     thetas = _TWO_PI * np.arange(n) / n
-    heights = np.empty((4, n))
-    for i, a in enumerate(angles):
-        x = cx + rho * np.cos(thetas + a)
-        y = cy + rho * np.sin(thetas + a)
-        heights[i] = z0 - terrain.height(x, y)
-    return HeightScan(table=table, terrain=terrain, center=(cx, cy), z0=z0,
-                      thetas=thetas, heights=heights, alpha=alpha, beta=beta)
+    scan = HeightScan(table=table, terrain=terrain, center=(cx, cy),
+                      thetas=thetas, heights=np.empty((4, n)), alpha=alpha,
+                      beta=beta)
+    scan.heights[:] = scan.heights_at(thetas)
+    return scan
 
 
 def integral_equality_residual(scan: HeightScan) -> float:
@@ -127,8 +126,10 @@ class BalanceAngles:
 
 
 def find_balance_angles(scan: HeightScan) -> BalanceAngles:
-    """All transversal roots of g over a full turn, each refined to 1e-12
-    with Brent's method inside the grid cell where g changes sign.
+    """All transversal roots of g over a full turn, in grid order: each grid
+    node where g is exactly zero, and each grid cell where g changes sign,
+    refined to 1e-12 inside the cell (roots.bracketed_roots, all cells at
+    once).
 
     A continuous periodic function with zero mean either vanishes
     identically (degenerate: the table rests at every angle) or crosses zero
@@ -138,31 +139,20 @@ def find_balance_angles(scan: HeightScan) -> BalanceAngles:
     scale = scan.table.char_length
     if float(np.max(np.abs(g))) <= 1e-10 * scale:
         return BalanceAngles(roots=(), slopes=(), degenerate=True)
-    thetas = scan.thetas
-    n = scan.n
-    step = _TWO_PI / n
-    roots = []
-    slopes = []
-    tangential = []
-    touch_tol = 1e-10 * scale
-    for i in range(n):
-        a = float(g[i])
-        b = float(g[(i + 1) % n])
-        if a == 0.0:
-            roots.append(float(thetas[i]))
-            slopes.append(1 if b > 0 else -1)
-            continue
-        if a * b < 0.0:
-            lo = float(thetas[i])
-            # the grid signs certify the cell
-            root = bracketed_root(lambda t: float(scan.g_at(t)), lo, lo + step,
-                                  f_lo=a, f_hi=b)
-            roots.append(root % _TWO_PI)
-            slopes.append(1 if a < 0.0 else -1)
-        elif abs(a) < touch_tol:
-            tangential.append(float(thetas[i]))
-    return BalanceAngles(roots=tuple(roots), slopes=tuple(slopes),
-                         degenerate=False, tangential=tuple(tangential))
+    following = np.roll(g, -1)           # g at the next node, wrapping round
+    zero = g == 0.0
+    # the grid signs certify each cell that changes sign
+    crossing = g * following < 0.0
+    at = np.flatnonzero(zero | crossing)
+    lo = scan.thetas[at]
+    roots = bracketed_roots(lambda t, rows: scan.g_at(t), lo, lo + _TWO_PI / scan.n,
+                            g[at], following[at])
+    slopes = np.where(zero[at], np.where(following[at] > 0.0, 1, -1),
+                      np.where(g[at] < 0.0, 1, -1))
+    touching = ~zero & ~crossing & (np.abs(g) < 1e-10 * scale)
+    return BalanceAngles(roots=tuple((roots % _TWO_PI).tolist()),
+                         slopes=tuple(slopes.tolist()), degenerate=False,
+                         tangential=tuple(scan.thetas[touching].tolist()))
 
 
 @dataclass(frozen=True)
@@ -188,7 +178,7 @@ def _best_rigid_fit(body: np.ndarray, target: np.ndarray):
 
 
 def approximate_equilibrium(table: TableSpec, terrain, center,
-                            theta_bar: float, z0: float = 0.0) -> RestCandidate:
+                            theta_bar: float) -> RestCandidate:
     """Surface contact points at a balance angle, with their coplanarity
     residual and the shape distortion relative to the rigid table."""
     rho, angles = table.as_circle
@@ -200,17 +190,15 @@ def approximate_equilibrium(table: TableSpec, terrain, center,
         x = cx + rho * math.cos(theta_bar + a)
         y = cy + rho * math.sin(theta_bar + a)
         q[i] = (x, y, terrain.height(x, y))
-    h = z0 - q[:, 2]
-    g = ((1.0 - alpha) * h[0] + alpha * h[2]
-         - (1.0 - beta) * h[1] - beta * h[3])
+    combo = _balance_combination(q, alpha, beta)
+    # the feet's heights are minus the ground heights: g is -combo[2]
+    g = abs(float(combo[2]))
     tol = 1e-9 * scale
-    if abs(g) > tol:
+    if g > tol:
         raise DomainError(
             f"theta = {math.degrees(theta_bar):.4f} deg is not a balance angle "
-            f"(|g| = {abs(g):.3e} > {tol:.1e})"
+            f"(|g| = {g:.3e} > {tol:.1e})"
         )
-    combo = ((1.0 - alpha) * q[0] + alpha * q[2]
-             - (1.0 - beta) * q[1] - beta * q[3])
     coplanarity = float(np.linalg.norm(combo))
     ref = table.reference_distances()
     dq = q[:, None, :] - q[None, :, :]

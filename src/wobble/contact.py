@@ -18,6 +18,7 @@ from .geometry import SlopeThresholds, rotate_about_axis
 from .roots import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
+_SLOPES = SlopeThresholds()
 # relative tolerance on a square corner's edge lengths and its right angle
 _CORNER_TOL = 1e-6
 # settling stops once every contact residual is below this fraction of the
@@ -192,9 +193,10 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
     cyclically before solving, which targets a different contact triple of
     the same physical table.
     """
-    if terrain.slope_bound >= SlopeThresholds().half_circle_unique:
+    if terrain.slope_bound >= _SLOPES.half_circle_unique:
         raise ConditionViolation(
-            f"settling needs terrain slope below 45.0000 deg, measured "
+            f"settling needs terrain slope below "
+            f"{_SLOPES.half_circle_unique_deg:.4f} deg, measured "
             f"{math.degrees(terrain.slope_bound):.4f} deg"
         )
     scale = table.char_length

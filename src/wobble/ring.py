@@ -12,20 +12,22 @@ answer.
 Every circle crossing here goes through one kernel, `_solve_circles`: it
 scans many circles at once in blocks of _BLOCK_ROWS rows, checks each row's
 certificates on its scan as array predicates, and refines every certified
-crossing in one bracket vector (roots.bracketed_roots). The curve point at
-an azimuth is the crossing of the vertical half-circle about the sphere
-center, so `ring_point` (one row) and `trace_ring` (every grid azimuth) use
-it, as do the foot circles that close the table's square: `circle_crossings`
-for the circle about a table edge and `half_circle_crossings` for the
-vertical half-circle about a pivot. In these two a row that fails a
-certificate gets that certificate's error in the returned map and no point;
-the other rows are unaffected, so a caller that walks the rows in order
-raises the error of the first failing row. An error the terrain raises
-during a scan or a refinement (a query outside its extent), or a NaN met
-while refining, is raised for the whole call. `circle_surface_intersection`
-is the one-row call of `circle_crossings`. The warm-started curve solves of
-`GroundRing.point_at` and `chord_advance` refine one scalar root at a time
-with Brent's method (roots.bracketed_root).
+crossing in one bracket vector (roots.bracketed_roots). Two entry points
+wrap it: `circle_crossings` for the circle about a table edge and
+`half_circle_crossings` for the vertical half-circle about a pivot. In
+these a row that fails a certificate gets that certificate's error in the
+returned map and no point; the other rows are unaffected, so a caller that
+walks the rows in order raises the error of the first failing row. An error
+the terrain raises during a scan or a refinement (a query outside its
+extent), or a NaN met while refining, is raised for the whole call. The
+curve point at an azimuth is the crossing of the vertical half-circle about
+the sphere center: `ring_point` is the one-row call of
+`half_circle_crossings`, and `trace_ring` runs the kernel on every grid
+azimuth with its own band and certificate. `circle_surface_intersection` is
+the one-row call of `circle_crossings`. Both one-row calls raise their
+row's error. The warm-started curve solves of `GroundRing.point_at` and
+`chord_advance` refine one scalar root at a time with Brent's method
+(roots.bracketed_root).
 
 The scan evaluates a grid node only where it can change a sign. Each block
 first evaluates its rows at the coarse nodes: every _COARSE-th grid node
@@ -116,35 +118,22 @@ def _scan_brackets(values: np.ndarray) -> list[int]:
 def ring_point(sphere: Sphere, terrain, azimuth: float,
                enforce_slope: bool = True) -> tuple[np.ndarray, float]:
     """Point of the sphere/ground curve in the vertical half-plane at
-    `azimuth`, with its latitude: the crossing of the vertical half-circle
-    about the sphere center, scanned at 1 degree of latitude, required to
-    be single, then refined.
+    `azimuth`, with its latitude: the one-row call of
+    `half_circle_crossings` about the sphere center, after the 30 deg slope
+    gate unless enforce_slope is False.
     """
     if enforce_slope:
         slope = terrain.slope_bound
         if slope >= _SLOPES.no_double_point:
             raise ConditionViolation(
-                f"curve tracing needs terrain slope below 30.0000 deg for a "
-                f"unique azimuth graph, measured {math.degrees(slope):.4f} deg"
+                f"curve tracing needs terrain slope below "
+                f"{_SLOPES.no_double_point_deg:.4f} deg for a unique azimuth "
+                f"graph, measured {math.degrees(slope):.4f} deg"
             )
-
-    def certify(gaps: np.ndarray, flips: np.ndarray):
-        bottom, top = float(gaps[0, 0]), float(gaps[0, -1])
-        if bottom >= 0.0 or top <= 0.0:
-            raise GeometryViolation(
-                "sphere does not straddle the ground along this azimuth "
-                f"(bottom gap {bottom:.3e}, top gap {top:.3e})"
-            )
-        count = int(flips.sum())
-        if count != 1:
-            raise ConditionViolation(
-                f"curve crosses this half-plane {count} times; the "
-                f"no-double-point condition (slope < 30 deg) is violated"
-            )
-        return np.argmax(flips, axis=1), {}
-
-    points, lams, _ = _vertical_half_circles(terrain, sphere.center, [azimuth],
-                                             sphere.radius, _HALF_BETAS, certify)
+    points, lams, errors = half_circle_crossings(sphere.center, [azimuth],
+                                                 sphere.radius, terrain)
+    if errors:
+        raise errors[0]
     return points[0], float(lams[0])
 
 
@@ -260,11 +249,14 @@ def trace_ring(sphere: Sphere, terrain, step: float,
     """
     check_step(step)
     slope = terrain.slope_bound
+    warnings: list[str] = []
     if slope >= _SLOPES.no_double_point:
-        msg = (f"curve tracing needs terrain slope below 30.0000 deg, "
+        msg = (f"curve tracing needs terrain slope below "
+               f"{_SLOPES.no_double_point_deg:.4f} deg, "
                f"measured {math.degrees(slope):.4f} deg")
         if enforce:
             raise ConditionViolation(msg)
+        warnings.append(msg)
     if chord_length is not None:
         cap = 2.0 * math.asin(chord_length / (200.0 * sphere.radius))
         if step > cap * (1.0 + 1e-9):
@@ -274,7 +266,6 @@ def trace_ring(sphere: Sphere, terrain, step: float,
             )
     if latitude_bound is None:
         latitude_bound = 2.0 * slope
-    warnings: list[str] = []
 
     if arc is None:
         closed = True
@@ -669,7 +660,8 @@ def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,
         slope = terrain.slope_bound
         if slope >= _SLOPES.legs_clear:
             raise ConditionViolation(
-                f"circle/ground intersection needs slope below 35.2644 deg, "
+                f"circle/ground intersection needs slope below "
+                f"{_SLOPES.legs_clear_deg:.4f} deg, "
                 f"measured {math.degrees(slope):.4f} deg"
             )
     points, errors = circle_crossings(np.asarray(center, dtype=float)[None, :],

@@ -85,25 +85,51 @@ def test_balance_angles_even_count(hills14):
         assert len(found.roots) % 2 == 0
 
 
-def test_balance_angles_synthetic_sine():
-    # inject g(theta) = sin(theta) directly: roots at 0 and pi
+def _synthetic_scan(h1):
+    """A square-table scan of level ground whose first foot's height is the
+    function h1 and the others' zero, so g = h1 / 2."""
     from wobble.terrain import flat_terrain
-    flat = flat_terrain(EXT)
-    scan = height_scan(SQUARE, flat, (0, 0), 4096)
-    funcs = (np.sin, lambda t: 0.0 * np.asarray(t), lambda t: 0.0 * np.asarray(t),
-             lambda t: 0.0 * np.asarray(t))
-    synthetic = type(scan)(
-        table=scan.table, terrain=scan.terrain, center=scan.center, z0=0.0,
-        thetas=scan.thetas, heights=np.array([np.sin(scan.thetas),
-                                              np.zeros(scan.n),
-                                              np.zeros(scan.n),
-                                              np.zeros(scan.n)]),
-        alpha=scan.alpha, beta=scan.beta, height_funcs=funcs)
-    found = find_balance_angles(synthetic)
+    scan = height_scan(SQUARE, flat_terrain(EXT), (0, 0), 4096)
+
+    def zero(t):
+        return 0.0 * np.asarray(t)
+
+    heights = np.zeros((4, scan.n))
+    heights[0] = h1(scan.thetas)
+    return type(scan)(table=scan.table, terrain=scan.terrain, center=scan.center,
+                      thetas=scan.thetas, heights=heights, alpha=scan.alpha,
+                      beta=scan.beta, height_funcs=(h1, zero, zero, zero))
+
+
+def test_balance_angles_synthetic_sine():
+    # inject g(theta) = sin(theta) / 2 directly: roots at 0 and pi
+    found = find_balance_angles(_synthetic_scan(np.sin))
     assert not found.degenerate
     assert len(found.roots) == 2
     assert found.roots[0] == pytest.approx(0.0, abs=1e-12)
     assert found.roots[1] == pytest.approx(math.pi, abs=1e-12)
+
+
+def test_balance_angles_root_in_the_wrap_around_cell():
+    half = math.pi / 4096
+    found = find_balance_angles(_synthetic_scan(lambda t: np.sin(t + half)))
+    # the second root lies in the cell [theta_{n-1}, 2 pi)
+    assert len(found.roots) == 2
+    assert found.roots[0] == pytest.approx(math.pi - half, abs=1e-12)
+    assert found.roots[1] == pytest.approx(2.0 * math.pi - half, abs=1e-12)
+    assert 2.0 * math.pi * 4095 / 4096 < found.roots[1] < 2.0 * math.pi
+    assert found.slopes == (-1, 1)
+    assert found.tangential == ()
+
+
+def test_balance_angles_report_tangential_touches():
+    # g >= 0 touches zero between the first two nodes without crossing it
+    half = math.pi / 4096
+    scan = _synthetic_scan(lambda t: 1e-4 * (1.0 - np.cos(t - half)))
+    found = find_balance_angles(scan)
+    assert not found.degenerate
+    assert found.roots == () and found.slopes == ()
+    assert found.tangential == (float(scan.thetas[0]), float(scan.thetas[1]))
 
 
 def test_balance_angles_saddle_square():

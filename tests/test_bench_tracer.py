@@ -2,9 +2,10 @@
 
 `benchmark/spans.py` wraps functions and methods of `wobble` by name. A
 refactor that renames or drops one of them would break the traced benchmark
-runs, so this test installs the tracer, runs one of each motion and a small
-campaign, and checks the spans it recorded and that uninstalling restores
-every patched attribute.
+runs, so this test installs the tracer, runs one of each motion, one
+full-turn scan with its balance angles and a small campaign, and checks the
+spans and counters it recorded and that uninstalling restores every patched
+attribute.
 """
 
 import importlib
@@ -51,12 +52,19 @@ def test_tracer_patch_points_resolve_and_restore(spans, monkeypatch, tmp_path):
         motion = wobble.motion
         motion.find_equilibrium(motion.run_pivot_slide(table, terrain), terrain)
         motion.run_march(table, terrain)
+        balance = wobble.balance
+        scan = balance.height_scan(table, terrain, (0.4, 0.1), 1024)
+        root = balance.find_balance_angles(scan).roots[0]
+        balance.approximate_equilibrium(table, terrain, (0.4, 0.1), root)
         assert main(["montecarlo", "--n", "2", "--motion", "rt", "--theta", "10",
                      "--bumps", "6", "--out", str(tmp_path / "campaign.csv")]) == 0
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"motion.run_pivot_slide", "motion.run_march", "cli.run"} <= names
+    assert {"motion.run_pivot_slide", "motion.run_march", "cli.run",
+            "balance.height_scan", "balance.find_balance_angles",
+            "balance.approximate_equilibrium"} <= names
+    assert tracer.counters["balance.g_evals"][0] > 0
     for owner, attr, original in saved:
         assert vars(owner)[attr] is original
     assert _namespaces(tracer) == before

@@ -41,6 +41,26 @@ def test_ring_point_steep_terrain_refused():
         trace_ring(s, steep, STEP)
 
 
+def test_trace_ring_override_records_the_slope_breach():
+    steep = generate_terrain(2, math.radians(32.0), 20, EXT)
+    s = Sphere(center=np.array([0.3, -0.2, steep.height(0.3, -0.2)]), radius=0.75)
+    ring = trace_ring(s, steep, STEP, enforce=False)
+    assert ring.warnings[0] == ("curve tracing needs terrain slope below 30.0000 "
+                                "deg, measured 32.0000 deg")
+
+
+def test_ring_point_is_the_one_row_half_circle_crossing(hills14):
+    sphere = Sphere(center=np.array([0.3, -0.2, hills14.height(0.3, -0.2)]),
+                    radius=0.75)
+    for azimuth in np.linspace(-math.pi, math.pi, 24, endpoint=False):
+        point, lam = ring_point(sphere, hills14, float(azimuth))
+        points, lams, errors = half_circle_crossings(
+            sphere.center[None, :], [float(azimuth)], 0.75, hills14)
+        assert not errors
+        assert point.tobytes() == points[0].tobytes()
+        assert lam == lams[0]
+
+
 def test_trace_on_tilted_plane_is_the_analytic_circle(plane10):
     # sphere centered on the plane: the curve is a great circle
     cz = 0.5 * math.tan(math.radians(10.0))
