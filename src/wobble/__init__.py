@@ -66,6 +66,7 @@ from .terrain import (
     BumpTerrain,
     Extent,
     GridTerrain,
+    SlopeSearch,
     estimate_slope_bound,
     flat_terrain,
     generate_terrain,

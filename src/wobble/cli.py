@@ -46,6 +46,7 @@ from .motion import (
 )
 from .ring import check_step
 from .terrain import (
+    BumpTerrain,
     Extent,
     check_bump_count,
     check_target_slope,
@@ -142,10 +143,17 @@ def trace_csv_lines(trace: MotionTrace):
         yield ",".join(row)
 
 
+def _slope_kind(terrain) -> str:
+    """How a terrain's slope bound was found: a grid's is sampled, a bump
+    terrain's is certified by its search (a cap's is closed-form)."""
+    return "sampled lower bound" if terrain.kind == "grid" else "certified upper bound"
+
+
 def format_equilibrium_report(result: EquilibriumResult, trace: MotionTrace) -> str:
     lines = [
         f"motion:          {trace.kind}",
-        f"slope bound est: {math.degrees(trace.slope_bound):.4f} deg",
+        f"slope bound:     {math.degrees(trace.slope_bound):.4f} deg "
+        f"({_slope_kind(trace.terrain)})",
         f"table side:      {trace.table.side}",
         f"samples:         {len(trace)}",
         f"relabeled:       {'yes' if trace.relabeled else 'no'}",
@@ -345,19 +353,27 @@ def _cmd_gen_terrain(args) -> int:
     slope = terrain.slope_bound
     print(f"terrain written: {args.out}")
     print(f"bumps:           {len(terrain.bumps)}")
-    print(f"slope bound est: {math.degrees(slope):.4f} deg "
-          f"(sampled lower bound, target {args.theta:.4f} deg)")
+    print(f"slope bound:     {math.degrees(slope):.4f} deg "
+          f"(certified upper bound, target {args.theta:.4f} deg)")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     terrain = _load_terrain(args.terrain)
-    slope = estimate_slope_bound(terrain, samples=args.samples)
+    sampled = estimate_slope_bound(terrain, samples=args.samples)
     ext = terrain.extent
     print(f"terrain:         {args.terrain}")
     print(f"type:            {terrain.kind}")
     print(f"extent:          [{ext.xmin}, {ext.xmax}] x [{ext.ymin}, {ext.ymax}]")
-    print(f"slope bound est: {math.degrees(slope):.4f} deg (sampled lower bound)")
+    if isinstance(terrain, BumpTerrain):
+        search = terrain.slope_search()
+        print(f"slope bound:     {math.degrees(search.upper):.4f} deg "
+              f"(certified upper bound)")
+        print(f"slope search:    {math.degrees(search.lower):.10f} to "
+              f"{math.degrees(search.upper):.10f} deg, {search.levels} levels, "
+              f"{search.points} gradient-and-Hessian points")
+    print(f"slope sampled:   {math.degrees(sampled):.4f} deg "
+          f"(sampled lower bound, {args.samples} samples)")
     return EXIT_OK
 
 

@@ -1,10 +1,15 @@
-"""Continuous ground surfaces with a certified slope bound.
+"""Continuous ground surfaces with a slope bound.
 
 Two variants: a sum of radial Gaussian bumps (analytic, smooth everywhere)
 and a sampled grid with C1 bicubic Hermite interpolation. Both evaluate a
 height and a gradient anywhere inside their extent; queries outside the
 extent raise rather than extrapolate, because silent extrapolation would
 break the slope certification the solver relies on.
+
+A bump terrain's slope bound is certified: a branch-and-bound over square
+cells (`BumpTerrain.slope_search`) proves it is at least the slope anywhere
+in the extent. A grid terrain's slope bound is still the sampled estimate
+of `estimate_slope_bound`, a lower bound of the true slope (ROADMAP item 4).
 
 All lengths share one arbitrary unit. Angles are radians internally.
 """
@@ -32,11 +37,28 @@ _SMALL_KERNEL = 16384
 # rounding of their own evaluation, which is some 1e-12 relative at worst
 _BOUND_MARGIN = 1e-9
 _EPS = float(np.finfo(float).eps)
-# relative margin of the slope search's drop test: far above the rounding
-# of a computed |grad|^2
+# relative margin of the sampled slope estimate's drop test: far above the
+# rounding of a computed |grad|^2
 _PRUNE_MARGIN = 2.0 ** -20
-# halvings of the slope search's stencil step
+# halvings of the sampled slope estimate's stencil step
 _REFINE_LEVELS = 14
+# the certified slope search starts from _SEARCH_START x _SEARCH_START cells
+# and drops a cell once its bound of |grad f| is at most 1 + _SEARCH_RHO
+# times the best sampled |grad f|. The tolerance is relative, so the search
+# makes the same decisions on a terrain with every amplitude scaled.
+_SEARCH_START = 16
+_SEARCH_RHO = 1e-8
+# caps of the certified slope search: live cells in one level, and levels.
+# A terrain whose steepest points form a curve (one isolated bump's ring)
+# keeps more cells alive at each level; at a cap the search stops with the
+# largest live cell bound, which is looser but still certified
+_SEARCH_CELLS = 1 << 15
+_SEARCH_LEVELS = 40
+# largest bumps x cells product the search evaluates in one array pass
+_SEARCH_BLOCK = 1 << 16
+# max over s of |3 s - s^3| exp(-s^2 / 2) = 1.380119..., rounded up: a unit
+# Gaussian's largest third directional derivative
+_THIRD_DERIVATIVE = 1.3802
 
 
 @dataclass(frozen=True)
@@ -101,6 +123,17 @@ class Bump(NamedTuple):
     sigma: float
 
 
+class SlopeSearch(NamedTuple):
+    """Outcome of `BumpTerrain.slope_search`: the best sampled slope (a
+    lower bound) and the certified upper bound, both in radians, the
+    subdivision levels run and the gradient-and-Hessian points evaluated."""
+
+    lower: float
+    upper: float
+    levels: int
+    points: int
+
+
 class BumpTerrain:
     """Sum of radial Gaussian bumps: z = sum A_k * exp(-r_k^2 / (2 s_k^2)).
 
@@ -156,6 +189,7 @@ class BumpTerrain:
         self._sigma = np.array([b.sigma for b in self.bumps], dtype=float)
         self._slope_scale = np.abs(amp) / self._sigma
         self._slope_cache: float | None = None
+        self._search: SlopeSearch | None = None
 
     def height(self, x, y):
         """Terrain height; accepts scalars or broadcastable arrays."""
@@ -311,10 +345,149 @@ class BumpTerrain:
 
     @property
     def slope_bound(self) -> float:
-        """Cached sampled slope bound (radians); a lower-bound estimate."""
+        """Certified upper bound of the slope arctan |grad f| over the
+        extent (radians): the upper bound of `slope_search`, cached."""
         if self._slope_cache is None:
-            self._slope_cache = estimate_slope_bound(self)
+            self._slope_cache = self.slope_search().upper
         return self._slope_cache
+
+    def slope_search(self) -> SlopeSearch:
+        """Branch-and-bound for the largest |grad f| over the extent, run
+        once and cached.
+
+        The extent is cut into _SEARCH_START^2 equal cells. Each level
+        evaluates the gradient g and Hessian H at every live cell's centre c,
+        in one array pass over bumps x cells. The best |g| seen is the lower
+        bound. Over the disc of radius r about c, which holds the cell,
+
+            |grad f| <= sqrt(|g|^2 + 2 r |H g| + ||H||^2 r^2) + M3 r^2 / 2,
+
+        because grad f(c + d) = g + H d + R with |R| <= M3 |d|^2 / 2, and
+        |g + H d|^2 = |g|^2 + 2 (H g).d + |H d|^2 as H is symmetric. M3 bounds
+        the third-derivative tensor; for a symmetric tensor its norm is the
+        largest |T(v, v, v)| over unit v (Banach 1938), which for a bump is
+        |A| / s^3 max |3 t - t^3| e^{-t^2/2}, so M3 = _THIRD_DERIVATIVE
+        sum |A_k| / s_k^3. Near a maximum H g is about 0 and the bound closes
+        on |g| like r^2. The cell bound is the smaller of this and
+        `gradient_bound`, which settles cells far from the steep places.
+
+        A cell whose bound is at most best * (1 + _SEARCH_RHO) is dropped;
+        the rest are quartered. The upper bound is the largest bound of a
+        dropped cell, so tan(upper) <= tan(lower) * (1 + _SEARCH_RHO). At the
+        cap of _SEARCH_CELLS live cells or _SEARCH_LEVELS levels the search
+        stops with the largest live bound instead; a NaN or infinite bound
+        is never dropped, so it ends there as an infinite upper bound.
+
+        Rounding. A computed centre is within a few ulp of max |coordinate|
+        of the true one, so r is the half-diagonal times 1 + _BOUND_MARGIN
+        plus 8 ulp of that coordinate. As in `height_rounding`, each bump's
+        gradient term is off by a few ulp of |A| / s and each Hessian term
+        by a few ulp of |A| / s^2, and the sums add n ulp of the sums of
+        their sizes. The Taylor bound moves by at most twice the gradient
+        error plus 2 r times the Hessian error, so it gets 64 (n + 12) ulp
+        of sum |A_k| / s_k + r sum |A_k| / s_k^2 added, after a relative
+        _BOUND_MARGIN for its own few roundings and the arctan. Every term
+        of the bound, and the best sample, scale with the amplitudes.
+        """
+        if self._search is not None:
+            return self._search
+        cx, cy, amp, neg_half_inv, amp_inv = self._columns
+        amp = np.abs(amp)
+        if not amp.any():
+            self._search = SlopeSearch(0.0, 0.0, 0, 0)
+            return self._search
+        # the bump constants as (bumps, 1) columns, with 1 / s^2 last
+        columns = tuple(c[:, None] for c in (cx, cy, neg_half_inv, amp_inv,
+                                             -2.0 * neg_half_inv))
+        sigma = self._sigma
+        third = _THIRD_DERIVATIVE * float(np.sum(amp / sigma ** 3))
+        ulps = 64.0 * (len(self.bumps) + 12) * _EPS
+        rounding = (ulps * float(np.sum(self._slope_scale)),
+                    ulps * float(np.sum(amp / (sigma * sigma))))
+        ext = self.extent
+        pad = 8.0 * _EPS * max(abs(v) for v in ext.as_list())
+        block = max(1, _SEARCH_BLOCK // len(self.bumps))
+        n = _SEARCH_START
+        i, j = (a.ravel() for a in np.indices((n, n)))
+        best = top = 0.0
+        points = 0
+        for level in range(1, _SEARCH_LEVELS + 1):
+            w, h = ext.width / n, ext.height / n
+            x = ext.xmin + (i + 0.5) * w
+            y = ext.ymin + (j + 0.5) * h
+            r = 0.5 * math.hypot(w, h) * (1.0 + _BOUND_MARGIN) + pad
+            slope, bound = _blocked(
+                lambda x, y: _taylor_bound(columns, x, y, r, third, rounding),
+                block, x, y)
+            points += i.size
+            best = max(best, float(np.max(slope)))
+            limit = best * (1.0 + _SEARCH_RHO)
+            # the gradient bound only for the cells the Taylor bound keeps;
+            # a NaN bound is never dropped
+            wide = ~(bound <= limit)
+            (grad,) = _blocked(lambda x, y: (self.gradient_bound(x, y, r),),
+                               block, x[wide], y[wide])
+            bound[wide] = np.minimum(bound[wide], grad)
+            keep = ~(bound <= limit)
+            if not keep.all():
+                top = max(top, float(np.max(bound[~keep])))
+            i, j, bound = i[keep], j[keep], bound[keep]
+            if not i.size:
+                break
+            if 4 * i.size > _SEARCH_CELLS or level == _SEARCH_LEVELS:
+                live = float(np.max(bound))
+                top = max(top, live) if live < math.inf else math.inf
+                break
+            i = (2 * i[:, None] + np.array([0, 1, 0, 1])).ravel()
+            j = (2 * j[:, None] + np.array([0, 0, 1, 1])).ravel()
+            n *= 2
+        self._search = SlopeSearch(math.atan(best), math.atan(max(top, best)),
+                                   level, points)
+        return self._search
+
+
+def _taylor_bound(columns, x, y, r: float, third: float, rounding):
+    """|grad f| at the centres (x, y) and the second-order bound of
+    `BumpTerrain.slope_search` over the discs of radius r about them.
+    `columns` holds each bump's cx, cy, -1 / (2 s^2), A / s^2 and 1 / s^2
+    as (bumps, 1) arrays, `third` is M3 and `rounding` the ulps of
+    sum |A| / s and sum |A| / s^2."""
+    cx, cy, neg_half_inv, amp_inv, inv = columns
+    dx = x - cx
+    dy = y - cy
+    # A / s^2 exp(-r^2 / (2 s^2)) per bump and centre
+    w = dx * dx
+    w += dy * dy
+    w *= neg_half_inv
+    np.exp(w, out=w)
+    w *= amp_inv
+    wx = w * dx
+    wy = w * dy
+    gx = -wx.sum(axis=0)
+    gy = -wy.sum(axis=0)
+    wx *= inv
+    wy *= inv
+    diag = w.sum(axis=0)
+    hxx = (wx * dx).sum(axis=0) - diag
+    hxy = (wx * dy).sum(axis=0)
+    hyy = (wy * dy).sum(axis=0) - diag
+    slope = np.hypot(gx, gy)
+    hg = np.hypot(hxx * gx + hxy * gy, hxy * gx + hyy * gy)
+    hnorm = 0.5 * np.abs(hxx + hyy) + np.hypot(0.5 * (hxx - hyy), hxy)
+    bound = np.sqrt(slope * slope + 2.0 * r * hg + np.square(hnorm * r))
+    bound += 0.5 * third * r * r
+    bound *= 1.0 + _BOUND_MARGIN
+    bound += rounding[0] + r * rounding[1]
+    return slope, bound
+
+
+def _blocked(fn, size: int, x: np.ndarray, y: np.ndarray):
+    """The outputs of fn(x, y), evaluated on slices of `size` entries and
+    concatenated, so the (bumps, points) temporaries stay small; empty
+    arrays make one call."""
+    parts = [fn(x[k:k + size], y[k:k + size])
+             for k in range(0, x.size or 1, size)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 class UncertifiedBounds:
@@ -481,6 +654,8 @@ class GridTerrain(UncertifiedBounds):
 
     @property
     def slope_bound(self) -> float:
+        """Cached sampled slope (radians), a lower bound of the true slope
+        until cells get certified bounds (ROADMAP item 4)."""
         if self._slope_cache is None:
             self._slope_cache = estimate_slope_bound(self)
         return self._slope_cache
@@ -547,8 +722,10 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     Uniform grid of about `samples` points, then pattern-search refinement
     around the top 1% (and, for bump terrain, around each bump's slope ring).
     The result is a lower bound on the true supremum and is reported as an
-    estimate. The grid is held whole, so a count above 10^8 is refused
-    before anything is allocated.
+    estimate: it is a grid terrain's slope bound, and `wobble check
+    --samples` reports it for any terrain, next to a bump terrain's
+    certified bound. The grid is held whole, so a count above 10^8 is
+    refused before anything is allocated.
     """
     if samples < 10_000:
         raise DomainError(f"slope estimation needs at least 10^4 samples, got {samples}")
@@ -603,8 +780,10 @@ def generate_terrain(seed: int, target_slope: float, bump_count: int,
     """Seeded random bump terrain with slope bound at most target_slope.
 
     Deterministic in the seed (PCG64). Amplitudes are rescaled after
-    generation so the sampled slope bound lands just under the target;
-    bump_count = 0 or target 0 yields flat terrain.
+    generation so the certified slope bound (`BumpTerrain.slope_search`)
+    lands just under the target; bump_count = 0 or target 0 yields flat
+    terrain. The returned terrain carries its search, scaled, so it is not
+    searched again.
     """
     check_target_slope(target_slope)
     check_bump_count(bump_count)
@@ -622,20 +801,21 @@ def generate_terrain(seed: int, target_slope: float, bump_count: int,
             amp = -amp
         bumps.append(Bump(cx, cy, amp, sigma))
     if bump_count == 0 or target_slope == 0.0:
-        scaled = [Bump(b.cx, b.cy, 0.0, b.sigma) for b in bumps]
-        t = BumpTerrain(scaled, extent)
-        t._slope_cache = 0.0
-        return t
+        return BumpTerrain([Bump(b.cx, b.cy, 0.0, b.sigma) for b in bumps], extent)
     raw = BumpTerrain(bumps, extent)
-    est = estimate_slope_bound(raw)
-    if est == 0.0:
+    search = raw.slope_search()
+    if search.upper == 0.0:
         return raw
-    scale = (1.0 - 1e-9) * math.tan(target_slope) / math.tan(est)
+    scale = (1.0 - 1e-9) * math.tan(target_slope) / math.tan(search.upper)
     scaled = [Bump(b.cx, b.cy, b.amplitude * scale, b.sigma) for b in bumps]
     t = BumpTerrain(scaled, extent)
-    # scaling every amplitude scales the gradient field by the same factor,
-    # so the scaled terrain's estimate follows without sampling it again
-    t._slope_cache = math.atan(scale * math.tan(est))
+    # scaling every amplitude scales the gradient field and every bound of
+    # the search by the same factor, so the scaled terrain's search follows
+    # without running it again; 4 ulp cover the rounding of the scaled
+    # amplitudes
+    t._search = search._replace(
+        lower=math.atan(scale * math.tan(search.lower)),
+        upper=math.atan(scale * math.tan(search.upper) * (1.0 + 4.0 * _EPS)))
     return t
 
 

@@ -83,7 +83,7 @@ def test_check_reports_slope(terrain10, tmp_path):
     r = run_cli(["check", "--terrain", str(terrain10), "--samples", "40000"],
                 cwd=tmp_path)
     assert r.returncode == 0
-    assert "slope bound est" in r.stdout
+    assert "certified upper bound" in r.stdout
     assert "10.0000 deg" in r.stdout
 
 

@@ -219,9 +219,10 @@ def test_flat_terrain_default_extent():
 @pytest.mark.parametrize("seed, degrees", [(0, 6.0), (3, 14.0), (11, 30.0), (39, 35.0)])
 def test_generated_slope_bound_needs_no_second_estimate(seed, degrees):
     t = generate_terrain(seed, math.radians(degrees), 20, EXT)
-    # set by generate_terrain from its own estimate, not sampled again
-    assert t._slope_cache is not None
-    assert abs(t.slope_bound - estimate_slope_bound(t)) <= 1e-12
+    # set by generate_terrain from its own search, not searched again
+    assert t._search is not None
+    fresh = BumpTerrain(t.bumps, t.extent).slope_search()
+    assert abs(t.slope_bound - fresh.upper) <= 1e-12
 
 
 # ---------------------------------------------------------------- kernels
@@ -375,11 +376,80 @@ def test_slope_estimate_equals_nine_point_search(name, request, monkeypatch):
     assert got == estimate_slope_bound(t)
 
 
-@pytest.mark.parametrize("seed", [1, 5, 39])
-def test_generated_terrain_unchanged_by_carried_centre(seed, monkeypatch):
-    got = serialize_terrain(generate_terrain(seed, math.radians(20.0), 20, EXT))
-    monkeypatch.setattr(terrain_mod, "_refine_candidates", _reference_refine)
-    assert got == serialize_terrain(generate_terrain(seed, math.radians(20.0), 20, EXT))
+# ------------------------------------------------- certified slope search
+
+
+def _steepest_samples(t, n=1000, top=40):
+    """|grad f| on an n x n grid over the extent, and the largest |grad f|
+    found by zooming three times, on 101 x 101 stencils, around each of the
+    `top` steepest grid points."""
+    e = t.extent
+    xs = np.linspace(e.xmin, e.xmax, n)
+    ys = np.linspace(e.ymin, e.ymax, n)
+    gx, gy = t.gradient(xs[None, :], ys[:, None])
+    grid = np.hypot(gx, gy)
+    best = float(np.max(grid))
+    for k in np.argsort(grid.ravel())[-top:]:
+        px, py = xs[k % n], ys[k // n]
+        for half in (2e-2, 2e-4, 2e-6):
+            u = np.linspace(-half, half, 101)
+            x, y = np.meshgrid(np.clip(px + u, e.xmin, e.xmax),
+                               np.clip(py + u, e.ymin, e.ymax))
+            gx, gy = t.gradient(x, y)
+            s = np.hypot(gx, gy)
+            m = int(np.argmax(s))
+            px, py = x.ravel()[m], y.ravel()[m]
+            best = max(best, float(s.ravel()[m]))
+    return best
+
+
+@pytest.mark.parametrize("seed", [39, 1, 2, 5])
+def test_generated_slope_bound_is_above_every_sample(seed):
+    # at seed 39 the sampled estimate once read 13.99999999 deg while a
+    # gradient near the steepest point reads 14.0000036 deg
+    target = math.radians(14.0)
+    t = generate_terrain(seed, target, 20, EXT)
+    assert t.slope_bound <= target
+    assert _steepest_samples(t) <= math.tan(t.slope_bound)
+
+
+def test_slope_search_brackets_one_bump():
+    amp, sigma = -0.8, 1.7
+    t = BumpTerrain([(0.5, -0.4, amp, sigma)], Extent(-20, 20, -20, 20))
+    closed = abs(amp) * math.exp(-0.5) / sigma
+    s = t.slope_search()
+    assert closed <= math.tan(s.upper) <= closed * (1.0 + terrain_mod._SEARCH_RHO)
+    assert math.tan(s.lower) <= closed * (1.0 + 1e-12)
+    assert t.slope_bound == s.upper
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_slope_search_is_above_the_dense_estimate(seed):
+    degrees = 6.0 + 29.0 * seed / 19
+    t = generate_terrain(seed, math.radians(degrees), 20, EXT)
+    fresh = BumpTerrain(t.bumps, t.extent).slope_search()
+    est = estimate_slope_bound(t, samples=10**6)
+    assert est <= fresh.upper and est <= t.slope_bound
+    # the search's gap is the relative tolerance in tan, no more
+    assert math.tan(fresh.upper) <= math.tan(fresh.lower) * (1.0 + terrain_mod._SEARCH_RHO)
+
+
+@pytest.mark.parametrize("bumps", [
+    [(0.3, 0.2, 1e-3, 1e-3)],
+    # an isolated bump: its steepest points form a whole circle
+    [(-4.0, -4.0, 0.6, 0.8), (5.0, 5.0, 1e-3, 0.5)],
+], ids=["needle", "isolated"])
+def test_slope_search_stops_within_its_caps(bumps):
+    t = BumpTerrain(bumps, EXT)
+    s = t.slope_search()
+    closed = max(abs(a) * math.exp(-0.5) / sigma for _, _, a, sigma in bumps)
+    assert s.levels <= terrain_mod._SEARCH_LEVELS
+    assert s.points <= s.levels * terrain_mod._SEARCH_CELLS
+    assert math.tan(s.upper) >= closed
+
+
+def test_slope_search_of_flat_ground_is_zero(flat):
+    assert BumpTerrain(flat.bumps, flat.extent).slope_search() == (0.0, 0.0, 0, 0)
 
 
 # ------------------------------------------------ gradient and curvature
