@@ -300,6 +300,7 @@ class SphericalCapGround(UncertifiedBounds):
     uncertified +inf ones."""
 
     kind = "cap"
+    slope_bound_kind = "closed form"
 
     def __init__(self, radius: float, extent: Extent | None = None):
         if radius <= 0:

@@ -46,9 +46,9 @@ from .motion import (
 )
 from .ring import check_step
 from .terrain import (
-    BumpTerrain,
     Extent,
     check_bump_count,
+    check_slope_samples,
     check_target_slope,
     estimate_slope_bound,
     generate_terrain,
@@ -143,17 +143,11 @@ def trace_csv_lines(trace: MotionTrace):
         yield ",".join(row)
 
 
-def _slope_kind(terrain) -> str:
-    """How a terrain's slope bound was found: a grid's is sampled, a bump
-    terrain's is certified by its search (a cap's is closed-form)."""
-    return "sampled lower bound" if terrain.kind == "grid" else "certified upper bound"
-
-
 def format_equilibrium_report(result: EquilibriumResult, trace: MotionTrace) -> str:
     lines = [
         f"motion:          {trace.kind}",
         f"slope bound:     {math.degrees(trace.slope_bound):.4f} deg "
-        f"({_slope_kind(trace.terrain)})",
+        f"({trace.terrain.slope_bound_kind})",
         f"table side:      {trace.table.side}",
         f"samples:         {len(trace)}",
         f"relabeled:       {'yes' if trace.relabeled else 'no'}",
@@ -354,26 +348,28 @@ def _cmd_gen_terrain(args) -> int:
     print(f"terrain written: {args.out}")
     print(f"bumps:           {len(terrain.bumps)}")
     print(f"slope bound:     {math.degrees(slope):.4f} deg "
-          f"(certified upper bound, target {args.theta:.4f} deg)")
+          f"({terrain.slope_bound_kind}, target {args.theta:.4f} deg)")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
+    check_slope_samples(args.samples)
     terrain = _load_terrain(args.terrain)
-    sampled = estimate_slope_bound(terrain, samples=args.samples)
     ext = terrain.extent
     print(f"terrain:         {args.terrain}")
     print(f"type:            {terrain.kind}")
     print(f"extent:          [{ext.xmin}, {ext.xmax}] x [{ext.ymin}, {ext.ymax}]")
-    if isinstance(terrain, BumpTerrain):
-        search = terrain.slope_search()
-        print(f"slope bound:     {math.degrees(search.upper):.4f} deg "
-              f"(certified upper bound)")
-        print(f"slope search:    {math.degrees(search.lower):.10f} to "
-              f"{math.degrees(search.upper):.10f} deg, {search.levels} levels, "
-              f"{search.points} gradient-and-Hessian points")
-    print(f"slope sampled:   {math.degrees(sampled):.4f} deg "
-          f"(sampled lower bound, {args.samples} samples)")
+    if terrain.kind == "grid":
+        slope = estimate_slope_bound(terrain, samples=args.samples)
+        print(f"slope bound:     {math.degrees(slope):.4f} deg "
+              f"({terrain.slope_bound_kind}, {args.samples} samples)")
+        return EXIT_OK
+    search = terrain.slope_search()
+    print(f"slope bound:     {math.degrees(search.upper):.4f} deg "
+          f"({terrain.slope_bound_kind})")
+    print(f"slope search:    {math.degrees(search.lower):.10f} to "
+          f"{math.degrees(search.upper):.10f} deg, {search.levels} levels, "
+          f"{search.points} gradient-and-Hessian points")
     return EXIT_OK
 
 
@@ -500,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a terrain file and report slope")
     p.add_argument("--terrain", required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="sample count of a grid terrain's slope estimate")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("solve", help="find an equilibrium placement")

@@ -37,9 +37,6 @@ _SMALL_KERNEL = 16384
 # rounding of their own evaluation, which is some 1e-12 relative at worst
 _BOUND_MARGIN = 1e-9
 _EPS = float(np.finfo(float).eps)
-# relative margin of the sampled slope estimate's drop test: far above the
-# rounding of a computed |grad|^2
-_PRUNE_MARGIN = 2.0 ** -20
 # halvings of the sampled slope estimate's stencil step
 _REFINE_LEVELS = 14
 # the certified slope search starts from _SEARCH_START x _SEARCH_START cells
@@ -54,8 +51,6 @@ _SEARCH_RHO = 1e-8
 # largest live cell bound, which is looser but still certified
 _SEARCH_CELLS = 1 << 15
 _SEARCH_LEVELS = 40
-# largest bumps x cells product the search evaluates in one array pass
-_SEARCH_BLOCK = 1 << 16
 # max over s of |3 s - s^3| exp(-s^2 / 2) = 1.380119..., rounded up: a unit
 # Gaussian's largest third directional derivative
 _THIRD_DERIVATIVE = 1.3802
@@ -167,6 +162,8 @@ class BumpTerrain:
     """
 
     kind = "bumps"
+    # what `slope_bound` is, as reports print it
+    slope_bound_kind = "certified upper bound"
 
     def __init__(self, bumps, extent: Extent):
         self.bumps = tuple(Bump(*map(float, b)) for b in bumps)
@@ -357,8 +354,9 @@ class BumpTerrain:
 
         The extent is cut into _SEARCH_START^2 equal cells. Each level
         evaluates the gradient g and Hessian H at every live cell's centre c,
-        in one array pass over bumps x cells. The best |g| seen is the lower
-        bound. Over the disc of radius r about c, which holds the cell,
+        in (bumps, cells) array passes of at most _SMALL_KERNEL entries. The
+        best |g| seen is the lower bound. Over the disc of radius r about c,
+        which holds the cell,
 
             |grad f| <= sqrt(|g|^2 + 2 r |H g| + ||H||^2 r^2) + M3 r^2 / 2,
 
@@ -391,14 +389,10 @@ class BumpTerrain:
         """
         if self._search is not None:
             return self._search
-        cx, cy, amp, neg_half_inv, amp_inv = self._columns
-        amp = np.abs(amp)
+        amp = np.abs(self._columns[2])
         if not amp.any():
             self._search = SlopeSearch(0.0, 0.0, 0, 0)
             return self._search
-        # the bump constants as (bumps, 1) columns, with 1 / s^2 last
-        columns = tuple(c[:, None] for c in (cx, cy, neg_half_inv, amp_inv,
-                                             -2.0 * neg_half_inv))
         sigma = self._sigma
         third = _THIRD_DERIVATIVE * float(np.sum(amp / sigma ** 3))
         ulps = 64.0 * (len(self.bumps) + 12) * _EPS
@@ -406,7 +400,8 @@ class BumpTerrain:
                     ulps * float(np.sum(amp / (sigma * sigma))))
         ext = self.extent
         pad = 8.0 * _EPS * max(abs(v) for v in ext.as_list())
-        block = max(1, _SEARCH_BLOCK // len(self.bumps))
+        # cells per array pass, so each pass is a small (bumps, cells) call
+        block = max(1, _SMALL_KERNEL // len(self.bumps))
         n = _SEARCH_START
         i, j = (a.ravel() for a in np.indices((n, n)))
         best = top = 0.0
@@ -417,7 +412,7 @@ class BumpTerrain:
             y = ext.ymin + (j + 0.5) * h
             r = 0.5 * math.hypot(w, h) * (1.0 + _BOUND_MARGIN) + pad
             slope, bound = _blocked(
-                lambda x, y: _taylor_bound(columns, x, y, r, third, rounding),
+                lambda x, y: self._taylor_bound(x, y, r, third, rounding),
                 block, x, y)
             points += i.size
             best = max(best, float(np.max(slope)))
@@ -445,40 +440,35 @@ class BumpTerrain:
                                    level, points)
         return self._search
 
-
-def _taylor_bound(columns, x, y, r: float, third: float, rounding):
-    """|grad f| at the centres (x, y) and the second-order bound of
-    `BumpTerrain.slope_search` over the discs of radius r about them.
-    `columns` holds each bump's cx, cy, -1 / (2 s^2), A / s^2 and 1 / s^2
-    as (bumps, 1) arrays, `third` is M3 and `rounding` the ulps of
-    sum |A| / s and sum |A| / s^2."""
-    cx, cy, neg_half_inv, amp_inv, inv = columns
-    dx = x - cx
-    dy = y - cy
-    # A / s^2 exp(-r^2 / (2 s^2)) per bump and centre
-    w = dx * dx
-    w += dy * dy
-    w *= neg_half_inv
-    np.exp(w, out=w)
-    w *= amp_inv
-    wx = w * dx
-    wy = w * dy
-    gx = -wx.sum(axis=0)
-    gy = -wy.sum(axis=0)
-    wx *= inv
-    wy *= inv
-    diag = w.sum(axis=0)
-    hxx = (wx * dx).sum(axis=0) - diag
-    hxy = (wx * dy).sum(axis=0)
-    hyy = (wy * dy).sum(axis=0) - diag
-    slope = np.hypot(gx, gy)
-    hg = np.hypot(hxx * gx + hxy * gy, hxy * gx + hyy * gy)
-    hnorm = 0.5 * np.abs(hxx + hyy) + np.hypot(0.5 * (hxx - hyy), hxy)
-    bound = np.sqrt(slope * slope + 2.0 * r * hg + np.square(hnorm * r))
-    bound += 0.5 * third * r * r
-    bound *= 1.0 + _BOUND_MARGIN
-    bound += rounding[0] + r * rounding[1]
-    return slope, bound
+    def _taylor_bound(self, x: np.ndarray, y: np.ndarray, r: float,
+                      third: float, rounding):
+        """|grad f| at the cell centres (x, y), 1-D arrays, and the
+        second-order bound of `slope_search` over the discs of radius r
+        about them; `third` is M3 and `rounding` the ulps of sum |A| / s
+        and sum |A| / s^2."""
+        dx, dy, w, lead = self._bump_rows(x, y, x.shape)
+        # A / s^2 exp(-r^2 / (2 s^2)) per bump and centre
+        w *= self._columns[4].reshape(lead)
+        wx = w * dx
+        wy = w * dy
+        gx = -wx.sum(axis=0)
+        gy = -wy.sum(axis=0)
+        # times 1 / s^2
+        inv = -2.0 * self._columns[3].reshape(lead)
+        wx *= inv
+        wy *= inv
+        diag = w.sum(axis=0)
+        hxx = (wx * dx).sum(axis=0) - diag
+        hxy = (wx * dy).sum(axis=0)
+        hyy = (wy * dy).sum(axis=0) - diag
+        slope = np.hypot(gx, gy)
+        hg = np.hypot(hxx * gx + hxy * gy, hxy * gx + hyy * gy)
+        hnorm = 0.5 * np.abs(hxx + hyy) + np.hypot(0.5 * (hxx - hyy), hxy)
+        bound = np.sqrt(slope * slope + 2.0 * r * hg + np.square(hnorm * r))
+        bound += 0.5 * third * r * r
+        bound *= 1.0 + _BOUND_MARGIN
+        bound += rounding[0] + r * rounding[1]
+        return slope, bound
 
 
 def _blocked(fn, size: int, x: np.ndarray, y: np.ndarray):
@@ -523,6 +513,7 @@ class GridTerrain(UncertifiedBounds):
     """
 
     kind = "grid"
+    slope_bound_kind = "sampled lower bound"
 
     def __init__(self, origin, spacing: float, heights):
         h = np.asarray(heights, dtype=float)
@@ -674,26 +665,15 @@ def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float) ->
     Each level moves every candidate to the best of its 3 x 3 stencil. The
     stencil's centre is the point picked at the level before, so its
     |grad|^2 is carried over, not evaluated again: after the first level
-    only the 8 off-centre points are.
-
-    A candidate that cannot win is dropped. Its carried |grad|^2 never
-    falls, and its later stencils stay within 2h of it on each axis, where
-    h is the next level's step (h + h/2 + ... < 2h; the clip to the extent
-    only shortens a move). |grad f| is Lipschitz with the constant H of
-    `curvature_bound`, so no later value of the candidate exceeds
-    (sqrt(g2) + 2 sqrt(2) H h)^2. When that, with a relative margin, is
-    below the best carried value, the candidate keeps its carried value
-    and is not evaluated again. The rows are independent (a point's
-    kernel value does not depend on the call), so the result is the one
-    the full search returns, bit for bit.
+    only the 8 off-centre points are. A point's kernel value does not
+    depend on the call, so the result is the one the search evaluating
+    all 9 points returns, bit for bit.
     """
     px = np.array(xs, dtype=float)
     py = np.array(ys, dtype=float)
     offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
     off_centre = np.array([k for k in range(9) if k != 4])
-    reach = 2.0 * math.sqrt(2.0) * terrain.curvature_bound()
-    carried = np.empty(px.size)
-    live = np.arange(px.size)
+    rows = np.arange(px.size)
     g2 = np.empty((px.size, 9))
     h = spacing
     for level in range(_REFINE_LEVELS):
@@ -702,17 +682,12 @@ def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float) ->
         cols = slice(None) if level == 0 else off_centre
         gx, gy = terrain.gradient(cx[:, cols], cy[:, cols])
         g2[:, cols] = gx * gx + gy * gy
-        rows = np.arange(px.size)
         pick = np.argmax(g2, axis=1)
         px = cx[rows, pick]
         py = cy[rows, pick]
-        g2[:, 4] = carried[live] = g2[rows, pick]
+        g2[:, 4] = g2[rows, pick]
         h *= 0.5
-        # a NaN reach or value never drops a candidate
-        top = np.sqrt(g2[:, 4]) + reach * h
-        keep = ~(top * top * (1.0 + _PRUNE_MARGIN) < np.max(carried))
-        live, px, py, g2 = live[keep], px[keep], py[keep], g2[keep]
-    return float(np.max(carried))
+    return float(np.max(g2[:, 4]))
 
 
 def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
@@ -720,17 +695,12 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     """Sampled supremum of arctan |grad f| over the extent, refined locally.
 
     Uniform grid of about `samples` points, then pattern-search refinement
-    around the top 1% (and, for bump terrain, around each bump's slope ring).
-    The result is a lower bound on the true supremum and is reported as an
-    estimate: it is a grid terrain's slope bound, and `wobble check
-    --samples` reports it for any terrain, next to a bump terrain's
-    certified bound. The grid is held whole, so a count above 10^8 is
-    refused before anything is allocated.
+    around the top 1%. The result is a lower bound on the true supremum and
+    is reported as an estimate: it is a grid terrain's slope bound, which
+    `wobble check --samples` sets the sample count of. The grid is held
+    whole, so a count above 10^8 is refused before anything is allocated.
     """
-    if samples < 10_000:
-        raise DomainError(f"slope estimation needs at least 10^4 samples, got {samples}")
-    if samples > _MAX_SLOPE_SAMPLES:
-        raise DomainError(f"slope estimation takes at most 10^8 samples, got {samples}")
+    check_slope_samples(samples)
     ext = extent or terrain.extent
     n = max(int(math.isqrt(samples)), 100)
     xs = np.linspace(ext.xmin, ext.xmax, n)
@@ -744,23 +714,21 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
         g2[i:i + rows] = gx * gx + gy * gy
     g2 = g2.ravel()
     if float(np.max(g2)) == 0.0:
-        if not (isinstance(terrain, BumpTerrain) and any(b.amplitude for b in terrain.bumps)):
-            return 0.0
+        return 0.0
     k = max(1, g2.size // 100)
     top = np.argpartition(g2, g2.size - k)[g2.size - k:]
-    cand_x = list(xs[top % n])
-    cand_y = list(ys[top // n])
-    if isinstance(terrain, BumpTerrain):
-        ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        for b in terrain.bumps:
-            for a in ring:
-                cx = min(max(b.cx + b.sigma * math.cos(a), ext.xmin), ext.xmax)
-                cy = min(max(b.cy + b.sigma * math.sin(a), ext.ymin), ext.ymax)
-                cand_x.append(cx)
-                cand_y.append(cy)
     spacing = max(ext.width, ext.height) / (n - 1)
-    best = _refine_candidates(terrain, ext, cand_x, cand_y, spacing)
+    best = _refine_candidates(terrain, ext, xs[top % n], ys[top // n], spacing)
     return math.atan(math.sqrt(best))
+
+
+def check_slope_samples(samples: int) -> None:
+    """Raise DomainError unless a slope estimate can take `samples`
+    samples: at least 10^4, and at most the 10^8 its grid can hold."""
+    if samples < 10_000:
+        raise DomainError(f"slope estimation needs at least 10^4 samples, got {samples}")
+    if samples > _MAX_SLOPE_SAMPLES:
+        raise DomainError(f"slope estimation takes at most 10^8 samples, got {samples}")
 
 
 def check_target_slope(target_slope: float) -> None:

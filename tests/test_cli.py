@@ -87,6 +87,19 @@ def test_check_reports_slope(terrain10, tmp_path):
     assert "10.0000 deg" in r.stdout
 
 
+def test_check_reports_a_grid_slope_as_sampled(tmp_path, capsys):
+    # a tilted plane: the bicubic interpolant reproduces it exactly
+    tilt = math.tan(math.radians(10.0))
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({
+        "type": "grid", "origin": [0, 0], "spacing": 1, "rows": 3, "cols": 3,
+        "heights": [tilt * col for _ in range(3) for col in range(3)]}))
+    assert main(["check", "--terrain", str(path), "--samples", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert "slope bound:     10.0000 deg (sampled lower bound, 10000 samples)" in out
+    assert "slope search" not in out
+
+
 def test_solve_march_success(terrain10, tmp_path):
     out = tmp_path / "trace.csv"
     r = run_cli(["solve", "--terrain", str(terrain10), "--motion", "gamma",

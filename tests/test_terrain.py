@@ -376,6 +376,21 @@ def test_slope_estimate_equals_nine_point_search(name, request, monkeypatch):
     assert got == estimate_slope_bound(t)
 
 
+@pytest.mark.parametrize("seed", [1, 5, 39])
+def test_generated_terrain_unchanged_by_carried_centre(seed, monkeypatch):
+    # generation runs the certified search and never the sampled estimate,
+    # so the estimate's refinement (its carried centre included) cannot
+    # change a generated terrain
+    got = serialize_terrain(generate_terrain(seed, math.radians(20.0), 20, EXT))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_terrain ran the sampled slope estimate")
+
+    monkeypatch.setattr(terrain_mod, "estimate_slope_bound", refuse)
+    monkeypatch.setattr(terrain_mod, "_refine_candidates", refuse)
+    assert got == serialize_terrain(generate_terrain(seed, math.radians(20.0), 20, EXT))
+
+
 # ------------------------------------------------- certified slope search
 
 
@@ -513,23 +528,6 @@ def test_grid_bounds_settle_nothing(plane10):
     assert np.all(plane10.gradient_bound(np.zeros(3), np.zeros(3), 1.0) == math.inf)
     assert plane10.curvature_bound() == math.inf
     assert plane10.height_rounding() == math.inf
-
-
-def test_slope_search_drops_candidates_that_cannot_win(hills30, monkeypatch):
-    # 40,000 grid points, and 63,280 refinement points with every candidate
-    # searched to the end: 560 candidates, 9 points at the first level and
-    # 8 at each of the 13 others
-    points = []
-    gradient = BumpTerrain.gradient
-
-    def counted(self, x, y):
-        points.append(np.broadcast(x, y).size)
-        return gradient(self, x, y)
-
-    monkeypatch.setattr(BumpTerrain, "gradient", counted)
-    estimate_slope_bound(hills30)
-    assert points[0] == 16_200 and sum(points[:3]) == 40_000
-    assert sum(points[3:]) < 63_280 // 2
 
 
 # ----------------------------------------------------------- file errors
