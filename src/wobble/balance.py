@@ -68,10 +68,11 @@ class HeightScan:
             return np.array([f(theta) for f in self.height_funcs])
         rho, angles = self.table.as_circle
         cx, cy = self.center
+        # all four feet in one terrain call: every step is elementwise, so
+        # each foot's heights are those of a call on its own
+        t = np.add.outer(angles, theta)
         # 0.0 - h keeps level ground at +0.0
-        return np.array([0.0 - self.terrain.height(cx + rho * np.cos(theta + a),
-                                                   cy + rho * np.sin(theta + a))
-                         for a in angles])
+        return 0.0 - self.terrain.height(cx + rho * np.cos(t), cy + rho * np.sin(t))
 
     def g_at(self, theta):
         return _balance_combination(self.heights_at(theta), self.alpha, self.beta)

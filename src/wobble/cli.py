@@ -119,7 +119,8 @@ def _parse_extent(text: str) -> Extent:
 
 
 def _load_terrain(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    # the bytes go to the parser as they are: it checks the UTF-8 itself
+    with open(path, "rb") as fh:
         return parse_terrain(fh.read())
 
 

@@ -37,6 +37,7 @@ _SMALL_KERNEL = 16384
 # rounding of their own evaluation, which is some 1e-12 relative at worst
 _BOUND_MARGIN = 1e-9
 _EPS = float(np.finfo(float).eps)
+_MIN_NORMAL = float(np.finfo(float).tiny)
 # halvings of the sampled slope estimate's stencil step
 _REFINE_LEVELS = 14
 # the certified slope search starts from _SEARCH_START x _SEARCH_START cells
@@ -172,6 +173,12 @@ class BumpTerrain:
                 raise ValidationError(f"bump width must be positive, got {b.sigma}")
             if not all(math.isfinite(v) for v in b):
                 raise ValidationError(f"bump has non-finite field: {b}")
+            # the kernels divide by sigma^2: it must not underflow to a
+            # subnormal or 0, nor overflow
+            if not _MIN_NORMAL <= b.sigma * b.sigma < math.inf:
+                raise ValidationError(
+                    f"bump width {b.sigma!r} is out of range: its square is "
+                    f"not a normal float")
         self.extent = extent
         # per-bump (cx, cy, amplitude, -1 / (2 sigma^2)); 1 / sigma^2 is
         # exactly -2 times the last entry
@@ -508,6 +515,12 @@ class GridTerrain(UncertifiedBounds):
     keeps the gradient continuous across cell boundaries. Bilinear would be
     merely C0 and the solver needs a tangent plane everywhere.
 
+    A query gathers its cell's 16 Hermite values (height, x, y and cross
+    derivatives at the four corners) from the node arrays raveled in row
+    order, at k = i * cols + j, k + 1, k + cols and k + cols + 1 for cell
+    (i, j). A flat take costs about half of a two-index fancy read. The
+    raveled arrays are views, so they add no memory.
+
     A certified bound of the interpolant's slope needs each cell's bicubic
     coefficients (ROADMAP item 4); until then the bounds are +inf.
     """
@@ -516,7 +529,7 @@ class GridTerrain(UncertifiedBounds):
     slope_bound_kind = "sampled lower bound"
 
     def __init__(self, origin, spacing: float, heights):
-        h = np.asarray(heights, dtype=float)
+        h = np.ascontiguousarray(heights, dtype=float)
         if h.ndim != 2 or h.shape[0] < 2 or h.shape[1] < 2:
             raise ValidationError(
                 f"grid heights must be a 2-D array with at least 2x2 nodes, got {h.shape}"
@@ -536,6 +549,8 @@ class GridTerrain(UncertifiedBounds):
         self._fxy = np.gradient(self._fx, d, axis=0) * d
         for a in (self._fx, self._fy, self._fxy):
             a.setflags(write=False)
+        # row-order views of the node data, in the order _tensor takes them
+        self._flat = tuple(a.ravel() for a in (h, self._fx, self._fy, self._fxy))
         rows, cols = h.shape
         self.extent = Extent(
             self.origin[0],
@@ -585,14 +600,14 @@ class GridTerrain(UncertifiedBounds):
         return i, j, tx - j, ty - i
 
     def _corner_data(self, i, j):
-        h, fx, fy, fxy = self.heights, self._fx, self._fy, self._fxy
-        i1, j1 = i + 1, j + 1
-        return (
-            (h[i, j], h[i, j1], h[i1, j], h[i1, j1]),
-            (fx[i, j], fx[i, j1], fx[i1, j], fx[i1, j1]),
-            (fy[i, j], fy[i, j1], fy[i1, j], fy[i1, j1]),
-            (fxy[i, j], fxy[i, j1], fxy[i1, j], fxy[i1, j1]),
-        )
+        cols = self.heights.shape[1]
+        k = i * cols + j
+        k1, k2 = k + 1, k + cols
+        k3 = k2 + 1
+        if isinstance(k, np.ndarray):
+            return [(a.take(k), a.take(k1), a.take(k2), a.take(k3)) for a in self._flat]
+        # a scalar query indexes: a take costs about 1 us more on an int
+        return [(a[k], a[k1], a[k2], a[k3]) for a in self._flat]
 
     def _tensor(self, bu, bv, f, fx, fy, fxy):
         f00, f10, f01, f11 = f
@@ -699,6 +714,7 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     is reported as an estimate: it is a grid terrain's slope bound, which
     `wobble check --samples` sets the sample count of. The grid is held
     whole, so a count above 10^8 is refused before anything is allocated.
+    If any sampled |grad f|^2 is NaN or inf the result is pi/2.
     """
     check_slope_samples(samples)
     ext = extent or terrain.extent
@@ -719,7 +735,11 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     top = np.argpartition(g2, g2.size - k)[g2.size - k:]
     spacing = max(ext.width, ext.height) / (n - 1)
     best = _refine_candidates(terrain, ext, xs[top % n], ys[top // n], spacing)
-    return math.atan(math.sqrt(best))
+    # an overflowed gradient reads as the steepest slope, so every slope
+    # gate refuses the terrain. A NaN or inf sample is among the top 1%
+    # (the partition puts NaN last) and stays the best through the
+    # refinement (argmax picks NaN first), so `best` is NaN or inf then
+    return math.atan(math.sqrt(best)) if best < math.inf else math.pi / 2
 
 
 def check_slope_samples(samples: int) -> None:
@@ -841,11 +861,23 @@ def _list(value, what: str) -> list:
     return value
 
 
-def parse_terrain(text: str) -> Terrain:
-    """Parse the terrain file format; see serialize_terrain for the schema."""
+def parse_terrain(text: str | bytes) -> Terrain:
+    """Parse the terrain file format; see serialize_terrain for the schema.
+
+    `text` is the file's text or its raw bytes, which must be UTF-8 without
+    a byte-order mark. The parse is strict JSON (RFC 8259): the literals
+    NaN and Infinity, a number that overflows to infinity (1e400) and a
+    lone surrogate escape are all ParseErrors. Every finite number parses
+    to the same float as Python's `json` would give.
+    """
+    # imported here, not at module level: campaigns and gen-terrain never
+    # parse a file, and orjson adds about 0.3 MB. It parses a 321 x 321
+    # grid some 4x faster than `json`
+    import orjson
+
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError as e:
         raise ParseError(f"terrain file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("terrain file must contain a JSON object")

@@ -271,3 +271,28 @@ def test_cap_scan_plane_limit_fits_anything():
     feet[3] *= 1.06
     report = sphere_cap_fit_scan(feet, cap, theta_steps=4, center_steps=3)
     assert report.min_residual < 1e-6
+
+
+def _per_foot_heights(scan, theta):
+    """The foot heights of `heights_at`, one terrain call per foot."""
+    rho, angles = scan.table.as_circle
+    cx, cy = scan.center
+    return np.array([0.0 - scan.terrain.height(cx + rho * np.cos(theta + a),
+                                               cy + rho * np.sin(theta + a))
+                     for a in angles])
+
+
+@pytest.mark.parametrize("ground", ["bumps", "grid", "cap"])
+def test_heights_at_matches_one_call_per_foot(ground, hills14):
+    rng = np.random.default_rng(5)
+    terrain = {
+        "bumps": hills14,
+        "grid": GridTerrain((-4.0, -4.0), 0.25, rng.standard_normal((33, 33))),
+        "cap": SphericalCapGround(50.0),
+    }[ground]
+    scan = height_scan(HALF_HEX, terrain, (0.3, -0.2), 256)
+    # 8 points run the bump kernel's one-pass layout for both, 512 points
+    # one pass per foot but the loop for all four, 4096 the loop for both
+    for n in (8, 512, 4096):
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        assert scan.heights_at(theta).tobytes() == _per_foot_heights(scan, theta).tobytes()

@@ -31,16 +31,20 @@ from wobble.terrain import (
 WOBBLE_ROOT = str(Path(wobble.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_python(args, cwd, env_extra=None):
+    """Run a fresh interpreter with `args`, finding the imported `wobble`."""
     env = dict(os.environ)
     env.setdefault("WOBBLE_THREADS", "1")
     if env_extra:
         env.update(env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (WOBBLE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "wobble", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=600)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def run_cli(args, cwd, env_extra=None):
+    return run_python(["-m", "wobble", *args], cwd, env_extra)
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +350,36 @@ def test_malformed_terrain_file_exits_4(doc, tmp_path, capsys):
     assert main(["check", "--terrain", str(path)]) == EXIT_FAILURE
     err = capsys.readouterr().err
     assert err.startswith("failure: ") and err.count("\n") == 1
+
+
+def test_non_utf8_terrain_file_exits_4(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"type": "bumps", "bumps": []}'.encode("utf-16-le"))
+    assert main(["check", "--terrain", str(path)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("failure: terrain file is not valid JSON")
+    assert err.count("\n") == 1
+
+
+def test_bump_width_too_small_to_square_exits_4(tmp_path, capsys):
+    path = tmp_path / "narrow.json"
+    path.write_text('{"type": "bumps", "bumps": '
+                    '[{"cx": 0, "cy": 0, "amplitude": 1, "sigma": 1e-200}]}')
+    assert main(["check", "--terrain", str(path)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("failure: bump width 1e-200 is out of range")
+    assert err.count("\n") == 1
+
+
+def test_import_loads_no_lazy_module(tmp_path):
+    # scipy.optimize (about 50 MB), the process pool and orjson are
+    # imported where they are used, never by importing the package
+    code = ("import sys, wobble, wobble.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'concurrent.futures', "
+            "'orjson') if m in sys.modules))")
+    r = run_python(["-c", code], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_check_refuses_a_sample_count_too_large_to_hold(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wobble import terrain as terrain_mod
-from wobble.errors import DomainError, ParseError, ValidationError
+from wobble.contact import TableSpec
+from wobble.errors import ConditionViolation, DomainError, ParseError, ValidationError
+from wobble.motion import run_march
 from wobble.terrain import (
     BumpTerrain,
     Extent,
@@ -554,6 +557,18 @@ def test_grid_bounds_settle_nothing(plane10):
      '"heights": [0, [1], 0, 0]}', ParseError),
     ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 1, "cols": 2, '
      '"heights": [[0, 1], [2, 3]]}', ParseError),
+    # strict JSON: no NaN or Infinity literals, no number that overflows,
+    # no byte-order mark and no lone surrogate escape
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
+     '"heights": [0, NaN, 0, 0]}', ParseError),
+    ('{"type": "bumps", "bumps": [{"cx": 0, "cy": 0, "amplitude": Infinity, '
+     '"sigma": 1}]}', ParseError),
+    ('{"type": "bumps", "bumps": [{"cx": 0, "cy": 0, "amplitude": 1, '
+     '"sigma": -Infinity}]}', ParseError),
+    ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
+     '"heights": [0, 1e400, 0, 0]}', ParseError),
+    ('\ufeff{"type": "bumps", "bumps": []}', ParseError),
+    ('{"type": "bumps", "bumps": [], "note": "\\ud800"}', ParseError),
     ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, "cols": 2, '
      '"heights": [0, null, 0, 0]}', ValidationError),
     ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": -1, "cols": -1, '
@@ -576,3 +591,85 @@ def test_grid_heights_convert_as_float_does():
     g = parse_terrain(text)
     assert g.origin == (0.0, 1.0)
     assert g.heights.tolist() == [[0.0, 1.0], [2.0, 3.5]]
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160", "1e200"])
+def test_bump_width_whose_square_is_not_normal_is_refused(sigma):
+    # the kernels divide by sigma^2, which underflows or overflows here
+    text = ('{"type": "bumps", "extent": [-1, 1, -1, 1], "bumps": '
+            f'[{{"cx": 0, "cy": 0, "amplitude": 1, "sigma": {sigma}}}]}}')
+    with pytest.raises(ValidationError, match="its square is not a normal float"):
+        parse_terrain(text)
+
+
+# a JSON number token with a finite value: the shortest repr, a rounded
+# exponent form, or up to 40 digits with any exponent a double can reach
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number_token = st.one_of(
+    _finite.map(repr),
+    st.tuples(_finite, st.integers(0, 25)).map(lambda t: f"{t[0]:.{t[1]}e}"),
+    st.integers(-2**70, 2**70).map(str),
+    st.tuples(st.from_regex(r"-?[0-9]\.[0-9]{1,39}", fullmatch=True),
+              st.integers(-360, 310)).map(lambda t: f"{t[0]}e{t[1]}"),
+).filter(lambda s: math.isfinite(float(s)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(_number_token, min_size=4, max_size=40),
+       as_bytes=st.booleans())
+def test_grid_heights_parse_as_json_does(tokens, as_bytes):
+    tokens = tokens[:len(tokens) // 2 * 2]
+    text = ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, '
+            f'"cols": {len(tokens) // 2}, "heights": [{", ".join(tokens)}]}}')
+    # huge heights overflow the node derivatives, which is not tested here
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = parse_terrain(text.encode() if as_bytes else text)
+    expected = np.array(json.loads(text)["heights"], dtype=float)
+    assert g.heights.ravel().tobytes() == expected.tobytes()
+
+
+def _hermite_reference(g, x, y):
+    """Height and gradient of grid terrain g at points inside its extent,
+    reading every corner value as a two-index h[i, j]."""
+    rows, cols = g.heights.shape
+    tx = (np.asarray(x, float) - g.origin[0]) / g.spacing
+    ty = (np.asarray(y, float) - g.origin[1]) / g.spacing
+    j = np.clip(np.floor(tx).astype(int), 0, cols - 2)
+    i = np.clip(np.floor(ty).astype(int), 0, rows - 2)
+    u, v = tx - j, ty - i
+    corners = [tuple(a[r, c] for r, c in ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)))
+               for a in (g.heights, g._fx, g._fy, g._fxy)]
+    bu, bv, du, dv = g._basis(u), g._basis(v), g._dbasis(u), g._dbasis(v)
+    return (g._tensor(bu, bv, *corners),
+            g._tensor(du, bv, *corners) / g.spacing,
+            g._tensor(bu, dv, *corners) / g.spacing)
+
+
+def test_grid_flat_gather_matches_two_index_reads():
+    rng = np.random.default_rng(11)
+    g = GridTerrain((-3.0, 2.0), 0.25, rng.standard_normal((13, 17)))
+    ext = g.extent
+    # random points, the nodes, and the extent's far edges, which clip to
+    # the last cell
+    x = np.concatenate([rng.uniform(ext.xmin, ext.xmax, 500),
+                        ext.xmin + 0.25 * np.arange(17), np.full(3, ext.xmax)])
+    y = np.concatenate([rng.uniform(ext.ymin, ext.ymax, 500),
+                        np.full(17, ext.ymax), ext.ymin + np.array([0.0, 1.0, 3.0])])
+    z, gx, gy = _hermite_reference(g, x, y)
+    assert g.height(x, y).tobytes() == z.tobytes()
+    ax, ay = g.gradient(x, y)
+    assert ax.tobytes() == gx.tobytes() and ay.tobytes() == gy.tobytes()
+    for k in range(0, x.size, 7):
+        assert g.height(float(x[k]), float(y[k])) == float(z[k])
+        assert g.gradient(float(x[k]), float(y[k])) == (float(gx[k]), float(gy[k]))
+
+
+def test_overflowed_grid_gradient_reads_as_the_steepest_slope():
+    # the node differences overflow, so the sampled |grad f|^2 is NaN or
+    # inf; a NaN estimate would pass every `slope >= limit` gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = GridTerrain((0.0, 0.0), 1.0, [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+        assert estimate_slope_bound(g) == math.pi / 2
+        assert g.slope_bound == math.pi / 2
+    with pytest.raises(ConditionViolation, match="exceeds"):
+        run_march(TableSpec.square(0.1), g, (0.5, 0.5), 0.0)
