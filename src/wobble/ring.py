@@ -380,7 +380,7 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
             f"no chord root in the bracket around azimuth "
             f"{math.degrees(hint_azimuth):.4f} deg "
             f"(gap {g_lo:.3e} .. {g_hi:.3e}); the monotone-march condition "
-            f"(slope <= 14.47 deg) may be violated"
+            f"(slope <= {_SLOPES.monotone_march_deg:.2f} deg) may be violated"
         )
     probes = np.linspace(lo, hi, 5)
     vals = np.empty(5)
@@ -604,7 +604,7 @@ def circle_crossings(centers, axes, radius: float, terrain,
             elif counts[k] > 2:
                 failed[int(k)] = ConditionViolation(
                     f"circle crosses the ground {int(counts[k])} times; exactly 2 "
-                    f"are guaranteed only below 35.264 deg slope")
+                    f"are guaranteed only below {_SLOPES.legs_clear_deg:.3f} deg slope")
             elif top[k] <= 0.0:
                 failed[int(k)] = GeometryViolation(
                     "top of the foot circle is not above the ground; slope "
@@ -642,7 +642,8 @@ def half_circle_crossings(centers, azimuths, radius: float, terrain):
             else:
                 failed[int(k)] = ConditionViolation(
                     f"vertical half-circle crosses the ground {int(counts[k])} "
-                    f"times; uniqueness needs slope below 45 deg")
+                    f"times; uniqueness needs slope below "
+                    f"{_SLOPES.half_circle_unique_deg:.0f} deg")
         return np.argmax(flips, axis=1), failed
 
     return _vertical_half_circles(terrain, centers, azimuths, radius, _HALF_BETAS,

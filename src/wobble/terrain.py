@@ -29,12 +29,12 @@ _DEFAULT_SLOPE_SAMPLES = 40_000
 # the sample grid is held whole: 10^8 samples take 800 MB
 _MAX_SLOPE_SAMPLES = 10**8
 _SLOPE_BLOCK = 16384
-# largest points x bumps product that a bump-terrain array call evaluates
-# in one (bumps, points) pass; larger calls loop over the bumps (see
-# BumpTerrain for the measured crossover)
+# largest points x bumps product of one (bumps, points) pass of a bump
+# terrain: larger height calls loop over the bumps (see BumpTerrain for the
+# measured crossover), and gradients and the slope search go in blocks
 _SMALL_KERNEL = 16384
-# relative margin on the gradient and curvature bounds: it covers the
-# rounding of their own evaluation, which is some 1e-12 relative at worst
+# relative margin on the gradient bound and the slope search's bounds: it
+# covers the rounding of their own evaluation, some 1e-12 relative at worst
 _BOUND_MARGIN = 1e-9
 _EPS = float(np.finfo(float).eps)
 _MIN_NORMAL = float(np.finfo(float).tiny)
@@ -137,11 +137,11 @@ class BumpTerrain:
     slope maximum sits on the ring r = sigma with value |A| e^{-1/2} / sigma.
     Immutable after construction; evaluation is side-effect free.
 
-    Array calls use one of two layouts. Both give every point exactly the
-    floating-point operations of the loop ``z += A * exp((dx * dx + dy * dy)
-    * (-0.5 / (s * s)))`` over the bumps in order from z = 0.0 (and its
-    gradient counterpart), so a point's value depends neither on the layout
-    nor on the other points of the call:
+    Array height calls use one of two layouts. Both give every point exactly
+    the floating-point operations of the loop ``z += A * exp((dx * dx + dy *
+    dy) * (-0.5 / (s * s)))`` over the bumps in order from z = 0.0, so a
+    point's value depends neither on the layout nor on the other points of
+    the call:
 
     - small calls (points x bumps <= _SMALL_KERNEL) evaluate every bump in
       one (bumps, points) pass, which saves the per-bump numpy calls that
@@ -155,11 +155,14 @@ class BumpTerrain:
       grid query computes them on its row and column only.
 
     Measured on 20 bumps (2-core Xeon, numpy 2.4 with AVX-512, best of 7 in
-    each of three runs), one-pass against loop, in us: one point 29-67
-    against 160-308 for a height and 53-105 against 177-194 for a
-    gradient; 819 points 127-138 against 146-182 and 159-164 against
-    198-249; 1,024 points 314-334 against 166-176 and 357-370 against
-    215-232. Hence _SMALL_KERNEL = 16384, 819 points on 20 bumps.
+    each of three runs), one-pass against loop, in us: one point 29-67 against
+    160-308; 819 points 127-138 against 146-182; 1,024 points 314-334 against
+    166-176. Hence _SMALL_KERNEL = 16384, 819 points on 20 bumps.
+
+    The gradient has one layout, the one-pass rows in blocks of
+    _SMALL_KERNEL entries, for scalars and arrays alike: no program path
+    asks a bump terrain for its gradient (its slope comes from
+    `slope_search`), so a second layout would not pay for its code.
     """
 
     kind = "bumps"
@@ -186,12 +189,14 @@ class BumpTerrain:
             (b.cx, b.cy, b.amplitude, -0.5 / (b.sigma * b.sigma)) for b in self.bumps
         )
         # the same constants as columns, plus the gradient's amplitude *
-        # (1 / sigma^2), for the small-call layout
+        # (1 / sigma^2), for the one-pass rows
         cx, cy, amp, neg_half_inv = np.array(self._packed, dtype=float).reshape(-1, 4).T
         self._columns = (cx, cy, amp, neg_half_inv, amp * (-2.0 * neg_half_inv))
         # sigma and |A| / sigma, a bump's slope scale, for gradient_bound
         self._sigma = np.array([b.sigma for b in self.bumps], dtype=float)
         self._slope_scale = np.abs(amp) / self._sigma
+        # points per one-pass block of the gradient and the slope search
+        self._block = max(1, _SMALL_KERNEL // max(1, len(self.bumps)))
         self._slope_cache: float | None = None
         self._search: SlopeSearch | None = None
 
@@ -251,57 +256,22 @@ class BumpTerrain:
         return dx, dy, e, lead
 
     def gradient(self, x, y):
-        """(df/dx, df/dy); accepts scalars or broadcastable arrays."""
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            self.extent.require_inside(x, y)
-            return self._gradient_array(np.asarray(x, float, order="C"),
-                                        np.asarray(y, float, order="C"))
-        e = self.extent
-        if not (e.xmin <= x <= e.xmax and e.ymin <= y <= e.ymax):
-            e.require_inside(x, y)
-        gx = 0.0
-        gy = 0.0
-        for cx, cy, amp, neg_half_inv in self._packed:
-            inv = -2.0 * neg_half_inv
-            dx = x - cx
-            dy = y - cy
-            w = amp * math.exp(-0.5 * (dx * dx + dy * dy) * inv)
-            gx -= w * dx * inv
-            gy -= w * dy * inv
-        return gx, gy
+        """(df/dx, df/dy); a scalar query gets numpy floats, with the bits
+        the same point has in any array query."""
+        self.extent.require_inside(x, y)
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
 
-    def _gradient_array(self, x: np.ndarray, y: np.ndarray):
-        shape = np.broadcast(x, y).shape
-        if len(self._packed) * math.prod(shape) <= _SMALL_KERNEL:
-            dx, dy, w, lead = self._bump_rows(x, y, shape)
+        def rows(x, y):
+            dx, dy, w, lead = self._bump_rows(x, y, x.shape)
             w *= self._columns[4].reshape(lead)
-            gx = np.zeros(shape)
-            gy = np.zeros(shape)
-            for row in w * dx:
-                gx -= row
-            for row in w * dy:
-                gy -= row
+            gx, gy = np.zeros((2,) + x.shape)
+            for rx, ry in zip(w * dx, w * dy):
+                gx -= rx
+                gy -= ry
             return gx, gy
-        gx = np.zeros(shape)
-        gy = np.zeros(shape)
-        t = np.empty(shape)
-        u = np.empty(shape)
-        dx = np.empty(x.shape)
-        dy = np.empty(y.shape)
-        sx = np.empty(x.shape)
-        sy = np.empty(y.shape)
-        for cx, cy, amp, neg_half_inv in self._packed:
-            np.subtract(x, cx, out=dx)
-            np.multiply(dx, dx, out=sx)
-            np.subtract(y, cy, out=dy)
-            np.multiply(dy, dy, out=sy)
-            np.add(sx, sy, out=t)
-            t *= neg_half_inv
-            np.exp(t, out=t)
-            t *= amp * (-2.0 * neg_half_inv)
-            gx -= np.multiply(t, dx, out=u)
-            gy -= np.multiply(t, dy, out=u)
-        return gx, gy
+
+        gx, gy = _blocked(rows, self._block, x.ravel(), y.ravel())
+        return gx.reshape(x.shape)[()], gy.reshape(x.shape)[()]
 
     def gradient_bound(self, x, y, radius):
         """Upper bound of |grad f| over the disc of `radius` about each (x, y).
@@ -326,14 +296,6 @@ class BumpTerrain:
                        (d + radius) / sigma)
         bound = (self._slope_scale.reshape(lead) * u * np.exp(-0.5 * u * u)).sum(axis=0)
         return bound * (1.0 + _BOUND_MARGIN)
-
-    def curvature_bound(self) -> float:
-        """Upper bound of the Hessian's operator norm anywhere: sum |A_k| /
-        s_k^2, times 1 + _BOUND_MARGIN. A bump's Hessian has the eigenvalues
-        A / s^2 (u^2 - 1) e^{-u^2/2} and -A / s^2 e^{-u^2/2}, both at most
-        |A| / s^2 in size, so |grad f| is Lipschitz with this constant."""
-        return (1.0 + _BOUND_MARGIN) * sum(
-            abs(b.amplitude) / (b.sigma * b.sigma) for b in self.bumps)
 
     def height_rounding(self) -> float:
         """Upper bound of the rounding error of any height this terrain
@@ -407,8 +369,6 @@ class BumpTerrain:
                     ulps * float(np.sum(amp / (sigma * sigma))))
         ext = self.extent
         pad = 8.0 * _EPS * max(abs(v) for v in ext.as_list())
-        # cells per array pass, so each pass is a small (bumps, cells) call
-        block = max(1, _SMALL_KERNEL // len(self.bumps))
         n = _SEARCH_START
         i, j = (a.ravel() for a in np.indices((n, n)))
         best = top = 0.0
@@ -420,7 +380,7 @@ class BumpTerrain:
             r = 0.5 * math.hypot(w, h) * (1.0 + _BOUND_MARGIN) + pad
             slope, bound = _blocked(
                 lambda x, y: self._taylor_bound(x, y, r, third, rounding),
-                block, x, y)
+                self._block, x, y)
             points += i.size
             best = max(best, float(np.max(slope)))
             limit = best * (1.0 + _SEARCH_RHO)
@@ -428,7 +388,7 @@ class BumpTerrain:
             # a NaN bound is never dropped
             wide = ~(bound <= limit)
             (grad,) = _blocked(lambda x, y: (self.gradient_bound(x, y, r),),
-                               block, x[wide], y[wide])
+                               self._block, x[wide], y[wide])
             bound[wide] = np.minimum(bound[wide], grad)
             keep = ~(bound <= limit)
             if not keep.all():
@@ -497,10 +457,6 @@ class UncertifiedBounds:
         return np.full(np.broadcast(np.asarray(x), np.asarray(y),
                                     np.asarray(radius)).shape, math.inf)
 
-    def curvature_bound(self) -> float:
-        """+inf: no certified curvature bound."""
-        return math.inf
-
     def height_rounding(self) -> float:
         """+inf: no rounding analysis of the height kernel."""
         return math.inf
@@ -543,11 +499,16 @@ class GridTerrain(UncertifiedBounds):
         self.heights = h
         self.heights.setflags(write=False)
         d = self.spacing
-        # per-cell Hermite data uses derivatives scaled to the unit cell
-        self._fx = np.gradient(h, d, axis=1) * d
-        self._fy = np.gradient(h, d, axis=0) * d
-        self._fxy = np.gradient(self._fx, d, axis=0) * d
+        # per-cell Hermite data uses derivatives scaled to the unit cell;
+        # heights near +-1.7e308 overflow them, which would make every height NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._fx = np.gradient(h, d, axis=1) * d
+            self._fy = np.gradient(h, d, axis=0) * d
+            self._fxy = np.gradient(self._fx, d, axis=0) * d
         for a in (self._fx, self._fy, self._fxy):
+            # min and max, NaN if any entry is, need no temporary array
+            if not (math.isfinite(a.min()) and math.isfinite(a.max())):
+                raise ValidationError("grid heights overflow their node derivatives")
             a.setflags(write=False)
         # row-order views of the node data, in the order _tensor takes them
         self._flat = tuple(a.ravel() for a in (h, self._fx, self._fy, self._fxy))
@@ -643,20 +604,15 @@ class GridTerrain(UncertifiedBounds):
         return float(self._tensor(self._basis(u), self._basis(v), f, fx, fy, fxy))
 
     def gradient(self, x, y):
-        scalar = not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray))
-        if scalar:
-            i, j, u, v = self._cell(float(x), float(y))
-        else:
-            self.extent.require_inside(x, y)
-            i, j, u, v = self._locate(x, y)
+        """(df/dx, df/dy); a scalar query gets numpy floats, with the bits
+        the same point has in any array query."""
+        self.extent.require_inside(x, y)
+        i, j, u, v = self._locate(x, y)
         f, fx, fy, fxy = self._corner_data(i, j)
         bu, bv = self._basis(u), self._basis(v)
         du, dv = self._dbasis(u), self._dbasis(v)
-        gx = self._tensor(du, bv, f, fx, fy, fxy) / self.spacing
-        gy = self._tensor(bu, dv, f, fx, fy, fxy) / self.spacing
-        if scalar:
-            return float(gx), float(gy)
-        return gx, gy
+        return (self._tensor(du, bv, f, fx, fy, fxy) / self.spacing,
+                self._tensor(bu, dv, f, fx, fy, fxy) / self.spacing)
 
     @property
     def slope_bound(self) -> float:
@@ -705,8 +661,7 @@ def _refine_candidates(terrain: Terrain, ext: Extent, xs, ys, spacing: float) ->
     return float(np.max(g2[:, 4]))
 
 
-def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
-                         samples: int = _DEFAULT_SLOPE_SAMPLES) -> float:
+def estimate_slope_bound(terrain: Terrain, samples: int = _DEFAULT_SLOPE_SAMPLES) -> float:
     """Sampled supremum of arctan |grad f| over the extent, refined locally.
 
     Uniform grid of about `samples` points, then pattern-search refinement
@@ -717,7 +672,7 @@ def estimate_slope_bound(terrain: Terrain, extent: Extent | None = None,
     If any sampled |grad f|^2 is NaN or inf the result is pi/2.
     """
     check_slope_samples(samples)
-    ext = extent or terrain.extent
+    ext = terrain.extent
     n = max(int(math.isqrt(samples)), 100)
     xs = np.linspace(ext.xmin, ext.xmax, n)
     ys = np.linspace(ext.ymin, ext.ymax, n)

@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wobble
@@ -393,6 +395,53 @@ def test_check_refuses_a_sample_count_too_large_to_hold(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("failure: slope estimation takes at most 10^8 "
                             "samples, got 1000000000000\n")
+
+
+def _refuse(*args):
+    raise AssertionError("ran past the size check")
+
+
+@pytest.mark.parametrize("n", ["524288", "1099511627776"])
+def test_scan_refuses_a_size_too_large_to_hold(n, tmp_path, capsys, monkeypatch):
+    # 2^40 angles would be 32 TB of foot heights; the size is refused
+    # before the scan computes anything that grows with it
+    monkeypatch.setattr("wobble.balance.diagonal_intersection_ratios", _refuse)
+    terrain = tmp_path / "flat.json"
+    terrain.write_text(serialize_terrain(flat_terrain()))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--terrain", str(terrain), "--n", n,
+                 "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"failure: scan size must be at most 2^18, got {n}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["100001", "1000000000000"])
+def test_campaign_refuses_a_run_count_too_large_to_hold(n, tmp_path, capsys,
+                                                        monkeypatch):
+    # 10^12 seeds alone would take 8 TB; the count is refused before any
+    # seed is drawn or any worker starts
+    monkeypatch.setattr("wobble.cli._campaign_seeds", _refuse)
+    out = tmp_path / "camp.csv"
+    assert main(["montecarlo", "--n", n, "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"failure: campaign takes at most 10^5 runs, got {n}\n"
+    assert not out.exists()
+
+
+def test_scan_refuses_a_grid_whose_node_derivatives_overflow(tmp_path, capsys):
+    heights = np.random.default_rng(0).choice([-1.7e308, 1.7e308], (41, 41))
+    terrain = tmp_path / "huge.json"
+    terrain.write_text(json.dumps({"type": "grid", "origin": [-20, -20], "spacing": 1,
+                                   "rows": 41, "cols": 41,
+                                   "heights": heights.ravel().tolist()}))
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan", "--terrain", str(terrain), "--n", "256",
+                     "--out", str(out)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: grid heights overflow their node derivatives\n"
+    assert not out.exists()
 
 
 def _reference_trace_csv_lines(trace):

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,6 +311,18 @@ def test_kernels_match_reference_on_stencil_and_grid_shapes(name, request):
     _assert_kernels_match(t, pts[:, 0], pts[:, 1])
 
 
+@pytest.mark.parametrize("name", ["hills14", "hills30", "flat", "grid"])
+def test_scalar_gradient_equals_one_point_array(name, request):
+    rng = np.random.default_rng(3)
+    if name == "grid":
+        t = GridTerrain((-8.0, -8.0), 0.5, rng.standard_normal((33, 33)))
+    else:
+        t = request.getfixturevalue(name)
+    for x, y in rng.uniform(-8.0, 8.0, (200, 2)):
+        gx, gy = t.gradient(np.array([x]), np.array([y]))
+        assert _same_bits(t.gradient(float(x), float(y)), (gx[0], gy[0]))
+
+
 @pytest.mark.parametrize("n", [40, 11_552])
 def test_point_alone_equals_point_in_batch(hills30, n):
     rng = np.random.default_rng(17)
@@ -470,7 +484,7 @@ def test_slope_search_of_flat_ground_is_zero(flat):
     assert BumpTerrain(flat.bumps, flat.extent).slope_search() == (0.0, 0.0, 0, 0)
 
 
-# ------------------------------------------------ gradient and curvature
+# --------------------------------------------------------- gradient bound
 
 
 def test_gradient_bound_covers_dense_samples(hills30):
@@ -504,32 +518,10 @@ def test_gradient_bound_exact_for_one_bump_on_its_ring():
 
 def test_gradient_bound_zero_on_flat_ground(flat):
     assert np.array_equal(flat.gradient_bound(np.array([0.0, 3.0]), 1.0, 2.0), [0.0, 0.0])
-    assert flat.curvature_bound() == 0.0
-
-
-@pytest.mark.parametrize("name", ["hills14", "hills30"])
-def test_curvature_bound_covers_hessian_norms(name, request):
-    t = request.getfixturevalue(name)
-    xs = np.linspace(-7.9, 7.9, 121)
-    x, y = np.meshgrid(xs, xs)
-    step = 1e-5
-    gxx, gyx = t.gradient(x + step, y)
-    gxx_m, gyx_m = t.gradient(x - step, y)
-    gxy, gyy = t.gradient(x, y + step)
-    gxy_m, gyy_m = t.gradient(x, y - step)
-    hess = np.empty(x.shape + (2, 2))
-    hess[..., 0, 0] = (gxx - gxx_m) / (2 * step)
-    hess[..., 1, 1] = (gyy - gyy_m) / (2 * step)
-    hess[..., 0, 1] = hess[..., 1, 0] = 0.5 * ((gyx - gyx_m) + (gxy - gxy_m)) / (2 * step)
-    norms = np.linalg.norm(hess, ord=2, axis=(-2, -1))
-    assert np.max(norms) <= t.curvature_bound()
-    # and the bound is no wild overestimate
-    assert t.curvature_bound() < 20.0 * np.max(norms)
 
 
 def test_grid_bounds_settle_nothing(plane10):
     assert np.all(plane10.gradient_bound(np.zeros(3), np.zeros(3), 1.0) == math.inf)
-    assert plane10.curvature_bound() == math.inf
     assert plane10.height_rounding() == math.inf
 
 
@@ -621,11 +613,12 @@ def test_grid_heights_parse_as_json_does(tokens, as_bytes):
     tokens = tokens[:len(tokens) // 2 * 2]
     text = ('{"type": "grid", "origin": [0, 0], "spacing": 1, "rows": 2, '
             f'"cols": {len(tokens) // 2}, "heights": [{", ".join(tokens)}]}}')
-    # huge heights overflow the node derivatives, which is not tested here
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = parse_terrain(text.encode() if as_bytes else text)
+    # the parsed heights go to a stand-in for the grid: huge heights
+    # overflow the node derivatives, which the grid refuses (tested below)
+    with mock.patch.object(terrain_mod, "GridTerrain", lambda origin, d, h: h):
+        heights = parse_terrain(text.encode() if as_bytes else text)
     expected = np.array(json.loads(text)["heights"], dtype=float)
-    assert g.heights.ravel().tobytes() == expected.tobytes()
+    assert heights.ravel().tobytes() == expected.tobytes()
 
 
 def _hermite_reference(g, x, y):
@@ -664,11 +657,22 @@ def test_grid_flat_gather_matches_two_index_reads():
         assert g.gradient(float(x[k]), float(y[k])) == (float(gx[k]), float(gy[k]))
 
 
+def test_grid_refuses_heights_that_overflow_the_node_derivatives():
+    # finite heights of +-1.7e308 overflow the node differences, which
+    # would make every height NaN; the grid is refused with no
+    # RuntimeWarning first
+    heights = np.random.default_rng(0).choice([-1.7e308, 1.7e308], (41, 41))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="overflow their node derivatives"):
+            GridTerrain((0.0, 0.0), 1.0, heights)
+
+
 def test_overflowed_grid_gradient_reads_as_the_steepest_slope():
-    # the node differences overflow, so the sampled |grad f|^2 is NaN or
-    # inf; a NaN estimate would pass every `slope >= limit` gate
+    # the node derivatives are finite but the sampled |grad f|^2 overflows
+    # to inf; a NaN estimate would pass every `slope >= limit` gate
+    g = GridTerrain((0.0, 0.0), 1.0, [[1e200, -1e200], [-1e200, 1e200]])
     with np.errstate(over="ignore", invalid="ignore"):
-        g = GridTerrain((0.0, 0.0), 1.0, [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
         assert estimate_slope_bound(g) == math.pi / 2
         assert g.slope_bound == math.pi / 2
     with pytest.raises(ConditionViolation, match="exceeds"):
