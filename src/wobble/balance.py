@@ -48,8 +48,7 @@ class HeightScan:
 
     A foot's height is minus the ground height under it, for the table held
     level at height zero: a common height would cancel from every quantity
-    of interest. When height_funcs is set (testing hook) it overrides the
-    terrain lookup.
+    of interest.
     """
 
     table: TableSpec
@@ -59,7 +58,6 @@ class HeightScan:
     heights: np.ndarray          # shape (4, N)
     alpha: float
     beta: float
-    height_funcs: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -67,8 +65,6 @@ class HeightScan:
 
     def heights_at(self, theta):
         """Continuous h_i(theta), shape (4,) + theta's; vectorized over theta."""
-        if self.height_funcs is not None:
-            return np.array([f(theta) for f in self.height_funcs])
         rho, angles = self.table.as_circle
         cx, cy = self.center
         # all four feet in one terrain call: every step is elementwise, so

@@ -48,9 +48,7 @@ from .ring import check_step
 from .terrain import (
     Extent,
     check_bump_count,
-    check_slope_samples,
     check_target_slope,
-    estimate_slope_bound,
     generate_terrain,
     parse_terrain,
     serialize_terrain,
@@ -342,20 +340,16 @@ def _cmd_gen_terrain(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    check_slope_samples(args.samples)
     terrain = _load_terrain(args.terrain)
     ext = terrain.extent
     print(f"terrain:         {args.terrain}")
     print(f"type:            {terrain.kind}")
     print(f"extent:          [{ext.xmin}, {ext.xmax}] x [{ext.ymin}, {ext.ymax}]")
+    print(f"slope bound:     {math.degrees(terrain.slope_bound):.4f} deg "
+          f"({terrain.slope_bound_kind})")
     if terrain.kind == "grid":
-        slope = estimate_slope_bound(terrain, samples=args.samples)
-        print(f"slope bound:     {math.degrees(slope):.4f} deg "
-              f"({terrain.slope_bound_kind}, {args.samples} samples)")
         return EXIT_OK
     search = terrain.slope_search()
-    print(f"slope bound:     {math.degrees(search.upper):.4f} deg "
-          f"({terrain.slope_bound_kind})")
     print(f"slope search:    {math.degrees(search.lower):.10f} to "
           f"{math.degrees(search.upper):.10f} deg, {search.levels} levels, "
           f"{search.points} gradient-and-Hessian points")
@@ -485,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a terrain file and report slope")
     p.add_argument("--terrain", required=True)
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="sample count of a grid terrain's slope estimate")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("solve", help="find an equilibrium placement")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConditionViolation, DomainError, GeometryViolation, NumericalFailure
 from .geometry import SlopeThresholds, rotate_about_axis
-from .roots import bracketed_root
+from .ring import circle_crossings
 
 _TWO_PI = 2.0 * math.pi
 _SLOPES = SlopeThresholds()
@@ -302,56 +302,35 @@ class DropRotation:
     companion_height: float
 
 
-def drop_rotate(feet: FootSet, terrain, tol_scale: float | None = None,
-                allow_below: bool = False) -> DropRotation:
+def drop_rotate(feet: FootSet, terrain) -> DropRotation:
     """Rotate foot 4 about the axis through feet 2-3 onto the ground.
 
-    The rotation turns toward the ground: downward for an airborne free
-    foot or, with allow_below, upward for a sunken one (the two cases are
-    mirror images). The same rotation drags foot 1 along to the other side
-    of the surface. The root is bracketed by a coarse angular scan, then
-    refined with Brent's method until the landed foot's height falls under
-    1e-12 of the table scale.
+    Foot 4 turns on the circle about the axis p3 - p2 whose center is its
+    projection onto the axis. It lands where that circle meets the ground on
+    the table's side of the axis: the one-row `ring.circle_crossings`, whose
+    1-degree scan certifies the crossing, so a circle that crosses the
+    ground more than twice raises ConditionViolation. An airborne free foot
+    turns down and a sunken one up; the angle is the signed turn about
+    p3 - p2. The same rotation drags foot 1 along to the other side of the
+    surface.
     """
     p1, p2, p3, p4 = feet.p1, feet.p2, feet.p3, feet.p4
-    scale = tol_scale if tol_scale is not None else float(np.linalg.norm(p2 - p1))
+    axis = p3 - p2
+    scale = float(np.linalg.norm(axis))
     h4 = float(p4[2]) - terrain.height(float(p4[0]), float(p4[1]))
-    if h4 < -1e-9 * scale and not allow_below:
-        raise DomainError(
-            f"free foot is below the ground (h4 = {h4:.3e}); drop rotation "
-            f"needs it on or above"
-        )
     if abs(h4) <= 1e-12 * scale:
         return DropRotation(landed=p4.copy(), companion=p1.copy(), angle=0.0,
                             companion_height=float(p1[2]) - terrain.height(float(p1[0]), float(p1[1])))
-    sign0 = 1.0 if h4 > 0.0 else -1.0
-
-    def height_at(angle: float) -> float:
-        q = rotate_about_axis(p4, p2, p3, angle)
-        return float(q[2]) - terrain.height(float(q[0]), float(q[1]))
-
-    # pick the rotation sense that moves the free foot toward the ground
-    probe = 1e-4
-    sense = 1.0 if (height_at(probe) - h4) * sign0 < 0.0 else -1.0
-    step = math.radians(1.0)
-    lo, f_lo, hi = 0.0, None, None
-    t = step
-    while t <= math.pi + 1e-12:
-        f = height_at(sense * t)
-        if f * sign0 <= 0.0:
-            hi = t
-            break
-        lo, f_lo = t, f
-        t += step
-    if hi is None:
-        raise GeometryViolation(
-            "drop rotation found no ground crossing within a half turn; "
-            "the slope condition is likely violated"
-        )
-    angle = sense * bracketed_root(lambda a: height_at(sense * a), lo, hi,
-                                   xtol=1e-15, ftol=1e-12 * scale,
-                                   f_lo=f_lo, f_hi=f)
-    landed = rotate_about_axis(p4, p2, p3, angle)
+    u = axis / scale
+    center = p2 + float(np.dot(p4 - p2, u)) * u
+    start = p4 - center
+    points, errors = circle_crossings(center[None, :], axis[None, :],
+                                      float(np.linalg.norm(start)), terrain, side=1)
+    if errors:
+        raise errors[0]
+    landed = points[0]
+    end = landed - center
+    angle = math.atan2(float(np.dot(u, np.cross(start, end))), float(np.dot(start, end)))
     companion = rotate_about_axis(p1, p2, p3, angle)
     # rotation isometry: distances to both axis points must be preserved
     for src, dst in ((p4, landed), (p1, companion)):

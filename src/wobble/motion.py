@@ -289,7 +289,7 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
         trace.stages = np.zeros(1, dtype=np.int8)
         trace.flags = np.zeros(1, dtype=np.uint8)
     else:
-        trace.drop = drop_rotate(feet0, terrain, tol_scale=table.side, allow_below=True)
+        trace.drop = drop_rotate(feet0, terrain)
     return trace, state0.h4
 
 

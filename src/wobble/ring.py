@@ -24,10 +24,11 @@ curve point at an azimuth is the crossing of the vertical half-circle about
 the sphere center: `ring_point` is the one-row call of
 `half_circle_crossings`, and `trace_ring` runs the kernel on every grid
 azimuth with its own band and certificate. `circle_surface_intersection` is
-the one-row call of `circle_crossings`. Both one-row calls raise their
-row's error. The warm-started curve solves of `GroundRing.point_at` and
-`chord_advance` refine one scalar root at a time with Brent's method
-(roots.bracketed_root).
+the one-row call of `circle_crossings`, and so is the landing of the free
+foot in `contact.drop_rotate`, which turns about the edge through feet 2
+and 3. These one-row calls raise their row's error. The warm-started curve
+solves of `GroundRing.point_at` and `chord_advance` refine one scalar root
+at a time with Brent's method (roots.bracketed_root).
 
 The scan evaluates a grid node only where it can change a sign. Each block
 first evaluates its rows at the coarse nodes: every _COARSE-th grid node

@@ -7,7 +7,10 @@ crossing); these only refine inside it.
 "Algorithms for Minimization without Derivatives", ch. 4), step for step as
 in scipy's brentq.c: inverse quadratic or secant steps while they shrink the
 bracket fast enough, and bisection when they do not, so it converges
-superlinearly near a simple root and never stalls.
+superlinearly near a simple root and never stalls. Three callers are left:
+the warm-started curve solves of `ring.GroundRing.point_at` and
+`ring.chord_advance`, and the refinement of the free foot's first sign
+change in `motion.find_equilibrium`, whose function is a one-row re-solve.
 
 `bracketed_roots` refines a vector of brackets at once by Chandrupatla's
 method (Chandrupatla 1997, Adv. Eng. Softw. 28(3)): inverse quadratic
@@ -39,21 +42,20 @@ _MAX_ITER = 200
 _XTOL = 1e-12
 
 
-def bracketed_root(fn, lo: float, hi: float, xtol: float = 1e-12,
-                   ftol: float = 0.0, f_lo: float | None = None,
-                   f_hi: float | None = None) -> float:
-    """Root of fn in [lo, hi], where fn(lo) and fn(hi) differ in sign.
+def bracketed_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
+                   xtol: float = 1e-12, ftol: float = 0.0) -> float:
+    """Root of fn in [lo, hi], where f_lo = fn(lo) and f_hi = fn(hi) differ
+    in sign; the caller holds both values, so the endpoints are not
+    evaluated again.
 
     Stops when the bracket is narrower than about xtol or |fn| <= ftol at the
-    current best point. Pass f_lo / f_hi when the caller already holds those
-    values; the endpoints are then not evaluated again. An endpoint whose
-    value is within ftol is returned as it is.
+    current best point. An endpoint whose value is within ftol is returned
+    as it is.
     """
     xpre, xcur = float(lo), float(hi)
-    fpre = fn(xpre) if f_lo is None else f_lo
+    fpre, fcur = f_lo, f_hi
     if abs(fpre) <= ftol:
         return xpre
-    fcur = fn(xcur) if f_hi is None else f_hi
     if abs(fcur) <= ftol:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):

@@ -9,7 +9,7 @@ break the slope certification the solver relies on.
 A bump terrain's slope bound is certified: a branch-and-bound over square
 cells (`BumpTerrain.slope_search`) proves it is at least the slope anywhere
 in the extent. A grid terrain's slope bound is still the sampled estimate
-of `estimate_slope_bound`, a lower bound of the true slope (ROADMAP item 4).
+of `estimate_slope_bound`, a lower bound of the true slope (ROADMAP item 5).
 
 All lengths share one arbitrary unit. Angles are radians internally.
 """
@@ -478,7 +478,7 @@ class GridTerrain(UncertifiedBounds):
     raveled arrays are views, so they add no memory.
 
     A certified bound of the interpolant's slope needs each cell's bicubic
-    coefficients (ROADMAP item 4); until then the bounds are +inf.
+    coefficients (ROADMAP item 5); until then the bounds are +inf.
     """
 
     kind = "grid"
@@ -617,7 +617,7 @@ class GridTerrain(UncertifiedBounds):
     @property
     def slope_bound(self) -> float:
         """Cached sampled slope (radians), a lower bound of the true slope
-        until cells get certified bounds (ROADMAP item 4)."""
+        until cells get certified bounds (ROADMAP item 5)."""
         if self._slope_cache is None:
             self._slope_cache = estimate_slope_bound(self)
         return self._slope_cache
@@ -666,9 +666,9 @@ def estimate_slope_bound(terrain: Terrain, samples: int = _DEFAULT_SLOPE_SAMPLES
 
     Uniform grid of about `samples` points, then pattern-search refinement
     around the top 1%. The result is a lower bound on the true supremum and
-    is reported as an estimate: it is a grid terrain's slope bound, which
-    `wobble check --samples` sets the sample count of. The grid is held
-    whole, so a count above 10^8 is refused before anything is allocated.
+    is reported as an estimate: at the default count it is a grid terrain's
+    slope bound. The grid is held whole, so a count above 10^8 is refused
+    before anything is allocated.
     If any sampled |grad f|^2 is NaN or inf the result is pi/2.
     """
     check_slope_samples(samples)

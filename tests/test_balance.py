@@ -1,10 +1,13 @@
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from wobble import balance as balance_mod
 from wobble.balance import (
+    HeightScan,
     SphericalCapGround,
     approximate_equilibrium,
     concyclicity_defect,
@@ -85,20 +88,28 @@ def test_balance_angles_even_count(hills14):
         assert len(found.roots) % 2 == 0
 
 
+@dataclass(frozen=True)
+class _FirstFootScan(HeightScan):
+    """A scan whose first foot's height is the function h1 and the others'
+    zero, in place of the terrain lookup."""
+
+    h1: Callable
+
+    def heights_at(self, theta):
+        h = self.h1(theta)
+        return np.array([h, 0.0 * h, 0.0 * h, 0.0 * h])
+
+
 def _synthetic_scan(h1):
     """A square-table scan of level ground whose first foot's height is the
     function h1 and the others' zero, so g = h1 / 2."""
     from wobble.terrain import flat_terrain
     scan = height_scan(SQUARE, flat_terrain(EXT), (0, 0), 4096)
-
-    def zero(t):
-        return 0.0 * np.asarray(t)
-
     heights = np.zeros((4, scan.n))
     heights[0] = h1(scan.thetas)
-    return type(scan)(table=scan.table, terrain=scan.terrain, center=scan.center,
-                      thetas=scan.thetas, heights=heights, alpha=scan.alpha,
-                      beta=scan.beta, height_funcs=(h1, zero, zero, zero))
+    return _FirstFootScan(table=scan.table, terrain=scan.terrain, center=scan.center,
+                          thetas=scan.thetas, heights=heights, alpha=scan.alpha,
+                          beta=scan.beta, h1=h1)
 
 
 def test_balance_angles_synthetic_sine():

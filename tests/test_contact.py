@@ -11,7 +11,7 @@ from wobble.contact import (
     settle_three_feet,
     signed_heights,
 )
-from wobble.errors import DomainError
+from wobble.errors import ConditionViolation, DomainError
 from wobble.terrain import BumpTerrain, Extent, flat_terrain
 
 EXT = Extent(-8.0, 8.0, -8.0, 8.0)
@@ -171,7 +171,7 @@ def _raised_footset(d: float) -> FootSet:
 def test_drop_rotate_flat_closed_form(flat):
     d = 0.2
     feet = _raised_footset(d)
-    result = drop_rotate(feet, flat, tol_scale=1.0)
+    result = drop_rotate(feet, flat)
     # axis is the y-axis; rotating (-1, 1, d) down to z = 0 solves
     # -x sin(t) + z cos(t) with x = -1: the root is t = atan(d)
     assert abs(result.angle) == pytest.approx(math.atan(d), abs=1e-9)
@@ -186,15 +186,28 @@ def test_drop_rotate_flat_closed_form(flat):
 
 def test_drop_rotate_zero_height(flat):
     feet = _raised_footset(0.0)
-    result = drop_rotate(feet, flat, tol_scale=1.0)
+    result = drop_rotate(feet, flat)
     assert result.angle == 0.0
     assert np.array_equal(result.landed, feet.p4)
 
 
 def test_drop_rotate_negative_height(flat):
-    feet = _raised_footset(-0.1)
-    with pytest.raises(DomainError):
-        drop_rotate(feet, flat, tol_scale=1.0)
+    # a sunken foot turns up: the mirror image of the airborne closed form
+    result = drop_rotate(_raised_footset(-0.2), flat)
+    assert abs(result.angle) == pytest.approx(math.atan(0.2), abs=1e-9)
+    assert result.landed[2] == pytest.approx(0.0, abs=1e-11)
+    assert result.companion_height >= -1e-12
+
+
+def test_drop_rotate_refuses_a_circle_crossing_four_times():
+    # the one-bump ridge of test_ring: foot 4's circle about the x axis
+    # crosses the ground four times, so its landing is not certified
+    ridge = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)
+    feet = FootSet(np.array([
+        [-1.0, 0.7, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.7, 0.3],
+    ]))
+    with pytest.raises(ConditionViolation, match="4 times"):
+        drop_rotate(feet, ridge)
 
 
 def test_drop_rotate_on_terrain(hills14):
@@ -202,7 +215,7 @@ def test_drop_rotate_on_terrain(hills14):
                              label_shift=1)
     state = signed_heights(feet, hills14)
     assert state.h4 > 0
-    result = drop_rotate(feet, hills14, tol_scale=1.0)
+    result = drop_rotate(feet, hills14)
     landed_h = result.landed[2] - hills14.height(result.landed[0], result.landed[1])
     assert abs(landed_h) < 1e-12
     assert np.linalg.norm(result.landed - feet.p3) == pytest.approx(1.0, abs=1e-9)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -107,6 +108,16 @@ def test_slope_bound_single_bump_closed_form():
 def test_slope_bound_needs_enough_samples(flat):
     with pytest.raises(DomainError):
         estimate_slope_bound(flat, samples=100)
+    # 10^12 samples would be an 8 TB grid: the count is refused before
+    # anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="at most 10\\^8 samples, got 1000000000000"):
+            estimate_slope_bound(flat, samples=10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 9])
