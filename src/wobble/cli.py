@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,13 @@ CAMPAIGN_HEADER = (
     "sign_changes,drop_angle_deg,warnings,error"
 )
 _CAMPAIGN_KEYS = CAMPAIGN_HEADER.split(",")
-# every run's seed, task and record is held until the CSV is written: with
-# each run replaced by a copy of one real record, 10^5 runs peak at 167 MB
-# on one worker and 435 MB on two, which also queue every task up front
+# every run's seed and record is held until the CSV is written: with each
+# run replaced by a copy of one real record, 10^5 runs peak at 147 MB on one
+# worker and 312 MB on two, where each record arrives as its own unpickled
+# copy (queuing every task up front took 420 MB)
 _MAX_CAMPAIGN_RUNS = 10**5
+# campaign runs queued per pool worker
+_IN_FLIGHT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,18 +309,24 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     check_target_slope(cfg.target_slope)
     check_bump_count(cfg.bump_count)
     TableSpec.square(cfg.side)
-    seeds = _campaign_seeds(cfg)
-    tasks = [(cfg, i, s) for i, s in enumerate(seeds)]
+    tasks = ((cfg, i, s) for i, s in enumerate(_campaign_seeds(cfg)))
     workers = worker_count(cfg.n)
     if workers == 1:
-        records = [_run_one(t) for t in tasks]
-    else:
-        # imported here: the pool machinery adds about 2 MB of resident
-        # memory that no single solve or scan needs
-        from concurrent.futures import ProcessPoolExecutor
+        return CampaignResult(config=cfg, records=[_run_one(t) for t in tasks])
+    # imported here: the pool machinery adds about 2 MB of resident memory
+    # that no single solve or scan needs
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, tasks, chunksize=1))
+    # at most _IN_FLIGHT runs per worker are queued at a time, so the pool's
+    # futures and work items do not grow with the run count
+    records = []
+    window = deque()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for task in tasks:
+            if len(window) == _IN_FLIGHT * workers:
+                records.append(window.popleft().result())
+            window.append(pool.submit(_run_one, task))
+        records.extend(f.result() for f in window)
     return CampaignResult(config=cfg, records=records)
 
 

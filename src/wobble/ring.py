@@ -43,24 +43,43 @@ times a bound of a computed gap's rounding error (the circle point, the
 terrain's `height_rounding`, and the gradient times the point's error).
 Then every exact gap in the cell exceeds that rounding bound in size, so
 every computed gap inside has the sign of the cell's ends: a skipped node
-takes that sign and cannot add or move a sign change. The nodes inside
-unsettled cells are evaluated, in one array call per block. A NaN gap or
-bound settles nothing, and a grid terrain's bound is +inf, so a grid
-evaluates every node. The sign changes are therefore those of the full
-scan, and so are the crossing cells; every gap that a certificate or the
-refinement reads (the grid's ends, the circle's top, the two ends of each
-crossing cell) is a real evaluation. Results, errors and their order are
-the full scan's, bit for bit.
+takes that sign and cannot add or move a sign change. So every sign change
+lies in an unsettled ("open") cell, and a block's inner nodes are evaluated
+in open cells only, in one array call. A NaN gap or bound settles nothing,
+and a grid terrain's bound is +inf, so a grid evaluates every node.
+
+A scan hands its certificate a `_SignChanges`: the block's sign changes as
+one list sorted by (row, cell), with the gaps at each changing cell's two
+ends, plus every row's gaps at the coarse nodes (at every node for the full
+scan). The settled scan builds the list in one (open cells x 10) pass over
+each open cell's two ends and nine inner nodes; a short last cell repeats
+its right end, which adds no change. A certificate reads each row's number
+of changes, its first change (optionally among some cells only, such as
+the circle's requested side) and its gaps at coarse nodes (the grid's ends,
+the circle's top); the refinement reads the two end gaps of the picked
+change. Every one of these is a real evaluation, the changes are those of
+the full scan, and no (rows x grid) array is built, so the kernel's cost
+follows the nodes it evaluates. Results, errors and their order are the
+full scan's, bit for bit, and do not depend on how rows are grouped into
+blocks.
 
 A block of fewer than _SETTLED_MIN_ROWS rows (a one-row resolve, or a
-short last block) runs the full scan, which is cheaper there. A block whose
-circles may leave the terrain's extent (by their continuous bounding box)
-runs the full scan in blocks of _FULL_ROWS rows, so a query outside the
-extent raises the same error, naming the same first point, after the same
-earlier certificates. In serial 16-run pivot-slide campaigns (CPU time,
-median of 5) the settled scan in 128-row blocks cut the time from 0.96 s to
-0.64 s; 64-row blocks took 0.68 s and 256-row blocks 0.65 s, and _COARSE
-from 6 to 12 took 0.63-0.67 s in two sets of runs against 0.68 s at 15
+short last block) runs the full scan, which is cheaper there: timed alone,
+the settled scan with its extent check against the full scan took 135-231
+against 77-112 us for one row, 144-223 against 122-164 us for 2 rows,
+153-235 against 187-270 us for 3 and 164-289 against 195-333 us for 4
+(best of 45, three runs, 20-bump terrain). A block whose circles may leave
+the terrain's extent (by their continuous bounding box) runs the full scan
+in blocks of _FULL_ROWS rows, so a query outside the extent raises the same
+error, naming the same first point, after the same earlier certificates.
+With _BLOCK_ROWS = 1024 a motion stage's rows (up to about 600 samples)
+are one block. Serial 16-run pivot-slide campaigns at 35 degrees (CPU
+time, best and median of 9, sizes alternated in one process) took
+0.43/0.44 s in 128-row blocks, 0.40/0.41 s in 256-row, 0.39/0.41 s in
+512-row, 0.39/0.40 s in 1024-row and 0.40/0.40 s in 4096-row blocks; on
+the earlier dense (rows x grid) gap, sign and change arrays, 1024-row
+blocks gained nothing over 128-row ones. _COARSE from 6 to 12 took
+0.63-0.67 s in two sets of runs against 0.68 s at 15, on the dense arrays
 (2-core Xeon, numpy 2.4).
 """
 
@@ -89,12 +108,10 @@ _SLOPES = SlopeThresholds()
 # with all rows in one scan (refinement included; 2-core Xeon, numpy 2.4),
 # where the scan's temporaries no longer fit in cache
 _FULL_ROWS = 32
-# rows per settled-scan block, a multiple of _FULL_ROWS (see the measured
-# campaigns in the module docstring)
-_BLOCK_ROWS = 128
-# a block of fewer rows runs the full scan: one 361-node row took 138 us
-# settled (plus 12 us for the extent check) against 85 us full, 2 rows 157
-# against 136 us and 4 rows 174 against 203 us (timeit, 20-bump terrain)
+# rows per settled-scan block, a multiple of _FULL_ROWS: a motion stage's
+# rows in one block (see the measured campaigns in the module docstring)
+_BLOCK_ROWS = 1024
+# a block of fewer rows runs the full scan (see the module docstring)
 _SETTLED_MIN_ROWS = 4
 # coarse node spacing of the settled scan, in grid steps; it divides 180,
 # so the circle's top (index 180) and both ends are coarse nodes
@@ -102,12 +119,38 @@ _COARSE = 10
 # relative rounding allowance of the settled scan's bounds, far above the
 # few ulp that a circle point or a gradient bound is off by
 _ROUNDING = 2.0 ** -40
+
+
+@dataclass(frozen=True)
+class _AngleGrid:
+    """An angle grid, its cos and sin, and the settled scan's layout: the
+    coarse nodes (every _COARSE-th node and the last one), their cell
+    widths, and the inner nodes of each coarse cell (a short last cell
+    padded with the grid's last node)."""
+
+    ts: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    coarse: np.ndarray
+    widths: np.ndarray
+    inner: np.ndarray
+
+
+def _angle_grid(ts: np.ndarray) -> _AngleGrid:
+    m = ts.size
+    coarse = np.arange(0, m, _COARSE)
+    if coarse[-1] != m - 1:
+        coarse = np.append(coarse, m - 1)
+    inner = np.minimum(coarse[:-1, None] + np.arange(1, _COARSE), m - 1)
+    return _AngleGrid(ts, np.cos(ts), np.sin(ts), coarse, np.diff(ts[coarse]), inner)
+
+
 # foot circle, 1-degree grid; linspace puts t = 0, the top, exactly at 180
-_CIRCLE_TS = np.linspace(-math.pi, math.pi, 361)
+_CIRCLE = _angle_grid(np.linspace(-math.pi, math.pi, 361))
 _CIRCLE_TOP = 180
-_CIRCLE_LEFT = np.sin(0.5 * (_CIRCLE_TS[:-1] + _CIRCLE_TS[1:])) > 0.0
+_CIRCLE_LEFT = np.sin(0.5 * (_CIRCLE.ts[:-1] + _CIRCLE.ts[1:])) > 0.0
 # vertical half-circle, 1-degree elevation grid
-_HALF_BETAS = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
+_HALF = _angle_grid(np.linspace(-math.pi / 2.0, math.pi / 2.0, 181))
 
 
 def _scan_brackets(values: np.ndarray) -> list[int]:
@@ -288,24 +331,24 @@ def trace_ring(sphere: Sphere, terrain, step: float,
     # spec'd 1-degree resolution and pin the band edges to the pole signs
     band = min(math.pi / 2.0, max(2.0 * slope + math.radians(5.0), math.radians(10.0)))
     n_lam = max(int(math.ceil(2.0 * band / _DEG)) + 1, 11)
-    lam_grid = np.linspace(-band, band, n_lam)
+    grid = _angle_grid(np.linspace(-band, band, n_lam))
     # the curve point at each azimuth is the crossing of the vertical
     # half-circle about the sphere center, scanned over the band
     block_counts = []
 
-    def certify(gaps: np.ndarray, flips: np.ndarray):
-        if np.any(gaps[:, 0] >= 0.0) or np.any(gaps[:, -1] <= 0.0):
+    def certify(flips: _SignChanges):
+        if np.any(flips.gap(0) >= 0.0) or np.any(flips.gap(-1) <= 0.0):
             if band < math.pi / 2.0 - 1e-9:
                 msg = (f"curve latitude leaves the scan band of "
                        f"{math.degrees(band):.4f} deg; latitude bound breached")
             else:
                 msg = "sphere does not straddle the ground over the traced azimuths"
             raise GeometryViolation(msg)
-        block_counts.append(flips.sum(axis=1))
-        return np.argmax(flips, axis=1), {}
+        block_counts.append(flips.counts())
+        return flips.first(), {}
 
     pts, lams, _ = _vertical_half_circles(terrain, sphere.center, phis,
-                                          sphere.radius, lam_grid, certify)
+                                          sphere.radius, grid, certify)
     counts = np.concatenate(block_counts)
     if np.any(counts != 1):
         bad = int(np.argmax(counts != 1))
@@ -405,162 +448,174 @@ def flat_chord_azimuth_gap(chord: float, radius: float) -> float:
     return 2.0 * math.asin(chord / (2.0 * radius))
 
 
-def _circle_points(centers, e_cos, e_sin, radius: float, cos_t, sin_t):
-    """x, y, z of center + radius (cos t e_cos + sin t e_sin), rows of
-    centers and directions along axis 0 and angles along axis 1."""
+def _circle_points(coef, radius: float, cos_t, sin_t):
+    """x, y, z of center + radius (cos t e_cos + sin t e_sin), where coef
+    holds each row's center, e_cos and e_sin as rows 0-2, 3-5 and 6-8 and
+    broadcasts against cos_t and sin_t."""
     points = []
     tmp = None
     for i in range(3):
-        p = cos_t * e_cos[:, i, None]
-        tmp = np.multiply(sin_t, e_sin[:, i, None], out=tmp)
+        p = cos_t * coef[3 + i]
+        tmp = np.multiply(sin_t, coef[6 + i], out=tmp)
         p += tmp
         p *= radius
-        p += centers[:, i, None]
+        p += coef[i]
         points.append(p)
     return tuple(points)
 
 
-def _coarse_layout(m: int):
-    """Coarse nodes of an m-node angle grid (every _COARSE-th node and the
-    last one), the coarse node at or before each node, and the interior
-    nodes of each coarse cell, padded with -1."""
-    coarse = np.arange(0, m, _COARSE)
-    if coarse[-1] != m - 1:
-        coarse = np.append(coarse, m - 1)
-    owner = np.searchsorted(coarse, np.arange(m), side="right") - 1
-    inner = coarse[:-1, None] + np.arange(1, _COARSE)
-    inner[inner >= coarse[1:, None]] = -1
-    return coarse, owner, inner
-
-
-def _inside_extent(terrain, centers, e_cos, e_sin, radius: float) -> bool:
+def _inside_extent(terrain, coef, radius: float) -> bool:
     """Whether every point of each row's whole circle, rounding included,
     lies inside the terrain's extent: the circle's x spans center_x +-
     radius * sqrt(e_cos_x^2 + e_sin_x^2), and likewise y. NaN fails."""
     e = terrain.extent
-    c = centers[:, :2]
-    half = (radius * (1.0 + _ROUNDING) * np.hypot(e_cos[:, :2], e_sin[:, :2])
+    c = coef[:2]
+    half = (radius * (1.0 + _ROUNDING) * np.hypot(coef[3:5], coef[6:8])
             + _ROUNDING * (1.0 + np.abs(c)))
-    return bool(np.all(c - half >= (e.xmin, e.ymin)) and np.all(c + half <= (e.xmax, e.ymax)))
+    return bool(np.all(c - half >= [[e.xmin], [e.ymin]])
+                and np.all(c + half <= [[e.xmax], [e.ymax]]))
 
 
-def _settled_scan(terrain, centers, e_cos, e_sin, radius: float, grid: np.ndarray,
-                  cos_g: np.ndarray, sin_g: np.ndarray, layout):
-    """One block's gaps on the angle grid, evaluated only where a node can
-    change a sign, and every node's sign: (gaps, signs). Skipped nodes have
-    a NaN gap and their cell's sign (see the module docstring)."""
-    coarse, owner, inner = layout
-    rows = len(centers)
-    x, y, z = _circle_points(centers, e_cos, e_sin, radius, cos_g[coarse], sin_g[coarse])
-    g_coarse = z - terrain.height(x, y)
+@dataclass
+class _SignChanges:
+    """A block's sign changes: one entry per grid cell whose two ends' gaps
+    differ in sign, sorted by (row, cell), with the gaps `lo` and `hi` at
+    the cell's two ends; and every row's `gaps` at the coarse nodes, every
+    `step`-th grid node and the last one (step 1: at every node)."""
+
+    rows: np.ndarray
+    cells: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    gaps: np.ndarray
+    step: int
+
+    def counts(self) -> np.ndarray:
+        """Each row's number of sign changes."""
+        return np.bincount(self.rows, minlength=len(self.gaps))
+
+    def first(self, cells: np.ndarray | None = None) -> np.ndarray:
+        """Each row's first sign change, as its position in the list, among
+        the grid cells where `cells` is True if given; -1 for none."""
+        at = (np.arange(self.rows.size) if cells is None
+              else np.flatnonzero(cells[self.cells]))
+        rows = self.rows[at]
+        lead = np.ones(rows.size, dtype=bool)
+        lead[1:] = rows[1:] != rows[:-1]
+        first = np.full(len(self.gaps), -1)
+        first[rows[lead]] = at[lead]
+        return first
+
+    def gap(self, node: int) -> np.ndarray:
+        """Every row's gap at a grid node that is a multiple of _COARSE, or
+        at the last node (-1)."""
+        return self.gaps[:, node // self.step]
+
+
+def _settled_scan(terrain, coef, radius: float, grid: _AngleGrid) -> _SignChanges:
+    """One block's sign changes on the angle grid, evaluating the inner
+    nodes only of the coarse cells that can hold one (see the module
+    docstring)."""
+    coarse = grid.coarse
+    x, y, z = _circle_points(coef[:, :, None], radius, grid.cos[coarse], grid.sin[coarse])
+    g = z - terrain.height(x, y)
     # |g'(t)| <= |dz/dt| + |grad f| |d(x, y)/dt| <= radius sqrt(1 + G^2)
-    grad = terrain.gradient_bound(centers[:, 0], centers[:, 1],
-                                  radius * (1.0 + _ROUNDING))
+    grad = terrain.gradient_bound(coef[0], coef[1], radius * (1.0 + _ROUNDING))
     lip = radius * np.sqrt(1.0 + grad * grad) * (1.0 + _ROUNDING)
     # four times a bound of a computed gap's rounding error
-    scale = np.abs(centers).max(axis=1) + radius
+    scale = np.maximum(np.maximum(np.abs(coef[0]), np.abs(coef[1])), np.abs(coef[2])) + radius
     slack = 4.0 * (_ROUNDING * (1.0 + scale) * (1.0 + grad) + terrain.height_rounding())
-    a, b = g_coarse[:, :-1], g_coarse[:, 1:]
-    positive = g_coarse > 0.0
-    settled = ((positive[:, :-1] == positive[:, 1:])
-               & (np.abs(a) + np.abs(b) > lip[:, None] * np.diff(grid[coarse])
-                  + slack[:, None]))
-    open_rows, open_cells = np.nonzero(~settled)
-    nodes = inner[open_cells]
-    valid = nodes >= 0
-    fine_rows = np.broadcast_to(open_rows[:, None], nodes.shape)[valid]
-    fine_nodes = nodes[valid]
-    gaps = np.full((rows, grid.size), np.nan)
-    gaps[:, coarse] = g_coarse
-    signs = positive[:, owner]
-    if fine_nodes.size:
-        x, y, z = _circle_points(centers[fine_rows], e_cos[fine_rows], e_sin[fine_rows],
-                                 radius, cos_g[fine_nodes, None], sin_g[fine_nodes, None])
-        g_fine = (z - terrain.height(x, y))[:, 0]
-        gaps[fine_rows, fine_nodes] = g_fine
-        signs[fine_rows, fine_nodes] = g_fine > 0.0
-    return gaps, signs
+    positive = g > 0.0
+    size = np.abs(g)
+    rows, cells = np.nonzero(
+        (positive[:, :-1] != positive[:, 1:])
+        | ~(size[:, :-1] + size[:, 1:] > lip[:, None] * grid.widths + slack[:, None]))
+    # each open cell's gaps at its two ends and its inner nodes
+    vals = np.empty((rows.size, _COARSE + 1))
+    vals[:, 0] = g[rows, cells]
+    vals[:, -1] = g[rows, cells + 1]
+    if rows.size:
+        nodes = grid.inner[cells]
+        x, y, z = _circle_points(coef[:, rows, None], radius, grid.cos[nodes], grid.sin[nodes])
+        vals[:, 1:-1] = z - terrain.height(x, y)
+    signs = vals > 0.0
+    k, j = np.nonzero(signs[:, :-1] != signs[:, 1:])
+    return _SignChanges(rows[k], coarse[cells[k]] + j, vals[k, j], vals[k, j + 1], g,
+                        _COARSE)
 
 
-def _full_scan(terrain, centers, e_cos, e_sin, radius: float,
-               cos_g: np.ndarray, sin_g: np.ndarray):
-    """One block's gaps at every grid node, and their signs."""
-    x, y, z = _circle_points(centers, e_cos, e_sin, radius, cos_g, sin_g)
-    gaps = z - terrain.height(x, y)
-    return gaps, gaps > 0.0
+def _full_scan(terrain, coef, radius: float, grid: _AngleGrid) -> _SignChanges:
+    """One block's sign changes from its gaps at every grid node."""
+    x, y, z = _circle_points(coef[:, :, None], radius, grid.cos, grid.sin)
+    g = z - terrain.height(x, y)
+    signs = g > 0.0
+    rows, cells = np.nonzero(signs[:, :-1] != signs[:, 1:])
+    return _SignChanges(rows, cells, g[rows, cells], g[rows, cells + 1], g, 1)
 
 
-def _solve_circles(terrain, centers, e_cos, e_sin, radius: float,
-                   grid: np.ndarray, certify):
+def _solve_circles(terrain, coef, radius: float, grid: _AngleGrid, certify):
     """Ground crossing of the circle center + radius (cos t e_cos +
-    sin t e_sin) of every row, with t in [grid[0], grid[-1]].
+    sin t e_sin) of every row, with t in [grid.ts[0], grid.ts[-1]]; coef
+    holds the rows' centers, e_cos and e_sin as its rows 0-2, 3-5 and 6-8.
 
-    Scans the rows in blocks over the angle grid; certify(gaps, flips)
-    checks each block's rows on their ground gaps and the grid cells where
-    the gap changes sign, and returns (cells, errors): the grid cell holding
-    each row's crossing, and the rows that fail with their errors. A
-    certificate may read the gaps at the coarse nodes only (the grid's ends
-    and every _COARSE-th node, the circle's top among them); the others may
-    be NaN. All certified crossings are then refined together. Returns
-    (points, angles, errors); a failed row's point and angle are NaN.
-    Errors from the terrain's height queries, and a NaN during refinement,
-    propagate for all rows.
+    Scans the rows in blocks over the angle grid; certify(flips) checks each
+    block's rows on its `_SignChanges` and returns (picks, errors): the
+    position in the list of the sign change holding each row's crossing,
+    and the rows that fail with their errors. All certified crossings are
+    then refined together. Returns (points, angles, errors); a failed row's
+    point and angle are NaN. Errors from the terrain's height queries, and
+    a NaN during refinement, propagate for all rows.
     """
-    n = len(centers)
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-    layout = _coarse_layout(grid.size)
+    n = coef.shape[1]
     cells = np.zeros(n, dtype=int)
-    f_lo, f_hi = np.empty(n), np.empty(n)
+    f_lo, f_hi = np.full(n, np.nan), np.full(n, np.nan)
     errors: dict[int, WobbleError] = {}
 
-    def settle(start: int, gaps: np.ndarray, signs: np.ndarray) -> None:
-        c, failed = certify(gaps, signs[:, :-1] != signs[:, 1:])
-        k = np.arange(c.size)
-        stop = start + c.size
-        cells[start:stop], f_lo[start:stop], f_hi[start:stop] = c, gaps[k, c], gaps[k, c + 1]
+    def settle(start: int, flips: _SignChanges) -> None:
+        picks, failed = certify(flips)
+        rows = np.flatnonzero(picks >= 0)
+        at = picks[rows]
+        rows += start
+        cells[rows], f_lo[rows], f_hi[rows] = flips.cells[at], flips.lo[at], flips.hi[at]
         errors.update((start + j, exc) for j, exc in failed.items())
 
     for start in range(0, n, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        args = (terrain, centers[block], e_cos[block], e_sin[block], radius)
-        if n - start >= _SETTLED_MIN_ROWS and _inside_extent(*args):
-            settle(start, *_settled_scan(*args, grid, cos_g, sin_g, layout))
+        block = coef[:, start:start + _BLOCK_ROWS]
+        if n - start >= _SETTLED_MIN_ROWS and _inside_extent(terrain, block, radius):
+            settle(start, _settled_scan(terrain, block, radius, grid))
             continue
         # a short block, or a circle that may leave the extent: the full
         # scan in blocks of _FULL_ROWS raises the query error of the first
         # bad point, after the certificates of the blocks before it, as it
         # always has
         for sub in range(start, min(start + _BLOCK_ROWS, n), _FULL_ROWS):
-            part = slice(sub, sub + _FULL_ROWS)
-            settle(sub, *_full_scan(terrain, centers[part], e_cos[part], e_sin[part],
-                                    radius, cos_g, sin_g))
-    good = np.array([k for k in range(n) if k not in errors], dtype=int)
+            settle(sub, _full_scan(terrain, coef[:, sub:sub + _FULL_ROWS], radius, grid))
+    good = np.ones(n, dtype=bool)
+    good[list(errors)] = False
+    good = np.flatnonzero(good)
+    coef_good = coef[:, good]
 
     def gap(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        g = good[rows]
-        x, y, z = _circle_points(centers[g], e_cos[g], e_sin[g], radius,
-                                 np.cos(t)[:, None], np.sin(t)[:, None])
-        return (z - terrain.height(x, y))[:, 0]
+        x, y, z = _circle_points(coef_good[:, rows], radius, np.cos(t), np.sin(t))
+        return z - terrain.height(x, y)
 
     angles = np.full(n, np.nan)
     c = cells[good]
-    angles[good] = bracketed_roots(gap, grid[c], grid[c + 1], f_lo[good], f_hi[good])
-    x, y, z = _circle_points(centers, e_cos, e_sin, radius,
-                             np.cos(angles)[:, None], np.sin(angles)[:, None])
-    return np.column_stack([x[:, 0], y[:, 0], z[:, 0]]), angles, errors
+    angles[good] = bracketed_roots(gap, grid.ts[c], grid.ts[c + 1], f_lo[good], f_hi[good])
+    x, y, z = _circle_points(coef, radius, np.cos(angles), np.sin(angles))
+    return np.column_stack([x, y, z]), angles, errors
 
 
 def _vertical_half_circles(terrain, centers, azimuths, radius: float,
-                           grid: np.ndarray, certify):
+                           grid: _AngleGrid, certify):
     """`_solve_circles` for the vertical half-circles of `radius` about each
     row's center in the half-plane at azimuths[k]: the angle is the
     elevation above the horizontal."""
     psi = np.asarray(azimuths, dtype=float)
-    n = psi.size
-    c = np.broadcast_to(np.asarray(centers, dtype=float), (n, 3))
-    e_out = np.column_stack([np.cos(psi), np.sin(psi), np.zeros(n)])
-    e_up = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (n, 3))
-    return _solve_circles(terrain, c, e_out, e_up, radius, grid, certify)
+    coef = np.zeros((9, psi.size))
+    coef[:3] = np.asarray(centers, dtype=float).T.reshape(3, -1)
+    coef[3], coef[4], coef[8] = np.cos(psi), np.sin(psi), 1.0
+    return _solve_circles(terrain, coef, radius, grid, certify)
 
 
 def circle_crossings(centers, axes, radius: float, terrain,
@@ -587,19 +642,19 @@ def circle_crossings(centers, axes, radius: float, terrain,
         h_norm = np.sqrt(axis[:, 0] * axis[:, 0] + axis[:, 1] * axis[:, 1])
         e_h = np.column_stack([-axis[:, 1], axis[:, 0], np.zeros(n)]) / h_norm[:, None]
         e_v = np.cross(axis, e_h)
-    for k in np.flatnonzero(~(h_norm >= 1e-12)):
+    level = h_norm >= 1e-12
+    for k in np.flatnonzero(~level):
         errors[int(k)] = (DomainError("cannot normalize a zero vector")
                           if length[k] == 0.0 else
                           DomainError("circle axis is vertical; side selection undefined"))
     wanted_cells = _CIRCLE_LEFT if side > 0 else ~_CIRCLE_LEFT
 
-    def certify(gaps: np.ndarray, flips: np.ndarray):
-        counts = flips.sum(axis=1)
-        wanted = flips & wanted_cells
-        has_wanted = wanted.any(axis=1)
-        top = gaps[:, _CIRCLE_TOP]
+    def certify(flips: _SignChanges):
+        counts = flips.counts()
+        first = flips.first(wanted_cells)
+        top = flips.gap(_CIRCLE_TOP)
         failed = {}
-        for k in np.flatnonzero((counts == 0) | (counts > 2) | (top <= 0.0) | ~has_wanted):
+        for k in np.flatnonzero((counts == 0) | (counts > 2) | (top <= 0.0) | (first < 0)):
             if counts[k] == 0:
                 failed[int(k)] = GeometryViolation("circle does not cross the ground at all")
             elif counts[k] > 2:
@@ -614,12 +669,13 @@ def circle_crossings(centers, axes, radius: float, terrain,
                 failed[int(k)] = GeometryViolation(
                     f"no ground crossing on the requested side "
                     f"({'+' if side > 0 else '-'})")
-        return np.argmax(wanted, axis=1), failed
+        return first, failed
 
     points = np.full((n, 3), np.nan)
-    ok = np.array([k for k in range(n) if k not in errors], dtype=int)
-    pts, _, failed = _solve_circles(terrain, c[ok], e_v[ok], e_h[ok], radius,
-                                    _CIRCLE_TS, certify)
+    ok = np.flatnonzero(level)
+    coef = np.empty((9, ok.size))
+    coef[:3], coef[3:6], coef[6:] = c[ok].T, e_v[ok].T, e_h[ok].T
+    pts, _, failed = _solve_circles(terrain, coef, radius, _CIRCLE, certify)
     points[ok] = pts
     errors.update((int(ok[j]), exc) for j, exc in failed.items())
     return points, errors
@@ -632,9 +688,9 @@ def half_circle_crossings(centers, azimuths, radius: float, terrain):
     this order: the half-circle straddles the ground (bottom below, top
     above), and it crosses the ground exactly once.
     """
-    def certify(gaps: np.ndarray, flips: np.ndarray):
-        counts = flips.sum(axis=1)
-        straddles = (gaps[:, -1] > 0.0) & (gaps[:, 0] < 0.0)
+    def certify(flips: _SignChanges):
+        counts = flips.counts()
+        straddles = (flips.gap(-1) > 0.0) & (flips.gap(0) < 0.0)
         failed = {}
         for k in np.flatnonzero(~straddles | (counts != 1)):
             if not straddles[k]:
@@ -645,10 +701,9 @@ def half_circle_crossings(centers, azimuths, radius: float, terrain):
                     f"vertical half-circle crosses the ground {int(counts[k])} "
                     f"times; uniqueness needs slope below "
                     f"{_SLOPES.half_circle_unique_deg:.0f} deg")
-        return np.argmax(flips, axis=1), failed
+        return flips.first(), failed
 
-    return _vertical_half_circles(terrain, centers, azimuths, radius, _HALF_BETAS,
-                                  certify)
+    return _vertical_half_circles(terrain, centers, azimuths, radius, _HALF, certify)
 
 
 def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,

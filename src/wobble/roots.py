@@ -109,7 +109,8 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
     are the function's values there and differ in sign.
 
     fn(x, rows) returns the values at x[j] of the functions of rows[j]; it
-    is called only for rows that have not converged. A row stops when its
+    is called only for rows that have not converged, with numpy's divide
+    and invalid warnings off (a NaN it returns raises). A row stops when its
     bracket is narrower than about _XTOL or its best value is exactly zero;
     an endpoint whose value is zero is returned as it is. The first row
     without a sign change, or with a NaN, raises an error naming it.
@@ -131,50 +132,53 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
     x1, x2, f1, f2 = x1[rows], x2[rows], f1[rows], f2[rows]
     t = np.full(rows.size, 0.5)             # next point, as a share of x1 -> x2
     steps = 0
-    while rows.size:
-        if steps == _MAX_ITER:
-            k = int(rows[0])
-            raise NumericalFailure(
-                f"row {k}: root refinement did not converge in {_MAX_ITER} "
-                f"steps (last |f| = {abs(float(f1[0])):.3e})",
-                residual=abs(float(f1[0])))
-        steps += 1
-        xt = x1 + t * (x2 - x1)
-        ft = np.asarray(fn(xt, rows), dtype=float)
-        nan = np.isnan(ft)
-        if nan.any():
-            k = int(rows[np.argmax(nan)])
-            raise NumericalFailure(f"row {k}: root refinement met a NaN value")
-        # x3 is the point the bracket just dropped
-        keep = (ft < 0.0) == (f1 < 0.0)
-        x3 = np.where(keep, x1, x2)
-        f3 = np.where(keep, f1, f2)
-        x2 = np.where(keep, x2, x1)
-        f2 = np.where(keep, f2, f1)
-        x1, f1 = xt, ft
-        best1 = np.abs(f1) < np.abs(f2)
-        xm = np.where(best1, x1, x2)
-        width = np.abs(x2 - x1)
-        tol = 0.5 * (_XTOL + _RTOL * np.abs(xm))
-        done = (width < 2.0 * tol) | (np.where(best1, f1, f2) == 0.0)
-        if done.any():
-            out[rows[done]] = xm[done]
-            if done.all():
-                break
-            live = ~done
-            rows, x1, x2, x3, f1, f2, f3, width, tol = (
-                a[live] for a in (rows, x1, x2, x3, f1, f2, f3, width, tol))
-        # inverse quadratic interpolation through the last three points when
-        # they bound a monotone curve between x1 and x2, else bisection
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # the interpolation divides by differences that may vanish; its inf and
+    # NaN fall back to bisection
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            if steps == _MAX_ITER:
+                k = int(rows[0])
+                raise NumericalFailure(
+                    f"row {k}: root refinement did not converge in {_MAX_ITER} "
+                    f"steps (last |f| = {abs(float(f1[0])):.3e})",
+                    residual=abs(float(f1[0])))
+            steps += 1
+            xt = x1 + t * (x2 - x1)
+            ft = np.asarray(fn(xt, rows), dtype=float)
+            nan = np.isnan(ft)
+            if nan.any():
+                k = int(rows[np.argmax(nan)])
+                raise NumericalFailure(f"row {k}: root refinement met a NaN value")
+            # x3 is the point the bracket just dropped
+            keep = (ft < 0.0) == (f1 < 0.0)
+            x3 = np.where(keep, x1, x2)
+            f3 = np.where(keep, f1, f2)
+            x2 = np.where(keep, x2, x1)
+            f2 = np.where(keep, f2, f1)
+            x1, f1 = xt, ft
+            best1 = np.abs(f1) < np.abs(f2)
+            xm = np.where(best1, x1, x2)
+            width = np.abs(x2 - x1)
+            tol = 0.5 * (_XTOL + _RTOL * np.abs(xm))
+            done = (width < 2.0 * tol) | (np.where(best1, f1, f2) == 0.0)
+            if done.any():
+                out[rows[done]] = xm[done]
+                if done.all():
+                    break
+                live = ~done
+                rows, x1, x2, x3, f1, f2, f3, width, tol = (
+                    a[live] for a in (rows, x1, x2, x3, f1, f2, f3, width, tol))
+            # inverse quadratic interpolation through the last three points
+            # when they bound a monotone curve between x1 and x2, else
+            # bisection
             xi = (x1 - x2) / (x3 - x2)
             d12, d32 = f1 - f2, f3 - f2
             phi = d12 / d32
             alpha = (x3 - x1) / (x2 - x1)
             iqi = f1 / d12 * f3 / d32 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
             safe = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-        # every step lands at least tol inside the bracket (np.clip's
-        # arithmetic, without its dispatch)
-        t_min = tol / width
-        t = np.minimum(np.maximum(np.where(safe, iqi, 0.5), t_min), 1.0 - t_min)
+            # every step lands at least tol inside the bracket (np.clip's
+            # arithmetic, without its dispatch)
+            t_min = tol / width
+            t = np.minimum(np.maximum(np.where(safe, iqi, 0.5), t_min), 1.0 - t_min)
     return out

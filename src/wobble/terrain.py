@@ -145,9 +145,14 @@ class BumpTerrain:
 
     - small calls (points x bumps <= _SMALL_KERNEL) evaluate every bump in
       one (bumps, points) pass, which saves the per-bump numpy calls that
-      dominate a call on a few points. The rows are added one by one in
-      bump order: a reduction over the bump axis such as ``sum`` may add
-      pairwise and move the last bit.
+      dominate a call on a few points. `_bump_sum` adds the rows in one
+      call, in bump order from 0.0: numpy reduces over a leading axis one
+      row at a time while a row has two or more elements, but sums a
+      one-element row pairwise, which moves the last bit, so a one-point
+      call adds its bump terms in Python. Against the per-row ``z += row``
+      loop it replaces (20 bumps, best of 27, alternated in one process):
+      one point 14.2 against 28.9 us, 8 points 15.8 against 23.3 us, 64
+      points 21.5 against 29.4 us, 300 points 52.8 against 58.5 us.
     - larger calls loop over the bumps and write each step into buffers
       allocated once per call: past about 16k elements a (bumps, points)
       array costs more than the per-bump calls it saves. The offsets
@@ -222,10 +227,7 @@ class BumpTerrain:
         if len(self._packed) * math.prod(shape) <= _SMALL_KERNEL:
             _, _, e, lead = self._bump_rows(x, y, shape)
             e *= self._columns[2].reshape(lead)
-            z = np.zeros(shape)
-            for row in e:
-                z += row
-            return z
+            return _bump_sum(e)
         z = np.zeros(shape)
         t = np.empty(shape)
         sx = np.empty(x.shape)
@@ -436,6 +438,18 @@ class BumpTerrain:
         bound *= 1.0 + _BOUND_MARGIN
         bound += rounding[0] + r * rounding[1]
         return slope, bound
+
+
+def _bump_sum(rows: np.ndarray) -> np.ndarray:
+    """0.0 plus the rows of a (bumps, ...) array in bump order, bit for bit
+    the loop ``z = zeros; z += row`` (see `BumpTerrain`)."""
+    shape = rows.shape[1:]
+    if math.prod(shape) != 1:
+        return np.add.reduce(rows, axis=0, initial=0.0)
+    z = 0.0
+    for term in rows.ravel().tolist():
+        z += term
+    return np.full(shape, z)
 
 
 def _blocked(fn, size: int, x: np.ndarray, y: np.ndarray):

@@ -9,6 +9,7 @@ from wobble.errors import (
     DomainError,
     GeometryViolation,
 )
+from wobble import ring
 from wobble.geometry import Sphere
 from wobble.ring import (
     chord_advance,
@@ -398,3 +399,122 @@ def test_scan_leaving_the_extent_raises_the_full_scan_error(hills14, flat):
     afloat = Sphere(center=np.array([0.0, 7.7, 0.1]), radius=0.75)
     with pytest.raises(DomainError, match="outside terrain extent"):
         trace_ring(afloat, flat, STEP)
+
+
+# ---------------------------------- sign-change list against a dense scan
+
+
+def _circle_coefficients(centers, axes):
+    # the rows of ring._solve_circles: center, e_cos and e_sin of each
+    # circle about a non-vertical axis
+    axes = axes / np.linalg.norm(axes, axis=1)[:, None]
+    e_h = np.column_stack([-axes[:, 1], axes[:, 0], np.zeros(len(axes))])
+    e_h /= np.linalg.norm(e_h, axis=1)[:, None]
+    return np.ascontiguousarray(np.hstack([centers, np.cross(axes, e_h), e_h]).T)
+
+
+def _half_circle_coefficients(centers, azimuths):
+    n = len(azimuths)
+    return np.vstack([np.broadcast_to(centers, (n, 3)).T, np.cos(azimuths),
+                      np.sin(azimuths), np.zeros((3, n)), np.ones(n)])
+
+
+def _dense_sign_changes(terrain, coef, radius, ts):
+    """Every node's gap, and the (row, cell) of every sign change between
+    neighbouring nodes, with the gaps at the cell's two ends."""
+    cos, sin = np.cos(ts), np.sin(ts)
+    x, y, z = ((cos * coef[3 + i][:, None] + sin * coef[6 + i][:, None]) * radius
+               + coef[i][:, None] for i in range(3))
+    gaps = z - terrain.height(x, y)
+    signs = gaps > 0.0
+    rows, cells = np.nonzero(signs[:, :-1] != signs[:, 1:])
+    return gaps, rows, cells, gaps[rows, cells], gaps[rows, cells + 1]
+
+
+def _assert_list_is_dense(terrain, coef, radius, grid, mask=None):
+    gaps, rows, cells, lo, hi = _dense_sign_changes(terrain, coef, radius, grid.ts)
+    for flips in (ring._settled_scan(terrain, coef, radius, grid),
+                  ring._full_scan(terrain, coef, radius, grid)):
+        for got, want in ((flips.rows, rows), (flips.cells, cells),
+                          (flips.lo, lo), (flips.hi, hi)):
+            _same_bits(got, want)
+        for node in [*range(0, len(grid.ts), ring._COARSE), -1]:
+            _same_bits(flips.gap(node), gaps[:, node])
+        counts = np.bincount(rows, minlength=len(gaps))
+        assert np.array_equal(flips.counts(), counts)
+        for cells_mask in (None, mask):
+            first = flips.first(cells_mask)
+            for k in range(len(gaps)):
+                want = [c for r, c in zip(rows, cells) if r == k
+                        and (cells_mask is None or cells_mask[c])]
+                if want:
+                    assert flips.rows[first[k]] == k and flips.cells[first[k]] == want[0]
+                else:
+                    assert first[k] == -1
+    return counts
+
+
+@pytest.mark.parametrize("name", ["hills14", "hills30", "flat", "steep"])
+def test_sign_change_list_equals_the_dense_scan(name, request):
+    terrain = _steep_pair() if name == "steep" else request.getfixturevalue(name)
+    spread, lift = (1.5, 0.8) if name == "steep" else (5.0, 0.3)
+    centers, axes, az = _random_circles(terrain, 200, spread, lift, seed=11)
+    counts = _assert_list_is_dense(terrain, _circle_coefficients(centers, axes), 0.7,
+                                   ring._CIRCLE, ring._CIRCLE_LEFT)
+    _assert_list_is_dense(terrain, _half_circle_coefficients(centers, az), 0.7, ring._HALF)
+    if name == "steep":
+        assert {0, 2} <= set(counts.tolist())
+
+
+def test_sign_change_list_on_a_band_with_a_short_last_cell():
+    # a 45-node band over [-22, 22] deg: its last coarse cell, 18 to 22 deg,
+    # holds 3 inner nodes; half-circles sunk under flat ground or a ridge
+    # cross it at elevations all over the band, the short cell included
+    grid = ring._angle_grid(np.linspace(-math.radians(22.0), math.radians(22.0), 45))
+    assert grid.coarse[-1] - grid.coarse[-2] == 4
+    betas = np.radians(np.concatenate([np.linspace(-21.5, 21.5, 40), [18.5, 20.5, 21.9]]))
+    centers = np.column_stack([np.linspace(-1.0, 1.0, betas.size), np.zeros(betas.size),
+                               -0.7 * np.sin(betas)])
+    az = np.linspace(-math.pi, math.pi, betas.size)
+    ridge = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)
+    for terrain in (BumpTerrain([], EXT), ridge):
+        counts = _assert_list_is_dense(terrain, _half_circle_coefficients(centers, az),
+                                       0.7, grid)
+        assert np.all(counts >= 1)
+    _, _, cells, _, _ = _dense_sign_changes(
+        BumpTerrain([], EXT), _half_circle_coefficients(centers, az), 0.7, grid.ts)
+    assert np.any(cells >= grid.coarse[-2])
+    # one row per count of 0, 1, 2 and 4 crossings on the circle grid
+    x_axis = np.tile([1.0, 0.0, 0.0], (3, 1))
+    centers = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    counts = _assert_list_is_dense(ridge, _circle_coefficients(centers, x_axis), 0.7,
+                                   ring._CIRCLE, ring._CIRCLE_LEFT)
+    assert counts.tolist() == [0, 4, 2]
+    one = _assert_list_is_dense(ridge, _half_circle_coefficients(centers[1:2], [0.0]),
+                                0.7, ring._HALF)
+    assert one.tolist() == [1]
+
+
+def test_row_solves_the_same_in_any_call_size():
+    # 700 rows, among them rows that fail each certificate: every row's
+    # point, angle and error are the same solved with the other 699, in
+    # calls of 7 rows, and alone
+    terrain = _steep_pair()
+    centers, axes, az = _random_circles(terrain, 700, 1.5, 0.8, seed=5)
+    points, errors = circle_crossings(centers, axes, 0.7, terrain)
+    feet, betas, half_errors = half_circle_crossings(centers, az, 0.7, terrain)
+    assert len(errors) > 50 and len(half_errors) > 50
+    for size in (7, 1):
+        for start in range(0, 700, size):
+            part = slice(start, start + size)
+            got, got_errors = circle_crossings(centers[part], axes[part], 0.7, terrain)
+            _same_bits(got, points[part])
+            _same_errors({start + k: e for k, e in got_errors.items()},
+                         {k: e for k, e in errors.items() if start <= k < start + size})
+            got, got_betas, got_errors = half_circle_crossings(centers[part], az[part],
+                                                               0.7, terrain)
+            _same_bits(got, feet[part])
+            _same_bits(got_betas, betas[part])
+            _same_errors({start + k: e for k, e in got_errors.items()},
+                         {k: e for k, e in half_errors.items()
+                          if start <= k < start + size})

@@ -322,6 +322,41 @@ def test_kernels_match_reference_on_stencil_and_grid_shapes(name, request):
     _assert_kernels_match(t, pts[:, 0], pts[:, 1])
 
 
+def _row_loop(rows):
+    z = np.zeros(rows.shape[1:])
+    for row in rows:
+        z += row
+    return z
+
+
+@pytest.mark.parametrize("shape", [(20, 1), (20,), (20, 1, 1), (4, 8), (20, 4, 8),
+                                   (1024, 37), (20, 1024, 37), (0, 1), (0, 4, 8)])
+def test_bump_sum_equals_the_row_loop(shape):
+    # rows of mixed signs and magnitudes, so the order of the additions
+    # shows in the last bits; a row of -0.0 must not leave a -0.0 sum
+    rng = np.random.default_rng(len(shape) + shape[0])
+    rows = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    assert _same_bits(terrain_mod._bump_sum(rows), _row_loop(rows))
+    if shape[0]:
+        rows[:] = -0.0
+        assert _same_bits(terrain_mod._bump_sum(rows), _row_loop(rows))
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (4, 8)])
+def test_one_call_bump_sum_on_zero_bumps_and_a_negative_zero_amplitude(shape):
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(-8.0, 8.0, (2,) + shape)
+    no_bumps = BumpTerrain([], EXT)
+    assert _same_bits(no_bumps.height(x, y), np.zeros(shape))
+    # -0.0 * exp(...) is -0.0: alone it sums to 0.0, after a bump it adds nothing
+    for bumps in ([(0.5, 0.5, -0.0, 1.0)],
+                  [(0.5, 0.5, -0.0, 1.0), (-1.0, 2.0, 0.3, 1.7), (1.0, 0.0, -0.0, 0.4)]):
+        t = BumpTerrain(bumps, EXT)
+        assert _same_bits(t.height(x, y), _reference_height(t, x, y))
+    assert _same_bits(BumpTerrain([(0.5, 0.5, -0.0, 1.0)], EXT).height(x, y),
+                      np.zeros(shape))
+
+
 @pytest.mark.parametrize("name", ["hills14", "hills30", "flat", "grid"])
 def test_scalar_gradient_equals_one_point_array(name, request):
     rng = np.random.default_rng(3)
