@@ -58,7 +58,6 @@ from .ring import (
     GroundRing,
     chord_advance,
     circle_surface_intersection,
-    flat_chord_azimuth_gap,
     ring_point,
     trace_ring,
 )

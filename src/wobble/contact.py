@@ -43,14 +43,13 @@ class TableSpec:
     leg_length: float = 1.0
 
     @classmethod
-    def square(cls, side: float, leg_length: float | None = None) -> "TableSpec":
+    def square(cls, side: float) -> "TableSpec":
         if not (math.isfinite(side) and side > 0):
             raise DomainError(f"table side must be finite and positive, got {side}")
-        return cls(kind="square", side=float(side),
-                   leg_length=float(leg_length if leg_length is not None else side))
+        return cls(kind="square", side=float(side), leg_length=float(side))
 
     @classmethod
-    def circle(cls, radius: float, foot_angles, leg_length: float | None = None) -> "TableSpec":
+    def circle(cls, radius: float, foot_angles) -> "TableSpec":
         if not (math.isfinite(radius) and radius > 0):
             raise DomainError(f"foot circle radius must be finite and positive, got {radius}")
         angles = tuple(float(a) for a in foot_angles)
@@ -60,7 +59,7 @@ class TableSpec:
         if any(g <= 1e-12 for g in gaps) or abs(sum(gaps) - _TWO_PI) > 1e-9:
             raise DomainError("foot angles must be strictly increasing mod 2*pi")
         return cls(kind="circle", circle_radius=float(radius), foot_angles=angles,
-                   leg_length=float(leg_length if leg_length is not None else radius * math.sqrt(2.0)))
+                   leg_length=float(radius * math.sqrt(2.0)))
 
     @property
     def as_circle(self) -> tuple[float, tuple[float, float, float, float]]:

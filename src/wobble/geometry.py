@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import CoplanarPoints, DomainError
 
-Z_AXIS = np.array([0.0, 0.0, 1.0])
 # relative volume below which four points count as coplanar
 _DEGENERACY_EPS = 1e-9
 # tolerance on the unit lengths and dot products of an orthonormal triple

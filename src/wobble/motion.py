@@ -437,13 +437,11 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
             f"{math.degrees(gap23):.4f} deg about the sphere axis; expected "
             f"forward gaps below 180 deg"
         )
-    # the march only visits this azimuth arc (foot 1 from its start to foot
-    # 2's start, foot 2 one chord further), padded for bracketing
+    # trace only the azimuth arc the march visits (foot 1 from its start to
+    # foot 2's start, foot 2 one chord further), padded for bracketing; the
+    # ring bounds its latitudes by twice the slope
     arc = (phi_start - 4.0 * step, phi_start + gap12 + gap23 + 6.0 * step)
-    slope = trace.slope_bound
-    ring = trace_ring(sphere, terrain, step, chord_length=side,
-                      latitude_bound=2.0 * slope if slope > 0 else 1e-12,
-                      arc=arc, enforce=not override)
+    ring = trace_ring(sphere, terrain, step, arc, side, enforce=not override)
     trace.warnings.extend(ring.warnings)
     trace.ring = ring
 

@@ -1,13 +1,13 @@
-"""The closed curve where a sphere meets the terrain, traced by azimuth, and
-the ground crossings of the foot circles that close the table's square.
+"""The curve where a sphere meets the terrain, traced over one azimuth arc,
+and the ground crossings of the foot circles that close the table's square.
 
 Under a terrain slope below 30 degrees the curve is a graph over the azimuth
 about the vertical axis through the sphere center: each vertical half-plane
 meets it exactly once, so every point is a 1-D root in latitude. The trace
-keeps a cached polyline for warm starts. Every root is refined inside a
-certified bracket: a 1-degree sign scan ahead of each fresh bracket makes a
-breach of the uniqueness conditions surface as an error instead of a wrong
-answer.
+covers the march's arc, with every latitude inside twice the slope, and
+keeps the polyline for warm starts. Every root is refined inside a certified
+bracket: a 1-degree sign scan ahead of each fresh bracket makes a breach of
+the uniqueness conditions surface as an error instead of a wrong answer.
 
 Every circle crossing here goes through one kernel, `_solve_circles`: it
 scans many circles at once in blocks of _BLOCK_ROWS rows, checks each row's
@@ -100,8 +100,10 @@ from .errors import (
 from .geometry import SlopeThresholds, Sphere
 from .roots import bracketed_root, bracketed_roots
 
-_TWO_PI = 2.0 * math.pi
 _DEG = math.radians(1.0)
+# finest sample step: a motion stage or a ring trace over half a turn then
+# holds about 2^18 samples, the cap of balance's height scan
+_MIN_STEP = math.pi / 2.0 ** 18
 _SLOPES = SlopeThresholds()
 # rows per full-scan block: solving 600 foot circles on a 20-bump terrain
 # took 333 us per row one row at a time, 69 us in 32-row blocks and 130 us
@@ -183,12 +185,9 @@ def ring_point(sphere: Sphere, terrain, azimuth: float,
 
 @dataclass
 class GroundRing:
-    """Azimuth-parametrized polyline of the sphere/ground intersection,
-    plus warm-started exact point solves at arbitrary azimuth.
-
-    Covers either the full circle (closed = True, last grid point one step
-    short of wrapping) or an azimuth arc.
-    """
+    """Azimuth-parametrized polyline of the sphere/ground intersection over
+    one azimuth arc, ends included, plus warm-started exact point solves on
+    the arc. latitude_bound is twice the terrain's slope bound."""
 
     sphere: Sphere
     terrain: object
@@ -197,42 +196,21 @@ class GroundRing:
     latitudes: np.ndarray
     points: np.ndarray
     latitude_bound: float
-    closed: bool
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def max_abs_latitude(self) -> float:
-        return float(np.max(np.abs(self.latitudes)))
-
-    @property
-    def max_sphere_residual(self) -> float:
-        d = self.points - self.sphere.center
-        return float(np.max(np.abs(np.sqrt((d * d).sum(axis=1)) - self.sphere.radius)))
-
-    @property
-    def max_surface_residual(self) -> float:
-        z = self.terrain.height(self.points[:, 0], self.points[:, 1])
-        return float(np.max(np.abs(self.points[:, 2] - z)))
 
     def _hint_latitude(self, azimuth: float) -> tuple[float, float]:
         """Interpolated latitude and a local bracket half-width."""
         n = self.azimuths.size
         a0 = float(self.azimuths[0])
-        if self.closed:
-            pos = ((azimuth - a0) % _TWO_PI) / self.step
-            i = int(pos) % n
-            j = (i + 1) % n
-            frac = pos - int(pos)
-        else:
-            pos = (azimuth - a0) / self.step
-            pos = min(max(pos, 0.0), n - 1.0)
-            i = min(int(pos), n - 2)
-            j = i + 1
-            frac = pos - i
+        pos = (azimuth - a0) / self.step
+        pos = min(max(pos, 0.0), n - 1.0)
+        i = min(int(pos), n - 2)
+        j = i + 1
+        frac = pos - i
         li, lj = float(self.latitudes[i]), float(self.latitudes[j])
         hint = li + (lj - li) * frac
-        k = (i - 1) % n if self.closed else max(i - 1, 0)
-        m = (j + 1) % n if self.closed else min(j + 1, n - 1)
+        k = max(i - 1, 0)
+        m = min(j + 1, n - 1)
         local = max(
             abs(lj - li),
             abs(li - float(self.latitudes[k])),
@@ -272,26 +250,30 @@ class GroundRing:
 
 
 def check_step(step: float) -> None:
-    """Raise DomainError unless the sample step is finite and positive."""
+    """Raise DomainError unless the sample step is finite, positive and at
+    least _MIN_STEP."""
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"trace step must be positive, got {step}")
+    if step < _MIN_STEP:
+        raise DomainError(f"trace step {math.degrees(step):.4g} deg is below the floor "
+                          f"of {math.degrees(_MIN_STEP):.4g} deg (pi/2^18 rad)")
 
 
-def trace_ring(sphere: Sphere, terrain, step: float,
-               chord_length: float | None = None,
-               latitude_bound: float | None = None,
-               arc: tuple[float, float] | None = None,
-               enforce: bool = True) -> GroundRing:
-    """Trace the curve on a uniform azimuth grid (vectorized).
+def trace_ring(sphere: Sphere, terrain, step: float, arc: tuple[float, float],
+               chord_length: float, enforce: bool = True) -> GroundRing:
+    """Trace the curve over the azimuth arc on a uniform grid (vectorized).
 
-    step is the azimuth increment (radians); `arc` restricts the trace to an
-    azimuth interval (default: the full circle). When chord_length is given
-    the step must keep at least 100 samples per chord. latitude_bound
-    defaults to twice the terrain slope bound; every traced latitude must
-    stay strictly inside it (raise, or record a warning when enforce is
-    False).
+    The grid spans arc = (start, end), ends included, in equal increments
+    of at most `step` radians; the step must keep at least 100 samples per
+    chord of chord_length. Every traced latitude must stay strictly inside
+    twice the terrain slope bound (raise, or record a warning when enforce
+    is False).
     """
     check_step(step)
+    lo_phi, hi_phi = float(arc[0]), float(arc[1])
+    span = hi_phi - lo_phi
+    if not (math.isfinite(span) and span > 0.0):
+        raise DomainError(f"azimuth arc must be finite and nonempty, got {arc}")
     slope = terrain.slope_bound
     warnings: list[str] = []
     if slope >= _SLOPES.no_double_point:
@@ -301,31 +283,15 @@ def trace_ring(sphere: Sphere, terrain, step: float,
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
-    if chord_length is not None:
-        cap = 2.0 * math.asin(chord_length / (200.0 * sphere.radius))
-        if step > cap * (1.0 + 1e-9):
-            raise DomainError(
-                f"step {math.degrees(step):.4f} deg exceeds the 100-samples-per-"
-                f"chord cap {math.degrees(cap):.4f} deg"
-            )
-    if latitude_bound is None:
-        latitude_bound = 2.0 * slope
-
-    if arc is None:
-        closed = True
-        span = _TWO_PI
-        n = int(math.ceil(span / step))
-        phis = span * np.arange(n) / n
-        grid_step = span / n
-    else:
-        closed = False
-        lo_phi, hi_phi = float(arc[0]), float(arc[1])
-        span = hi_phi - lo_phi
-        if span <= 0:
-            raise DomainError(f"empty azimuth arc {arc}")
-        n = max(1, int(math.ceil(span / step)))
-        phis = lo_phi + span * np.arange(n + 1) / n
-        grid_step = span / n
+    cap = 2.0 * math.asin(chord_length / (200.0 * sphere.radius))
+    if step > cap * (1.0 + 1e-9):
+        raise DomainError(
+            f"step {math.degrees(step):.4f} deg exceeds the 100-samples-per-"
+            f"chord cap {math.degrees(cap):.4f} deg"
+        )
+    n = max(1, int(math.ceil(span / step)))
+    phis = lo_phi + span * np.arange(n + 1) / n
+    grid_step = span / n
 
     # crossings live inside |lat| < 2 * slope; scan a padded band at the
     # spec'd 1-degree resolution and pin the band edges to the pole signs
@@ -360,6 +326,7 @@ def trace_ring(sphere: Sphere, terrain, step: float,
         warnings.append(msg)
 
     worst_lat = float(np.max(np.abs(lams)))
+    latitude_bound = 2.0 * slope
     # flat ground degenerates to latitude == bound == 0; only a real excess counts
     if worst_lat >= latitude_bound and worst_lat > 1e-12:
         msg = (f"traced latitude {math.degrees(worst_lat):.4f} deg reaches the "
@@ -367,10 +334,7 @@ def trace_ring(sphere: Sphere, terrain, step: float,
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
-    if closed:
-        seg = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-    else:
-        seg = np.diff(pts, axis=0)
+    seg = np.diff(pts, axis=0)
     spacing = float(np.max(np.sqrt((seg * seg).sum(axis=1))))
     # the curve's tangent is tangent to the ground, so its inclination stays
     # under the slope bound; that caps the azimuthal speed at
@@ -389,8 +353,7 @@ def trace_ring(sphere: Sphere, terrain, step: float,
 
     return GroundRing(sphere=sphere, terrain=terrain, step=grid_step,
                       azimuths=phis, latitudes=lams, points=pts,
-                      latitude_bound=latitude_bound, closed=closed,
-                      warnings=warnings)
+                      latitude_bound=latitude_bound, warnings=warnings)
 
 
 def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
@@ -441,11 +404,6 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
         raise BlockedMotion("chord advance did not move forward in azimuth")
     point, lam = solved[phi2]
     return point, phi2, lam
-
-
-def flat_chord_azimuth_gap(chord: float, radius: float) -> float:
-    """Azimuth increment of a chord on a horizontal circle of that radius."""
-    return 2.0 * math.asin(chord / (2.0 * radius))
 
 
 def _circle_points(coef, radius: float, cos_t, sin_t):

@@ -114,6 +114,8 @@ def test_criterion_05_curve_invariants(campaign_march):
         assert r["sphere_resid"] < 1e-9
         assert r["surface_resid"] < 1e-9
         assert r["lat_max_deg"] < r["lat_bound_deg"]
+        assert r["lat_bound_deg"] == pytest.approx(2.0 * r["theta_measured_deg"],
+                                                   rel=1e-12)
         assert r["monotone_ok"]
     assert checked > 0
     _report("5 curve invariants",

@@ -265,9 +265,15 @@ def test_wrong_count_of_numbers_is_domain_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step", ["0", "-0.25", "nan"])
+@pytest.mark.parametrize("step, message", [
+    ("0", "trace step must be positive"),
+    ("-0.25", "trace step must be positive"),
+    ("nan", "trace step must be positive"),
+    # far below the floor: a missing guard fails at once in numpy's allocator
+    ("1e-13", "trace step 1e-13 deg is below the floor of 0.0006866 deg (pi/2^18 rad)"),
+], ids=["0", "-0.25", "nan", "1e-13"])
 @pytest.mark.parametrize("command", ["solve", "montecarlo"])
-def test_step_must_be_finite_and_positive(command, step, tmp_path, capsys):
+def test_step_must_be_finite_and_positive(command, step, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     args = [command, "--motion", "rt", "--step", step, "--out", str(out)]
     if command == "solve":
@@ -277,7 +283,7 @@ def test_step_must_be_finite_and_positive(command, step, tmp_path, capsys):
     else:
         args += ["--n", "2"]
     assert main(args) == EXIT_FAILURE
-    assert "trace step must be positive" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -244,11 +244,17 @@ def test_slope_gates_at_their_limits():
         run_march(TABLE, _pinned_flat(th.monotone_march + 2e-12))
 
 
-@pytest.mark.parametrize("step", [0.0, -0.25, math.nan])
+@pytest.mark.parametrize("step, message", [
+    (0.0, "trace step must be positive"),
+    (-0.25, "trace step must be positive"),
+    (math.nan, "trace step must be positive"),
+    # far below the floor: a missing guard fails at once in numpy's allocator
+    (1e-15, r"trace step 5.73e-14 deg is below the floor of 0.0006866 deg \(pi/2\^18 rad\)"),
+], ids=["0.0", "-0.25", "nan", "1e-15"])
 @pytest.mark.parametrize("run", [run_march, run_pivot_slide],
                          ids=["march", "pivot_slide"])
-def test_step_must_be_finite_and_positive(run, step, hills14):
-    with pytest.raises(DomainError, match="trace step must be positive"):
+def test_step_must_be_finite_and_positive(run, step, message, hills14):
+    with pytest.raises(DomainError, match=message):
         run(TABLE, hills14, step=step)
 
 

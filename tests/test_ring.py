@@ -15,7 +15,6 @@ from wobble.ring import (
     chord_advance,
     circle_crossings,
     circle_surface_intersection,
-    flat_chord_azimuth_gap,
     half_circle_crossings,
     ring_point,
     trace_ring,
@@ -24,6 +23,7 @@ from wobble.terrain import BumpTerrain, Extent, GridTerrain, generate_terrain
 
 EXT = Extent(-8.0, 8.0, -8.0, 8.0)
 STEP = math.radians(0.25)
+TURN = (0.0, 2.0 * math.pi)
 
 
 def test_ring_point_flat_equator(flat):
@@ -39,13 +39,13 @@ def test_ring_point_steep_terrain_refused():
     with pytest.raises(ConditionViolation, match="30"):
         ring_point(s, steep, 0.0)
     with pytest.raises(ConditionViolation, match="30"):
-        trace_ring(s, steep, STEP)
+        trace_ring(s, steep, STEP, TURN, 1.0)
 
 
 def test_trace_ring_override_records_the_slope_breach():
     steep = generate_terrain(2, math.radians(32.0), 20, EXT)
     s = Sphere(center=np.array([0.3, -0.2, steep.height(0.3, -0.2)]), radius=0.75)
-    ring = trace_ring(s, steep, STEP, enforce=False)
+    ring = trace_ring(s, steep, STEP, TURN, 1.0, enforce=False)
     assert ring.warnings[0] == ("curve tracing needs terrain slope below 30.0000 "
                                 "deg, measured 32.0000 deg")
 
@@ -66,7 +66,7 @@ def test_trace_on_tilted_plane_is_the_analytic_circle(plane10):
     # sphere centered on the plane: the curve is a great circle
     cz = 0.5 * math.tan(math.radians(10.0))
     s = Sphere(center=np.array([0.5, 0.2, cz]), radius=0.9)
-    ring = trace_ring(s, plane10, STEP, chord_length=1.0)
+    ring = trace_ring(s, plane10, STEP, TURN, 1.0)
     d = ring.points - s.center
     assert np.max(np.abs(np.sqrt((d * d).sum(1)) - 0.9)) < 1e-9
     plane_resid = ring.points[:, 2] - ring.points[:, 0] * math.tan(math.radians(10.0))
@@ -80,7 +80,7 @@ def test_trace_off_center_sphere_circle_radius(plane10):
     dist = 0.12
     center = np.array([0.5, 0.2, 0.5 * slope]) + dist * normal
     s = Sphere(center=center, radius=0.9)
-    ring = trace_ring(s, plane10, STEP, chord_length=1.0)
+    ring = trace_ring(s, plane10, STEP, TURN, 1.0)
     circle_center = center - dist * normal
     r_want = math.sqrt(0.9**2 - dist**2)
     d = ring.points - circle_center
@@ -89,20 +89,23 @@ def test_trace_off_center_sphere_circle_radius(plane10):
 
 def test_trace_full_turn_closes(hills14):
     s = Sphere(center=np.array([0.2, -0.1, 0.35]), radius=0.8)
-    ring = trace_ring(s, hills14, math.radians(0.5))
-    p0, lam0 = ring.point_at(float(ring.azimuths[0]))
-    p1, lam1 = ring.point_at(float(ring.azimuths[0]) + 2.0 * math.pi)
-    assert np.linalg.norm(p1 - p0) < 1e-9 * s.radius
-    # polyline wrap is continuous
+    ring = trace_ring(s, hills14, math.radians(0.5), TURN, 1.0)
+    # the traced polyline closes: its last point is its first
+    assert np.linalg.norm(ring.points[-1] - ring.points[0]) < 1e-9 * s.radius
     assert abs(float(ring.latitudes[0]) - float(ring.latitudes[-1])) < 0.05
+    p0, lam0 = ring.point_at(float(ring.azimuths[0]))
+    p1, lam1 = ring.point_at(float(ring.azimuths[-1]))
+    assert np.linalg.norm(p1 - p0) < 1e-9 * s.radius
 
 
 def test_traced_invariants_on_terrain(hills14):
     s = Sphere(center=np.array([0.0, 0.0, 0.35]), radius=0.8)
-    ring = trace_ring(s, hills14, math.radians(0.5))
-    assert ring.max_sphere_residual < 1e-9 * s.radius
-    assert ring.max_surface_residual < 1e-9
-    assert ring.max_abs_latitude < 2.0 * hills14.slope_bound
+    ring = trace_ring(s, hills14, math.radians(0.5), TURN, 1.0)
+    d = ring.points - s.center
+    assert np.max(np.abs(np.sqrt((d * d).sum(axis=1)) - s.radius)) < 1e-9 * s.radius
+    z = hills14.height(ring.points[:, 0], ring.points[:, 1])
+    assert np.max(np.abs(ring.points[:, 2] - z)) < 1e-9
+    assert np.max(np.abs(ring.latitudes)) < 2.0 * hills14.slope_bound
     assert np.all(np.diff(ring.azimuths) > 0)
 
 
@@ -110,14 +113,21 @@ def test_trace_step_cap_with_chord():
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=0.75)
     from wobble.terrain import flat_terrain
     with pytest.raises(DomainError, match="cap"):
-        trace_ring(s, flat_terrain(EXT), math.radians(2.0), chord_length=1.0)
+        trace_ring(s, flat_terrain(EXT), math.radians(2.0), TURN, 1.0)
+
+
+@pytest.mark.parametrize("arc", [(0.0, math.nan), (-math.inf, 0.0), (1.0, 1.0)])
+def test_trace_needs_a_finite_nonempty_arc(arc, flat):
+    s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
+    with pytest.raises(DomainError, match="azimuth arc must be finite and nonempty"):
+        trace_ring(s, flat, STEP, arc, 1.0)
 
 
 def test_chord_advance_exact_on_flat_circle(flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
-    ring = trace_ring(s, flat, STEP, chord_length=0.5)
+    ring = trace_ring(s, flat, STEP, TURN, 0.5)
     start, _ = ring.point_at(0.0)
-    want = flat_chord_azimuth_gap(0.5, 1.0)
+    want = 2.0 * math.asin(0.5 / (2.0 * 1.0))
     p2, phi2, lam2 = chord_advance(ring, start, 0.0, 0.5, want)
     assert phi2 == pytest.approx(want, abs=1e-12)
     assert np.linalg.norm(p2 - start) == pytest.approx(0.5, abs=1e-12)
@@ -125,9 +135,9 @@ def test_chord_advance_exact_on_flat_circle(flat):
 
 def test_chord_advance_blocked_outside_bracket(flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
-    ring = trace_ring(s, flat, STEP, chord_length=0.5)
+    ring = trace_ring(s, flat, STEP, TURN, 0.5)
     start, _ = ring.point_at(0.0)
-    bad_hint = flat_chord_azimuth_gap(0.5, 1.0) + math.radians(10.0)
+    bad_hint = 2.0 * math.asin(0.5 / (2.0 * 1.0)) + math.radians(10.0)
     with pytest.raises(BlockedMotion):
         chord_advance(ring, start, 0.0, 0.5, bad_hint)
 
@@ -136,7 +146,7 @@ def test_chord_advance_equal_steps_on_tilted_circle(plane10):
     cz = 0.5 * math.tan(math.radians(10.0))
     s = Sphere(center=np.array([0.5, 0.2, cz]), radius=0.9)
     chord = 0.5
-    ring = trace_ring(s, plane10, STEP, chord_length=chord)
+    ring = trace_ring(s, plane10, STEP, TURN, chord)
     # equal chords on a circle of radius 0.9 subtend equal intrinsic angles
     intrinsic = 2.0 * math.asin(chord / (2.0 * 0.9))
     phi = float(ring.azimuths[0])
@@ -352,7 +362,8 @@ def test_settled_scan_equals_every_node_scan(name, request, every_node):
         return
     sphere = Sphere(center=np.array([0.3, -0.2, terrain.height(0.3, -0.2)]),
                     radius=0.75)
-    got, want = trace_ring(sphere, terrain, STEP), trace_ring(sphere, ref, STEP)
+    got, want = (trace_ring(sphere, terrain, STEP, TURN, 1.0),
+                 trace_ring(sphere, ref, STEP, TURN, 1.0))
     for attr in ("azimuths", "latitudes", "points"):
         _same_bits(getattr(got, attr), getattr(want, attr))
     assert got.warnings == want.warnings
@@ -395,10 +406,10 @@ def test_scan_leaving_the_extent_raises_the_full_scan_error(hills14, flat):
     # and azimuths past 16 deg leave the extent at y = 8
     sunk = Sphere(center=np.array([0.0, 7.7, -0.5]), radius=0.75)
     with pytest.raises(GeometryViolation, match="scan band"):
-        trace_ring(sunk, flat, STEP)
+        trace_ring(sunk, flat, STEP, TURN, 1.0)
     afloat = Sphere(center=np.array([0.0, 7.7, 0.1]), radius=0.75)
     with pytest.raises(DomainError, match="outside terrain extent"):
-        trace_ring(afloat, flat, STEP)
+        trace_ring(afloat, flat, STEP, TURN, 1.0)
 
 
 # ---------------------------------- sign-change list against a dense scan
