@@ -44,7 +44,6 @@ from .geometry import (
     orthotriple_inclination_residual,
     rotate_about_axis,
     sphere_through,
-    thresholds_report,
 )
 from .motion import (
     EquilibriumResult,

@@ -2,7 +2,8 @@
 
 Angles cross this boundary in degrees; everything inside runs in radians.
 Exit codes: 0 solved/completed, 2 no equilibrium found, 3 a certified
-condition was violated, 4 numerical or I/O failure, 64 usage error.
+condition was violated, 4 any other solver error (numerical, input or
+geometry) or I/O failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from .errors import (
     ConditionViolation,
     DomainError,
     GeometryViolation,
-    NumericalFailure,
-    ParseError,
     UsageError,
-    ValidationError,
     WobbleError,
 )
 from .motion import (
@@ -49,6 +47,7 @@ from .ring import check_step
 from .terrain import (
     Extent,
     check_bump_count,
+    check_seed,
     check_target_slope,
     generate_terrain,
     parse_terrain,
@@ -154,7 +153,7 @@ def trace_csv_lines(trace: MotionTrace):
 def format_equilibrium_report(result: EquilibriumResult, trace: MotionTrace) -> str:
     lines = [
         f"motion:          {trace.kind}",
-        f"slope bound:     {math.degrees(trace.slope_bound):.4f} deg "
+        f"slope bound:     {math.degrees(trace.terrain.slope_bound):.4f} deg "
         f"({trace.terrain.slope_bound_kind})",
         f"table side:      {trace.table.side}",
         f"samples:         {len(trace)}",
@@ -235,8 +234,10 @@ def _run_one(args) -> dict:
             lat = np.maximum(np.abs(trace.latitude1), np.abs(trace.latitude2))
             rec["lat_max_deg"] = math.degrees(float(np.max(lat)))
             rec["lat_bound_deg"] = math.degrees(trace.ring.latitude_bound)
-            rec["sphere_resid"] = float(np.max(trace.sphere_residual))
-            rec["surface_resid"] = float(np.max(trace.surface_residual))
+            sph = trace.sphere
+            rec["sphere_resid"] = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
+                                      for p in trace.feet[:, :2].reshape(-1, 3))
+            rec["surface_resid"] = float(np.max(np.abs(trace.heights[:, :3])))
             phi2 = trace.azimuth2
             rec["monotone_ok"] = bool(np.all(phi2[1:] > phi2[:-1]))
         if result.found:
@@ -303,11 +304,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         raise DomainError(f"campaign takes at most 10^5 runs, got {cfg.n}")
     if cfg.motion not in ("gamma", "rt"):
         raise DomainError(f"unknown motion {cfg.motion!r}; use 'gamma' or 'rt'")
-    # a bad step, slope, bump count or table fails here, before any worker
-    # starts
+    # a bad step, slope, bump count, seed or table fails here, before any
+    # worker starts
     check_step(cfg.step)
     check_target_slope(cfg.target_slope)
     check_bump_count(cfg.bump_count)
+    check_seed(cfg.master_seed)
     TableSpec.square(cfg.side)
     tasks = ((cfg, i, s) for i, s in enumerate(_campaign_seeds(cfg)))
     workers = worker_count(cfg.n)
@@ -553,7 +555,7 @@ def main(argv=None) -> int:
     except (ConditionViolation, BlockedMotion, GeometryViolation) as exc:
         print(f"condition violation: {exc}", file=sys.stderr)
         return EXIT_CONDITION
-    except (NumericalFailure, ParseError, ValidationError, DomainError) as exc:
+    except WobbleError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as exc:

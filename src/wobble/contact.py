@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConditionViolation, DomainError, GeometryViolation, NumericalFailure
 from .geometry import SlopeThresholds, rotate_about_axis
-from .ring import circle_crossings
+from .ring import circle_surface_intersection
 
 _TWO_PI = 2.0 * math.pi
 _SLOPES = SlopeThresholds()
@@ -119,12 +119,10 @@ class FootSet:
     def p4(self) -> np.ndarray:
         return self.points[3]
 
-    def pairwise_distances(self) -> np.ndarray:
-        d = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt((d * d).sum(axis=-1))
-
     def rigidity_residual(self, table: TableSpec) -> float:
-        return float(np.max(np.abs(self.pairwise_distances() - table.reference_distances())))
+        d = self.points[:, None, :] - self.points[None, :, :]
+        return float(np.max(np.abs(np.sqrt((d * d).sum(axis=-1))
+                                   - table.reference_distances())))
 
     def orientation_ok(self) -> bool:
         c = np.cross(self.p2 - self.p1, self.p3 - self.p2)
@@ -306,12 +304,12 @@ def drop_rotate(feet: FootSet, terrain) -> DropRotation:
 
     Foot 4 turns on the circle about the axis p3 - p2 whose center is its
     projection onto the axis. It lands where that circle meets the ground on
-    the table's side of the axis: the one-row `ring.circle_crossings`, whose
-    1-degree scan certifies the crossing, so a circle that crosses the
-    ground more than twice raises ConditionViolation. An airborne free foot
-    turns down and a sunken one up; the angle is the signed turn about
-    p3 - p2. The same rotation drags foot 1 along to the other side of the
-    surface.
+    the table's side of the axis: `ring.circle_surface_intersection` with
+    its slope gate off, whose 1-degree scan certifies the crossing, so a
+    circle that crosses the ground more than twice raises
+    ConditionViolation. An airborne free foot turns down and a sunken one
+    up; the angle is the signed turn about p3 - p2. The same rotation drags
+    foot 1 along to the other side of the surface.
     """
     p1, p2, p3, p4 = feet.p1, feet.p2, feet.p3, feet.p4
     axis = p3 - p2
@@ -323,11 +321,8 @@ def drop_rotate(feet: FootSet, terrain) -> DropRotation:
     u = axis / scale
     center = p2 + float(np.dot(p4 - p2, u)) * u
     start = p4 - center
-    points, errors = circle_crossings(center[None, :], axis[None, :],
-                                      float(np.linalg.norm(start)), terrain, side=1)
-    if errors:
-        raise errors[0]
-    landed = points[0]
+    landed = circle_surface_intersection(center, axis, float(np.linalg.norm(start)),
+                                         terrain, side=1, enforce_slope=False)
     end = landed - center
     angle = math.atan2(float(np.dot(u, np.cross(start, end))), float(np.dot(start, end)))
     companion = rotate_about_axis(p1, p2, p3, angle)

@@ -188,7 +188,3 @@ class SlopeThresholds:
     @property
     def half_circle_unique_deg(self) -> float:
         return math.degrees(self.half_circle_unique)
-
-
-def thresholds_report() -> SlopeThresholds:
-    return SlopeThresholds()

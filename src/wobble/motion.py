@@ -44,9 +44,9 @@ call of the same stage functions.
 A trace keeps its samples as columns, one row per sample: the parameters,
 the feet (n, 4, 3), the four signed heights (n, 4), a stage code (an index
 into STAGES), a flag bitmask (bit k set for FLAGS[k]) and, for the march,
-foot 2's azimuth, both latitudes and both residuals. A stage's rows are
-flagged, checked and appended in array passes; `MotionTrace.sample(i)`
-builds one MotionSample on demand.
+foot 2's azimuth and both latitudes; residuals follow from the feet, the
+heights and the sphere. A stage's rows are flagged, checked and appended in
+array passes; `MotionTrace.sample(i)` builds one MotionSample on demand.
 
 Motion "march" follows the curve where the circumsphere of the settled feet
 and the dropped free foot meets the ground, certified up to a 14.47 deg
@@ -102,8 +102,7 @@ STAGES = ("settled", "march", "pivot", "slide")
 FLAGS = ("contact", "rigidity", "latitude", "monotone", "continuity")
 _CONTACT, _RIGIDITY, _LATITUDE, _MONOTONE, _CONTINUITY = (1 << k for k in range(5))
 # the march's own columns; None in a trace of the other motion
-_MARCH_COLUMNS = ("azimuth2", "latitude1", "latitude2", "sphere_residual",
-                  "surface_residual")
+_MARCH_COLUMNS = ("azimuth2", "latitude1", "latitude2")
 
 
 def flag_names(mask: int) -> tuple[str, ...]:
@@ -120,8 +119,6 @@ class MotionSample:
     azimuth2: float | None = None       # azimuth of foot 2 about the sphere axis
     latitude1: float | None = None
     latitude2: float | None = None
-    sphere_residual: float = 0.0
-    surface_residual: float = 0.0
     flags: tuple[str, ...] = ()
 
 
@@ -142,11 +139,8 @@ class MotionTrace:
     table: TableSpec
     terrain: object
     start_feet: FootSet
-    center_xy: tuple[float, float]
-    yaw: float
     step: float
     override: bool
-    slope_bound: float
     relabeled: bool = False
     sphere: Sphere | None = None
     drop: DropRotation | None = None
@@ -164,8 +158,6 @@ class MotionTrace:
     azimuth2: np.ndarray | None = None
     latitude1: np.ndarray | None = None
     latitude2: np.ndarray | None = None
-    sphere_residual: np.ndarray | None = None
-    surface_residual: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.params.size
@@ -258,8 +250,7 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
         raise DomainError(f"the {name} motion is defined for square tables")
     slope = terrain.slope_bound
     trace = MotionTrace(kind=kind, table=table, terrain=terrain, start_feet=None,
-                        center_xy=(float(center_xy[0]), float(center_xy[1])),
-                        yaw=yaw, step=step, override=override, slope_bound=slope)
+                        step=step, override=override)
     if slope >= limit:
         _breach(trace, ConditionViolation,
                 f"terrain slope {math.degrees(slope):.4f} deg exceeds the "
@@ -378,15 +369,12 @@ def _march_rows(ring: GroundRing, table: TableSpec, params, phis, hint_gap: floa
     the sample columns, the march's among them, of the rows before the first
     failing row and that row's error."""
     chords, failure = [], None
-    sph = ring.sphere
     try:
         for phi in phis:
             p1, lat1 = ring.point_at(phi)
             p2, phi2, lat2 = chord_advance(ring, p1, phi, table.side, phi + hint_gap)
             hint_gap = phi2 - phi
-            sres = max(abs(float(np.linalg.norm(p - sph.center)) - sph.radius)
-                       for p in (p1, p2))
-            chords.append((p1, p2, phi2, lat1, lat2, sres))
+            chords.append((p1, p2, phi2, lat1, lat2))
     except WobbleError as exc:
         failure = exc
     rows, square_failure = _squares(
@@ -394,10 +382,8 @@ def _march_rows(ring: GroundRing, table: TableSpec, params, phis, hint_gap: floa
         np.array([c[0] for c in chords]).reshape(-1, 3),
         np.array([c[1] for c in chords]).reshape(-1, 3))
     m = len(rows["params"])
-    phi2, lat1, lat2, sres = np.array([c[2:] for c in chords[:m]],
-                                      dtype=float).reshape(m, 4).T
-    rows.update(azimuth2=phi2, latitude1=lat1, latitude2=lat2, sphere_residual=sres,
-                surface_residual=np.max(np.abs(rows["heights"][:, :3]), axis=1))
+    phi2, lat1, lat2 = np.array([c[2:] for c in chords[:m]], float).reshape(m, 3).T
+    rows.update(azimuth2=phi2, latitude1=lat1, latitude2=lat2)
     return rows, square_failure or failure
 
 

@@ -24,11 +24,11 @@ curve point at an azimuth is the crossing of the vertical half-circle about
 the sphere center: `ring_point` is the one-row call of
 `half_circle_crossings`, and `trace_ring` runs the kernel on every grid
 azimuth with its own band and certificate. `circle_surface_intersection` is
-the one-row call of `circle_crossings`, and so is the landing of the free
-foot in `contact.drop_rotate`, which turns about the edge through feet 2
-and 3. These one-row calls raise their row's error. The warm-started curve
-solves of `GroundRing.point_at` and `chord_advance` refine one scalar root
-at a time with Brent's method (roots.bracketed_root).
+the one-row call of `circle_crossings`; `contact.drop_rotate` lands the
+free foot with it, slope gate off. These one-row calls raise their row's
+error. The warm-started curve solves of `GroundRing.point_at` and
+`chord_advance` refine one scalar root at a time with Brent's method
+(roots.bracketed_root).
 
 The scan evaluates a grid node only where it can change a sign. Each block
 first evaluates its rows at the coarse nodes: every _COARSE-th grid node
@@ -153,12 +153,6 @@ _CIRCLE_TOP = 180
 _CIRCLE_LEFT = np.sin(0.5 * (_CIRCLE.ts[:-1] + _CIRCLE.ts[1:])) > 0.0
 # vertical half-circle, 1-degree elevation grid
 _HALF = _angle_grid(np.linspace(-math.pi / 2.0, math.pi / 2.0, 181))
-
-
-def _scan_brackets(values: np.ndarray) -> list[int]:
-    """Indices i where values[i] and values[i+1] straddle zero."""
-    s = values > 0.0
-    return [int(i) for i in np.nonzero(s[:-1] != s[1:])[0]]
 
 
 def ring_point(sphere: Sphere, terrain, azimuth: float,
@@ -394,7 +388,7 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
     vals[0], vals[4] = g_lo, g_hi
     for i in (1, 2, 3):
         vals[i] = gap(float(probes[i]))
-    if len(_scan_brackets(vals)) != 1:
+    if np.count_nonzero(np.diff(vals > 0.0)) != 1:
         raise ConditionViolation(
             "multiple chord roots detected in the continuation bracket; "
             "uniqueness-by-continuity failed"

@@ -732,6 +732,13 @@ def check_bump_count(bump_count: int) -> None:
         raise DomainError(f"bump count must be non-negative, got {bump_count}")
 
 
+def check_seed(seed: int) -> None:
+    """Raise DomainError unless the seed is non-negative (numpy's PCG64
+    takes no negative seed)."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+
+
 def generate_terrain(seed: int, target_slope: float, bump_count: int,
                      extent: Extent) -> BumpTerrain:
     """Seeded random bump terrain with slope bound at most target_slope.
@@ -744,6 +751,7 @@ def generate_terrain(seed: int, target_slope: float, bump_count: int,
     """
     check_target_slope(target_slope)
     check_bump_count(bump_count)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     span = min(extent.width, extent.height)
     sigma_lo, sigma_hi = 0.035 * span, 0.10 * span

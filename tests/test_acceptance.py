@@ -23,7 +23,7 @@ from wobble.balance import (
 )
 from wobble.cli import CampaignConfig, main, run_campaign
 from wobble.contact import TableSpec
-from wobble.geometry import orthotriple_inclination_residual, thresholds_report
+from wobble.geometry import SlopeThresholds, orthotriple_inclination_residual
 from wobble.terrain import Extent, generate_terrain
 
 EXT = Extent(-8.0, 8.0, -8.0, 8.0)
@@ -54,7 +54,7 @@ def campaign_pivot():
 
 
 def test_criterion_01_threshold_constants():
-    th = thresholds_report()
+    th = SlopeThresholds()
     assert round(th.legs_clear_deg, 3) == 35.264
     assert round(th.monotone_march_deg, 3) == 14.470
     assert round(th.no_double_point_deg, 3) == 30.000

@@ -14,6 +14,8 @@ from wobble.cli import (
     EXIT_FAILURE,
     EXIT_USAGE,
     TRACE_HEADER,
+    CampaignConfig,
+    _run_one,
     main,
     trace_csv_lines,
     worker_count,
@@ -324,6 +326,56 @@ def test_campaign_bump_count_checked_before_the_runs(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_FAILURE
     assert "bump count must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, seed", [
+    (["gen-terrain", "--seed", "-1", "--theta", "10"], -1),
+    (["montecarlo", "--n", "2", "--seed", "-5", "--motion", "rt"], -5),
+], ids=["gen-terrain", "montecarlo"])
+def test_negative_seed_is_refused(args, seed, tmp_path, capsys, monkeypatch):
+    # numpy's generator takes no negative seed; the campaign refuses it
+    # before any seed is drawn or any worker starts
+    monkeypatch.setattr("wobble.cli._campaign_seeds", _refuse)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"failure: seed must be non-negative, got {seed}\n"
+    assert not out.exists()
+
+
+def test_coplanar_start_is_one_failure_line(tmp_path, capsys):
+    # a 1e-6 table's settled and dropped feet span a volume of 8.3e-28: no
+    # unique sphere through them, a CoplanarPoints error, reported as a
+    # failure like any other solver error
+    terrain = tmp_path / "t.json"
+    terrain.write_text(serialize_terrain(
+        generate_terrain(1, math.radians(10.0), 20, Extent(-8.0, 8.0, -8.0, 8.0))))
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--terrain", str(terrain), "--side", "1e-6",
+                 "--out", str(out)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failure: points are near-coplanar")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not out.exists()
+
+
+def test_campaign_residuals_are_the_march_trace_residuals():
+    # the campaign derives both residual columns from the trace's feet,
+    # heights and sphere; recompute them from a fresh march
+    cfg = CampaignConfig(n=1, master_seed=0, target_slope=math.radians(12.0))
+    seed = 11
+    rec = _run_one((cfg, 0, seed))
+    assert rec["error"] == "" and rec["found"]
+    terrain = generate_terrain(seed, cfg.target_slope, cfg.bump_count, cfg.extent)
+    trace = run_march(TableSpec.square(cfg.side), terrain, step=cfg.step)
+    sph = trace.sphere
+    sphere_resid = max(abs(float(np.linalg.norm(trace.feet[i, j] - sph.center))
+                           - sph.radius)
+                       for i in range(len(trace)) for j in (0, 1))
+    surface_resid = max(abs(float(h)) for h in trace.heights[:, :3].ravel())
+    assert repr(rec["sphere_resid"]) == repr(sphere_resid)
+    assert repr(rec["surface_resid"]) == repr(surface_resid)
+    assert 0.0 < rec["surface_resid"] < 1e-9 and rec["sphere_resid"] < 1e-9
 
 
 @pytest.mark.parametrize("levels", ["5,95,10", "5,nan,10", "5,-3,10"])

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from wobble.errors import CoplanarPoints, DomainError
 from wobble.geometry import (
+    SlopeThresholds,
     diagonal_intersection_ratios,
     inclination,
     orthotriple_inclination_residual,
     rotate_about_axis,
     sphere_through,
-    thresholds_report,
 )
 
 
@@ -209,7 +209,7 @@ def test_diagonal_ratios_weighted_points_coincide(seed):
 
 
 def test_threshold_constants_to_three_decimals():
-    th = thresholds_report()
+    th = SlopeThresholds()
     assert th.legs_clear_deg == pytest.approx(35.264, abs=5e-4)
     assert th.monotone_march_deg == pytest.approx(14.470, abs=5e-4)
     assert th.no_double_point_deg == pytest.approx(30.000, abs=5e-4)

@@ -160,8 +160,7 @@ def _synthetic_trace(flat, h4_values):
     feet = settle_three_feet(TABLE, flat, (0.0, 0.0), 0.0)
     n = len(h4_values)
     return MotionTrace(kind="march", table=TABLE, terrain=flat,
-                       start_feet=feet, center_xy=(0.0, 0.0), yaw=0.0,
-                       step=1.0, override=False, slope_bound=0.0,
+                       start_feet=feet, step=1.0, override=False,
                        params=np.arange(n, dtype=float),
                        feet=np.repeat(feet.points[None], n, axis=0),
                        heights=np.column_stack([np.zeros((n, 3)), h4_values]),
@@ -297,8 +296,7 @@ def test_pivot_slide_solves_each_stage_in_array_passes(hills30):
 
 def _sample_bits(s: MotionSample):
     return (repr((s.param, s.contact.heights, s.contact.tolerance, s.stage,
-                  s.azimuth2, s.latitude1, s.latitude2, s.sphere_residual,
-                  s.surface_residual, s.flags)),
+                  s.azimuth2, s.latitude1, s.latitude2, s.flags)),
             s.feet.points.tobytes())
 
 
@@ -460,8 +458,7 @@ def test_record_raises_the_first_flagged_row_or_warns_each(flat):
 
     def empty_trace(override):
         return MotionTrace(kind="pivot_slide", table=table, terrain=flat,
-                           start_feet=None, center_xy=(0.0, 0.0), yaw=0.0,
-                           step=1.0, override=override, slope_bound=0.0)
+                           start_feet=None, step=1.0, override=override)
 
     with pytest.raises(ConditionViolation) as err:
         _record(empty_trace(False), rows, "(pivot)")
