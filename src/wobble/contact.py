@@ -322,7 +322,7 @@ def drop_rotate(feet: FootSet, terrain) -> DropRotation:
     center = p2 + float(np.dot(p4 - p2, u)) * u
     start = p4 - center
     landed = circle_surface_intersection(center, axis, float(np.linalg.norm(start)),
-                                         terrain, side=1, enforce_slope=False)
+                                         terrain, enforce_slope=False)
     end = landed - center
     angle = math.atan2(float(np.dot(u, np.cross(start, end))), float(np.dot(start, end)))
     companion = rotate_about_axis(p1, p2, p3, angle)

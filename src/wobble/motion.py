@@ -331,7 +331,7 @@ def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
     Returns the sample columns (at params[k], in `stage`) of the rows before
     the first row that fails, and that row's error (None when every row
     stands)."""
-    p3, errors = circle_crossings(foot2, foot2 - foot1, table.side, terrain, side=1)
+    p3, errors = circle_crossings(foot2, foot2 - foot1, table.side, terrain)
     p4, corner_errors = complete_fourth_feet(foot1, foot2, p3)
     for k, exc in corner_errors.items():
         errors.setdefault(k, exc)

@@ -50,37 +50,36 @@ and a grid terrain's bound is +inf, so a grid evaluates every node.
 
 A scan hands its certificate a `_SignChanges`: the block's sign changes as
 one list sorted by (row, cell), with the gaps at each changing cell's two
-ends, plus every row's gaps at the coarse nodes (at every node for the full
-scan). The settled scan builds the list in one (open cells x 10) pass over
-each open cell's two ends and nine inner nodes; a short last cell repeats
-its right end, which adds no change. A certificate reads each row's number
-of changes, its first change (optionally among some cells only, such as
-the circle's requested side) and its gaps at coarse nodes (the grid's ends,
-the circle's top); the refinement reads the two end gaps of the picked
-change. Every one of these is a real evaluation, the changes are those of
-the full scan, and no (rows x grid) array is built, so the kernel's cost
-follows the nodes it evaluates. Results, errors and their order are the
-full scan's, bit for bit, and do not depend on how rows are grouped into
-blocks.
+ends, plus every row's gaps at the coarse nodes. The scan builds the list
+in one (open cells x 10) pass over each open cell's two ends and nine inner
+nodes; a short last cell repeats its right end, which adds no change. A
+certificate reads each row's number of changes, its first change
+(optionally among some cells only, such as the circle's left side) and its
+gaps at coarse nodes (the grid's ends, the circle's top); the refinement
+reads the two end gaps of the picked change. Every one of these is a real
+evaluation, the changes are those of a scan of every node, and no (rows x
+grid) array is built, so the kernel's cost follows the nodes it evaluates.
+A row's point, angle and certificate error are those of a scan of every
+node, bit for bit, and do not depend on how rows are grouped into blocks.
 
-A block of fewer than _SETTLED_MIN_ROWS rows (a one-row resolve, or a
-short last block) runs the full scan, which is cheaper there: timed alone,
-the settled scan with its extent check against the full scan took 135-231
-against 77-112 us for one row, 144-223 against 122-164 us for 2 rows,
-153-235 against 187-270 us for 3 and 164-289 against 195-333 us for 4
-(best of 45, three runs, 20-bump terrain). A block whose circles may leave
-the terrain's extent (by their continuous bounding box) runs the full scan
-in blocks of _FULL_ROWS rows, so a query outside the extent raises the same
-error, naming the same first point, after the same earlier certificates.
-With _BLOCK_ROWS = 1024 a motion stage's rows (up to about 600 samples)
-are one block. Serial 16-run pivot-slide campaigns at 35 degrees (CPU
-time, best and median of 9, sizes alternated in one process) took
-0.43/0.44 s in 128-row blocks, 0.40/0.41 s in 256-row, 0.39/0.41 s in
-512-row, 0.39/0.40 s in 1024-row and 0.40/0.40 s in 4096-row blocks; on
-the earlier dense (rows x grid) gap, sign and change arrays, 1024-row
-blocks gained nothing over 128-row ones. _COARSE from 6 to 12 took
-0.63-0.67 s in two sets of runs against 0.68 s at 15, on the dense arrays
-(2-core Xeon, numpy 2.4).
+Every block runs this scan, the one-row calls included. Timed alone on
+one row, it took 204-221 us against 122-130 us for a scan of every node in
+one array call (five foot circles on a 20-bump terrain at 35 degrees, best
+of 9 x 300); the whole one-row call took 0.5-1.2 ms, most of it in the
+refinement, so a solve does not show the difference. A query outside the terrain's extent raises the
+terrain's DomainError, naming the first outside point in the scan's
+order: the block's coarse nodes row by row, then the inner nodes of its
+open cells (a node in a settled cell is never queried). The motions never
+get there: the workspace check in `motion._start` keeps every foot circle
+inside the extent. With _BLOCK_ROWS = 1024 a motion stage's rows (up to
+about 600 samples) are one block. Serial 16-run pivot-slide campaigns at
+35 degrees (CPU time, best and median of 9, sizes alternated in one
+process) took 0.43/0.44 s in 128-row blocks, 0.40/0.41 s in 256-row,
+0.39/0.41 s in 512-row, 0.39/0.40 s in 1024-row and 0.40/0.40 s in
+4096-row blocks; on the earlier dense (rows x grid) gap, sign and change
+arrays, 1024-row blocks gained nothing over 128-row ones. _COARSE from 6
+to 12 took 0.63-0.67 s in two sets of runs against 0.68 s at 15, on the
+dense arrays (2-core Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -105,16 +104,9 @@ _DEG = math.radians(1.0)
 # holds about 2^18 samples, the cap of balance's height scan
 _MIN_STEP = math.pi / 2.0 ** 18
 _SLOPES = SlopeThresholds()
-# rows per full-scan block: solving 600 foot circles on a 20-bump terrain
-# took 333 us per row one row at a time, 69 us in 32-row blocks and 130 us
-# with all rows in one scan (refinement included; 2-core Xeon, numpy 2.4),
-# where the scan's temporaries no longer fit in cache
-_FULL_ROWS = 32
-# rows per settled-scan block, a multiple of _FULL_ROWS: a motion stage's
-# rows in one block (see the measured campaigns in the module docstring)
+# rows per scan block: a motion stage's rows in one block (see the
+# measured campaigns in the module docstring)
 _BLOCK_ROWS = 1024
-# a block of fewer rows runs the full scan (see the module docstring)
-_SETTLED_MIN_ROWS = 4
 # coarse node spacing of the settled scan, in grid steps; it divides 180,
 # so the circle's top (index 180) and both ends are coarse nodes
 _COARSE = 10
@@ -235,7 +227,7 @@ class GroundRing:
             lo = max(hint - width, -math.pi / 2.0)
             hi = min(hint + width, math.pi / 2.0)
         else:
-            # warm bracketing failed; fall back to the certified full scan
+            # warm bracketing failed; fall back to the certified scan
             return ring_point(self.sphere, self.terrain, azimuth, enforce_slope=False)
         lam = bracketed_root(height_gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
         cl = math.cos(lam)
@@ -416,31 +408,18 @@ def _circle_points(coef, radius: float, cos_t, sin_t):
     return tuple(points)
 
 
-def _inside_extent(terrain, coef, radius: float) -> bool:
-    """Whether every point of each row's whole circle, rounding included,
-    lies inside the terrain's extent: the circle's x spans center_x +-
-    radius * sqrt(e_cos_x^2 + e_sin_x^2), and likewise y. NaN fails."""
-    e = terrain.extent
-    c = coef[:2]
-    half = (radius * (1.0 + _ROUNDING) * np.hypot(coef[3:5], coef[6:8])
-            + _ROUNDING * (1.0 + np.abs(c)))
-    return bool(np.all(c - half >= [[e.xmin], [e.ymin]])
-                and np.all(c + half <= [[e.xmax], [e.ymax]]))
-
-
 @dataclass
 class _SignChanges:
     """A block's sign changes: one entry per grid cell whose two ends' gaps
     differ in sign, sorted by (row, cell), with the gaps `lo` and `hi` at
     the cell's two ends; and every row's `gaps` at the coarse nodes, every
-    `step`-th grid node and the last one (step 1: at every node)."""
+    _COARSE-th grid node and the last one."""
 
     rows: np.ndarray
     cells: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     gaps: np.ndarray
-    step: int
 
     def counts(self) -> np.ndarray:
         """Each row's number of sign changes."""
@@ -461,7 +440,7 @@ class _SignChanges:
     def gap(self, node: int) -> np.ndarray:
         """Every row's gap at a grid node that is a multiple of _COARSE, or
         at the last node (-1)."""
-        return self.gaps[:, node // self.step]
+        return self.gaps[:, node // _COARSE]
 
 
 def _settled_scan(terrain, coef, radius: float, grid: _AngleGrid) -> _SignChanges:
@@ -492,17 +471,7 @@ def _settled_scan(terrain, coef, radius: float, grid: _AngleGrid) -> _SignChange
         vals[:, 1:-1] = z - terrain.height(x, y)
     signs = vals > 0.0
     k, j = np.nonzero(signs[:, :-1] != signs[:, 1:])
-    return _SignChanges(rows[k], coarse[cells[k]] + j, vals[k, j], vals[k, j + 1], g,
-                        _COARSE)
-
-
-def _full_scan(terrain, coef, radius: float, grid: _AngleGrid) -> _SignChanges:
-    """One block's sign changes from its gaps at every grid node."""
-    x, y, z = _circle_points(coef[:, :, None], radius, grid.cos, grid.sin)
-    g = z - terrain.height(x, y)
-    signs = g > 0.0
-    rows, cells = np.nonzero(signs[:, :-1] != signs[:, 1:])
-    return _SignChanges(rows, cells, g[rows, cells], g[rows, cells + 1], g, 1)
+    return _SignChanges(rows[k], coarse[cells[k]] + j, vals[k, j], vals[k, j + 1], g)
 
 
 def _solve_circles(terrain, coef, radius: float, grid: _AngleGrid, certify):
@@ -510,38 +479,28 @@ def _solve_circles(terrain, coef, radius: float, grid: _AngleGrid, certify):
     sin t e_sin) of every row, with t in [grid.ts[0], grid.ts[-1]]; coef
     holds the rows' centers, e_cos and e_sin as its rows 0-2, 3-5 and 6-8.
 
-    Scans the rows in blocks over the angle grid; certify(flips) checks each
-    block's rows on its `_SignChanges` and returns (picks, errors): the
-    position in the list of the sign change holding each row's crossing,
-    and the rows that fail with their errors. All certified crossings are
-    then refined together. Returns (points, angles, errors); a failed row's
-    point and angle are NaN. Errors from the terrain's height queries, and
-    a NaN during refinement, propagate for all rows.
+    Runs `_settled_scan` once per block of _BLOCK_ROWS rows;
+    certify(flips) checks each block's rows on its `_SignChanges` and
+    returns (picks, errors): the position in the list of the sign change
+    holding each row's crossing, and the rows that fail with their errors.
+    All certified crossings are then refined together. Returns (points,
+    angles, errors); a failed row's point and angle are NaN. Errors from
+    the terrain's height queries (see the module docstring for their
+    order), and a NaN during refinement, propagate for all rows.
     """
     n = coef.shape[1]
     cells = np.zeros(n, dtype=int)
     f_lo, f_hi = np.full(n, np.nan), np.full(n, np.nan)
     errors: dict[int, WobbleError] = {}
 
-    def settle(start: int, flips: _SignChanges) -> None:
+    for start in range(0, n, _BLOCK_ROWS):
+        flips = _settled_scan(terrain, coef[:, start:start + _BLOCK_ROWS], radius, grid)
         picks, failed = certify(flips)
         rows = np.flatnonzero(picks >= 0)
         at = picks[rows]
         rows += start
         cells[rows], f_lo[rows], f_hi[rows] = flips.cells[at], flips.lo[at], flips.hi[at]
         errors.update((start + j, exc) for j, exc in failed.items())
-
-    for start in range(0, n, _BLOCK_ROWS):
-        block = coef[:, start:start + _BLOCK_ROWS]
-        if n - start >= _SETTLED_MIN_ROWS and _inside_extent(terrain, block, radius):
-            settle(start, _settled_scan(terrain, block, radius, grid))
-            continue
-        # a short block, or a circle that may leave the extent: the full
-        # scan in blocks of _FULL_ROWS raises the query error of the first
-        # bad point, after the certificates of the blocks before it, as it
-        # always has
-        for sub in range(start, min(start + _BLOCK_ROWS, n), _FULL_ROWS):
-            settle(sub, _full_scan(terrain, coef[:, sub:sub + _FULL_ROWS], radius, grid))
     good = np.ones(n, dtype=bool)
     good[list(errors)] = False
     good = np.flatnonzero(good)
@@ -570,19 +529,20 @@ def _vertical_half_circles(terrain, centers, azimuths, radius: float,
     return _solve_circles(terrain, coef, radius, grid, certify)
 
 
-def circle_crossings(centers, axes, radius: float, terrain,
-                     side: int = 1) -> tuple[np.ndarray, dict[int, WobbleError]]:
+def circle_crossings(centers, axes, radius: float,
+                     terrain) -> tuple[np.ndarray, dict[int, WobbleError]]:
     """Where each row's circle about axes[k] through centers[k] meets the
-    ground: (points, errors by row). Rows are independent.
+    ground left of the axis direction seen from above: (points, errors by
+    row). Rows are independent.
 
     The circle's top and bottom lie in the vertical plane containing the
     axis; each side of that plane holds exactly one ground crossing when the
-    slope stays below 35.264 deg. `side` picks the crossing with
-    (point - center) . (z x axis) of that sign: +1 is the left of the axis
-    direction seen from above. A row's certificates, checked on its 1-degree
-    scan in this order: the axis is not vertical, the circle crosses the
-    ground at most twice and at least once, its top is above the ground,
-    and a crossing lies on the requested side.
+    slope stays below 35.264 deg. The crossing returned has (point - center)
+    . (z x axis) > 0; the one on the right is the left crossing about -axis.
+    A row's certificates, checked on its 1-degree scan in this order: the
+    axis is not vertical, the circle crosses the ground at most twice and at
+    least once, its top is above the ground, and a crossing lies left of the
+    axis.
     """
     c = np.asarray(centers, dtype=float)
     a = np.asarray(axes, dtype=float)
@@ -599,11 +559,10 @@ def circle_crossings(centers, axes, radius: float, terrain,
         errors[int(k)] = (DomainError("cannot normalize a zero vector")
                           if length[k] == 0.0 else
                           DomainError("circle axis is vertical; side selection undefined"))
-    wanted_cells = _CIRCLE_LEFT if side > 0 else ~_CIRCLE_LEFT
 
     def certify(flips: _SignChanges):
         counts = flips.counts()
-        first = flips.first(wanted_cells)
+        first = flips.first(_CIRCLE_LEFT)
         top = flips.gap(_CIRCLE_TOP)
         failed = {}
         for k in np.flatnonzero((counts == 0) | (counts > 2) | (top <= 0.0) | (first < 0)):
@@ -619,8 +578,7 @@ def circle_crossings(centers, axes, radius: float, terrain,
                     "condition violated")
             else:
                 failed[int(k)] = GeometryViolation(
-                    f"no ground crossing on the requested side "
-                    f"({'+' if side > 0 else '-'})")
+                    "no ground crossing left of the axis")
         return first, failed
 
     points = np.full((n, 3), np.nan)
@@ -659,11 +617,12 @@ def half_circle_crossings(centers, azimuths, radius: float, terrain):
 
 
 def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,
-                                radius: float, terrain, side: int = 1,
+                                radius: float, terrain,
                                 enforce_slope: bool = True) -> np.ndarray:
-    """Where the circle about `axis_dir` through `center` meets the ground,
-    on the given side: the one-row call of `circle_crossings`, after the
-    35.264 deg slope gate unless enforce_slope is False.
+    """Where the circle about `axis_dir` through `center` meets the ground
+    left of the axis direction seen from above: the one-row call of
+    `circle_crossings`, after the 35.264 deg slope gate unless enforce_slope
+    is False.
     """
     if enforce_slope:
         slope = terrain.slope_bound
@@ -675,7 +634,7 @@ def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,
             )
     points, errors = circle_crossings(np.asarray(center, dtype=float)[None, :],
                                       np.asarray(axis_dir, dtype=float)[None, :],
-                                      radius, terrain, side)
+                                      radius, terrain)
     if errors:
         raise errors[0]
     return points[0]

@@ -72,6 +72,13 @@ class Extent:
                 f"extent must have min < max on both axes, got "
                 f"[{self.xmin}, {self.xmax}] x [{self.ymin}, {self.ymax}]"
             )
+        # an infinite bound, or finite ones 1e308 apart, overflows numpy's
+        # uniform draws and every width-based scale
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValidationError(
+                f"extent must have a finite width and height, got "
+                f"[{self.xmin}, {self.xmax}] x [{self.ymin}, {self.ymax}]"
+            )
 
     @property
     def width(self) -> float:
@@ -726,10 +733,18 @@ def check_target_slope(target_slope: float) -> None:
         raise DomainError(f"target slope must be in [0, pi/2), got {target_slope}")
 
 
+# most bumps a terrain takes: generate_terrain(1, 10 deg, n, [-8, 8]^2)
+# took 1.1 s at 10^3 bumps and 12.9 s at 10^4, at 47 MB peak RSS (2-core
+# Xeon, numpy 2.4); 10^5 bumps took over 3 minutes
+MAX_BUMPS = 10 ** 4
+
+
 def check_bump_count(bump_count: int) -> None:
-    """Raise DomainError unless the bump count is non-negative."""
+    """Raise DomainError unless 0 <= bump count <= MAX_BUMPS."""
     if bump_count < 0:
         raise DomainError(f"bump count must be non-negative, got {bump_count}")
+    if bump_count > MAX_BUMPS:
+        raise DomainError(f"a terrain takes at most 10^4 bumps, got {bump_count}")
 
 
 def check_seed(seed: int) -> None:
@@ -861,6 +876,7 @@ def parse_terrain(text: str | bytes) -> Terrain:
     kind = _require_field(doc, "type", "terrain file")
     if kind == "bumps":
         raw = _list(_require_field(doc, "bumps", "bumps terrain"), "bumps")
+        check_bump_count(len(raw))
         bumps = []
         for idx, b in enumerate(raw):
             where = f"bump {idx + 1}"

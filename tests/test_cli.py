@@ -342,6 +342,40 @@ def test_negative_seed_is_refused(args, seed, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, bounds", [
+    (["gen-terrain", "--seed", "1", "--theta", "10", "--extent=-inf,inf,-8,8"],
+     "[-inf, inf] x [-8.0, 8.0]"),
+    (["gen-terrain", "--seed", "1", "--theta", "10", "--extent=-1e308,1e308,-8,8"],
+     "[-1e+308, 1e+308] x [-8.0, 8.0]"),
+    (["montecarlo", "--n", "1", "--motion", "rt", "--extent=-1e308,1e308,-1e308,1e308"],
+     "[-1e+308, 1e+308] x [-1e+308, 1e+308]"),
+], ids=["gen-terrain-inf", "gen-terrain-1e308", "montecarlo-1e308"])
+def test_extent_without_a_finite_width_is_refused(args, bounds, tmp_path, capsys,
+                                                  monkeypatch):
+    # numpy's uniform draws overflow on such a width; the extent is refused
+    # before any seed or bump is drawn
+    monkeypatch.setattr("wobble.cli._campaign_seeds", _refuse)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        f"failure: extent must have a finite width and height, got {bounds}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, n", [
+    (["gen-terrain", "--seed", "1", "--theta", "10", "--bumps", "100000000"], 100000000),
+    (["montecarlo", "--n", "2", "--motion", "rt", "--bumps", "10001"], 10001),
+], ids=["gen-terrain", "montecarlo"])
+def test_bump_count_over_the_cap_is_refused(args, n, tmp_path, capsys, monkeypatch):
+    # the count is refused before any bump is drawn or any worker starts
+    monkeypatch.setattr("wobble.cli._campaign_seeds", _refuse)
+    monkeypatch.setattr("wobble.terrain.Bump", _refuse)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"failure: a terrain takes at most 10^4 bumps, got {n}\n"
+    assert not out.exists()
+
+
 def test_coplanar_start_is_one_failure_line(tmp_path, capsys):
     # a 1e-6 table's settled and dropped feet span a volume of 8.3e-28: no
     # unique sphere through them, a CoplanarPoints error, reported as a

@@ -164,11 +164,10 @@ def test_chord_advance_equal_steps_on_tilted_circle(plane10):
 
 
 def test_circle_intersection_flat_sides(flat):
-    q = circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7,
-                                    flat, side=1)
+    q = circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7, flat)
     assert np.allclose(q, (0.0, 0.7, 0.0), atol=1e-11)
-    q = circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7,
-                                    flat, side=-1)
+    # the right of the axis is the left of the reversed axis
+    q = circle_surface_intersection(np.zeros(3), np.array([-1.0, 0, 0]), 0.7, flat)
     assert np.allclose(q, (0.0, -0.7, 0.0), atol=1e-11)
 
 
@@ -176,13 +175,13 @@ def test_circle_intersection_tilted_plane_closed_form(plane10):
     slope = math.tan(math.radians(10.0))
     center = np.array([0.5, 0.2, 0.5 * slope])
     axis = np.array([0.0, 1.0, 0.0])
-    q = circle_surface_intersection(center, axis, 0.7, plane10, side=1)
+    q = circle_surface_intersection(center, axis, 0.7, plane10)
     # the circle lies in the plane y = 0.2; its ground crossing satisfies
     # z = x tan(10) and |q - center| = 0.7
     assert q[1] == pytest.approx(0.2, abs=1e-12)
     assert q[2] == pytest.approx(q[0] * slope, abs=1e-11)
     assert np.linalg.norm(q - center) == pytest.approx(0.7, abs=1e-12)
-    # side +1 for axis y-hat means the negative-x half plane
+    # left of the axis y-hat is the negative-x half plane
     assert q[0] < center[0]
 
 
@@ -191,20 +190,18 @@ def test_circle_intersection_four_crossings_flagged():
     terrain = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)
     with pytest.raises(ConditionViolation, match="times"):
         circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7,
-                                    terrain, side=1, enforce_slope=False)
+                                    terrain, enforce_slope=False)
 
 
 def test_circle_intersection_steep_slope_refused():
     steep = generate_terrain(2, math.radians(40.0), 20, EXT)
     with pytest.raises(ConditionViolation, match="35.26"):
-        circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7,
-                                    steep, side=1)
+        circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7, steep)
 
 
 def test_circle_intersection_vertical_axis_rejected(flat):
     with pytest.raises(DomainError):
-        circle_surface_intersection(np.zeros(3), np.array([0.0, 0, 1.0]), 0.7,
-                                    flat, side=1)
+        circle_surface_intersection(np.zeros(3), np.array([0.0, 0, 1.0]), 0.7, flat)
 
 
 def _plane_circles(n, seed=0):
@@ -226,7 +223,8 @@ def test_circle_crossings_batch_matches_closed_form(plane10):
     centers, axes = _plane_circles(50)
     radius = 0.7
     for side in (1, -1):
-        points, errors = circle_crossings(centers, axes, radius, plane10, side=side)
+        # the crossing right of an axis is the left one about the reversed axis
+        points, errors = circle_crossings(centers, side * axes, radius, plane10)
         assert not errors
         # the circle's plane meets the ground plane in a line through the
         # center; the crossings sit one radius along it either way
@@ -242,11 +240,11 @@ def test_circle_crossings_batch_matches_closed_form(plane10):
 def test_kernel_rows_equal_one_row_calls(hills14):
     centers, axes = _plane_circles(40, seed=1)
     centers[:, 2] = hills14.height(centers[:, 0], centers[:, 1])
-    points, errors = circle_crossings(centers, axes, 0.9, hills14, side=1)
+    points, errors = circle_crossings(centers, axes, 0.9, hills14)
     assert not errors
     for k in range(len(centers)):
         one = circle_surface_intersection(centers[k], axes[k], 0.9, hills14,
-                                          side=1, enforce_slope=False)
+                                          enforce_slope=False)
         assert np.array_equal(one, points[k])
     psis = np.linspace(-math.pi, math.pi, 40)
     feet, betas, errors = half_circle_crossings(centers[0], psis, 0.9, hills14)
@@ -341,8 +339,8 @@ def test_settled_scan_equals_every_node_scan(name, request, every_node):
     ref = every_node(terrain)
     counted = CountingPoints(terrain)
     for side in (1, -1):
-        got = circle_crossings(centers, axes, 0.7, counted, side=side)
-        want = circle_crossings(centers, axes, 0.7, ref, side=side)
+        got = circle_crossings(centers, side * axes, 0.7, counted)
+        want = circle_crossings(centers, side * axes, 0.7, ref)
         _same_bits(got[0], want[0])
         _same_errors(got[1], want[1])
     got = half_circle_crossings(centers, az, 0.7, terrain)
@@ -355,7 +353,7 @@ def test_settled_scan_equals_every_node_scan(name, request, every_node):
     if name == "steep":
         kinds = {str(e).split(";")[0][:30] for e in want[2].values()}
         kinds |= {str(e)[:30] for e in
-                  circle_crossings(centers, axes, 0.7, ref, side=1)[1].values()}
+                  circle_crossings(centers, axes, 0.7, ref)[1].values()}
         assert {"circle does not cross the grou", "top of the foot circle is not ",
                 "circle crosses the ground 4 ti",
                 "vertical foot circle does not "} <= kinds
@@ -386,27 +384,33 @@ def test_existing_failing_rows_equal_every_node(every_node):
     assert "4 times" in str(errors[1]) and "at all" in str(errors[0])
 
 
-def test_scan_leaving_the_extent_raises_the_full_scan_error(hills14, flat):
-    # rows 0..149 walk toward x = 8; the full scan names the first point
-    # outside in ravel order, after 4 blocks of rows that stay inside
+def test_scan_leaving_the_extent_names_the_first_outside_point(hills14, flat):
+    # rows 0..149 walk toward x = 8, all in one block: the scan queries the
+    # coarse nodes of every row first, so the error names the first of them
+    # outside the extent in row order
     xs = np.linspace(0.0, 7.6, 150)
     centers = np.column_stack([xs, np.full(150, 0.3),
                                hills14.height(xs, np.full(150, 0.3))])
     axes = np.tile([0.3, 1.0, 0.1], (150, 1))
     with pytest.raises(DomainError) as info:
         circle_crossings(centers, axes, 0.7, hills14)
-    assert str(info.value) == ("query point (8.00016841506545, 0.12029679016638295) "
+    assert str(info.value) == ("query point (8.00858904290278, 0.11301321461278757) "
                                "outside terrain extent [-8.0, 8.0] x [-8.0, 8.0]")
     with pytest.raises(DomainError) as info:
         half_circle_crossings(centers, np.linspace(1.0, 0.0, 150), 0.7, hills14)
     assert str(info.value) == ("query point (8.002380954595072, 0.32206917412574254) "
                                "outside terrain extent [-8.0, 8.0] x [-8.0, 8.0]")
-    # a certificate of an earlier 32-row block still fails first: on flat
-    # ground a sphere half sunk misses the latitude band at every azimuth,
-    # and azimuths past 16 deg leave the extent at y = 8
+    # a sphere half sunk under flat ground misses the latitude band at
+    # every azimuth; near y = 8 its scan leaves the extent before any
+    # certificate is read
     sunk = Sphere(center=np.array([0.0, 7.7, -0.5]), radius=0.75)
-    with pytest.raises(GeometryViolation, match="scan band"):
+    with pytest.raises(DomainError) as info:
         trace_ring(sunk, flat, STEP, TURN, 1.0)
+    assert str(info.value) == ("query point (0.6864836093395853, 8.002060017394053) "
+                               "outside terrain extent [-8.0, 8.0] x [-8.0, 8.0]")
+    with pytest.raises(GeometryViolation, match="scan band"):
+        trace_ring(Sphere(center=np.array([0.0, 0.0, -0.5]), radius=0.75),
+                   flat, STEP, TURN, 1.0)
     afloat = Sphere(center=np.array([0.0, 7.7, 0.1]), radius=0.75)
     with pytest.raises(DomainError, match="outside terrain extent"):
         trace_ring(afloat, flat, STEP, TURN, 1.0)
@@ -444,24 +448,23 @@ def _dense_sign_changes(terrain, coef, radius, ts):
 
 def _assert_list_is_dense(terrain, coef, radius, grid, mask=None):
     gaps, rows, cells, lo, hi = _dense_sign_changes(terrain, coef, radius, grid.ts)
-    for flips in (ring._settled_scan(terrain, coef, radius, grid),
-                  ring._full_scan(terrain, coef, radius, grid)):
-        for got, want in ((flips.rows, rows), (flips.cells, cells),
-                          (flips.lo, lo), (flips.hi, hi)):
-            _same_bits(got, want)
-        for node in [*range(0, len(grid.ts), ring._COARSE), -1]:
-            _same_bits(flips.gap(node), gaps[:, node])
-        counts = np.bincount(rows, minlength=len(gaps))
-        assert np.array_equal(flips.counts(), counts)
-        for cells_mask in (None, mask):
-            first = flips.first(cells_mask)
-            for k in range(len(gaps)):
-                want = [c for r, c in zip(rows, cells) if r == k
-                        and (cells_mask is None or cells_mask[c])]
-                if want:
-                    assert flips.rows[first[k]] == k and flips.cells[first[k]] == want[0]
-                else:
-                    assert first[k] == -1
+    flips = ring._settled_scan(terrain, coef, radius, grid)
+    for got, want in ((flips.rows, rows), (flips.cells, cells),
+                      (flips.lo, lo), (flips.hi, hi)):
+        _same_bits(got, want)
+    for node in [*range(0, len(grid.ts), ring._COARSE), -1]:
+        _same_bits(flips.gap(node), gaps[:, node])
+    counts = np.bincount(rows, minlength=len(gaps))
+    assert np.array_equal(flips.counts(), counts)
+    for cells_mask in (None, mask):
+        first = flips.first(cells_mask)
+        for k in range(len(gaps)):
+            want = [c for r, c in zip(rows, cells) if r == k
+                    and (cells_mask is None or cells_mask[c])]
+            if want:
+                assert flips.rows[first[k]] == k and flips.cells[first[k]] == want[0]
+            else:
+                assert first[k] == -1
     return counts
 
 
@@ -506,26 +509,28 @@ def test_sign_change_list_on_a_band_with_a_short_last_cell():
     assert one.tolist() == [1]
 
 
-def test_row_solves_the_same_in_any_call_size():
+def test_row_solves_the_same_in_any_call_size(every_node):
     # 700 rows, among them rows that fail each certificate: every row's
     # point, angle and error are the same solved with the other 699, in
-    # calls of 7 rows, and alone
+    # calls of 7 rows, and alone, where they also equal a scan of every node
     terrain = _steep_pair()
+    ref = every_node(terrain)
     centers, axes, az = _random_circles(terrain, 700, 1.5, 0.8, seed=5)
     points, errors = circle_crossings(centers, axes, 0.7, terrain)
     feet, betas, half_errors = half_circle_crossings(centers, az, 0.7, terrain)
     assert len(errors) > 50 and len(half_errors) > 50
-    for size in (7, 1):
-        for start in range(0, 700, size):
-            part = slice(start, start + size)
-            got, got_errors = circle_crossings(centers[part], axes[part], 0.7, terrain)
-            _same_bits(got, points[part])
-            _same_errors({start + k: e for k, e in got_errors.items()},
-                         {k: e for k, e in errors.items() if start <= k < start + size})
-            got, got_betas, got_errors = half_circle_crossings(centers[part], az[part],
-                                                               0.7, terrain)
-            _same_bits(got, feet[part])
-            _same_bits(got_betas, betas[part])
-            _same_errors({start + k: e for k, e in got_errors.items()},
-                         {k: e for k, e in half_errors.items()
-                          if start <= k < start + size})
+    for size, terrains in ((7, [terrain]), (1, [terrain, ref])):
+        for scanned in terrains:
+            for start in range(0, 700, size):
+                part = slice(start, start + size)
+                got, got_errors = circle_crossings(centers[part], axes[part], 0.7, scanned)
+                _same_bits(got, points[part])
+                _same_errors({start + k: e for k, e in got_errors.items()},
+                             {k: e for k, e in errors.items() if start <= k < start + size})
+                got, got_betas, got_errors = half_circle_crossings(centers[part], az[part],
+                                                                   0.7, scanned)
+                _same_bits(got, feet[part])
+                _same_bits(got_betas, betas[part])
+                _same_errors({start + k: e for k, e in got_errors.items()},
+                             {k: e for k, e in half_errors.items()
+                              if start <= k < start + size})

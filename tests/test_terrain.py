@@ -120,6 +120,45 @@ def test_slope_bound_needs_enough_samples(flat):
     assert peak < 1 << 20
 
 
+def test_bump_count_over_the_cap_is_refused_before_any_bump_is_drawn():
+    # 10^8 bumps would take hours to draw one by one; the count is refused
+    # before the first draw
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError,
+                           match="at most 10\\^4 bumps, got 100000000"):
+            generate_terrain(1, math.radians(10.0), 10**8, EXT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a bumps file's list is counted before any bump is read
+    text = json.dumps({"type": "bumps", "bumps": [{}] * (terrain_mod.MAX_BUMPS + 1)})
+    with pytest.raises(DomainError, match="at most 10\\^4 bumps, got 10001"):
+        parse_terrain(text)
+
+
+@pytest.mark.parametrize("bounds", [
+    (-math.inf, math.inf, -8.0, 8.0),
+    (-8.0, 8.0, -8.0, math.inf),
+    (-1e308, 1e308, -8.0, 8.0),
+    (-8.0, 8.0, -1e308, 1e308),
+])
+def test_extent_must_have_a_finite_width_and_height(bounds):
+    with pytest.raises(ValidationError, match="finite width and height"):
+        Extent(*bounds)
+
+
+def test_file_and_grid_extents_must_have_a_finite_width():
+    # finite bounds 2e308 apart in a bumps file, and a grid whose far edge
+    # lies 2e308 from its origin
+    text = json.dumps({"type": "bumps", "extent": [-1e308, 1e308, -8, 8], "bumps": []})
+    with pytest.raises(ValidationError, match="finite width and height"):
+        parse_terrain(text)
+    with pytest.raises(ValidationError, match="finite width and height"):
+        GridTerrain((-1e308, 0.0), 1e308, np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 9])
 def test_generate_respects_target_slope(seed):
     target = math.radians(14.0)
