@@ -66,11 +66,13 @@ Every block runs this scan, the one-row calls included. Timed alone on
 one row, it took 204-221 us against 122-130 us for a scan of every node in
 one array call (five foot circles on a 20-bump terrain at 35 degrees, best
 of 9 x 300); the whole one-row call took 0.5-1.2 ms, most of it in the
-refinement, so a solve does not show the difference. A query outside the terrain's extent raises the
-terrain's DomainError, naming the first outside point in the scan's
-order: the block's coarse nodes row by row, then the inner nodes of its
-open cells (a node in a settled cell is never queried). The motions never
-get there: the workspace check in `motion._start` keeps every foot circle
+refinement, so a solve does not show the difference. A query outside the
+terrain's extent raises the terrain's DomainError, naming the first
+outside point in the scan's order: the block's coarse nodes row by row,
+then every grid node of each row whose circle's bounding box leaves the
+extent (a settled cell's inner nodes are checked against the extent, never
+queried), then the inner nodes of its open cells. The motions never get
+there: the workspace check in `motion._start` keeps every foot circle
 inside the extent. With _BLOCK_ROWS = 1024 a motion stage's rows (up to
 about 600 samples) are one block. Serial 16-run pivot-slide campaigns at
 35 degrees (CPU time, best and median of 9, sizes alternated in one
@@ -450,6 +452,16 @@ def _settled_scan(terrain, coef, radius: float, grid: _AngleGrid) -> _SignChange
     coarse = grid.coarse
     x, y, z = _circle_points(coef[:, :, None], radius, grid.cos[coarse], grid.sin[coarse])
     g = z - terrain.height(x, y)
+    # a circle may leave the extent between coarse nodes, at nodes that a
+    # settled cell never queries: check every grid node of each row whose
+    # circle's bounding box leaves the extent
+    ext = terrain.extent
+    half_x = radius * np.hypot(coef[3], coef[6])
+    half_y = radius * np.hypot(coef[4], coef[7])
+    out = ((coef[0] - half_x < ext.xmin) | (coef[0] + half_x > ext.xmax)
+           | (coef[1] - half_y < ext.ymin) | (coef[1] + half_y > ext.ymax))
+    if out.any():
+        ext.require_inside(*_circle_points(coef[:, out, None], radius, grid.cos, grid.sin)[:2])
     # |g'(t)| <= |dz/dt| + |grad f| |d(x, y)/dt| <= radius sqrt(1 + G^2)
     grad = terrain.gradient_bound(coef[0], coef[1], radius * (1.0 + _ROUNDING))
     lip = radius * np.sqrt(1.0 + grad * grad) * (1.0 + _ROUNDING)

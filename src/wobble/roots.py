@@ -4,10 +4,10 @@ Callers certify each bracket first (a sign scan that proves exactly one
 crossing); these only refine inside it.
 
 `bracketed_root` refines one scalar root by Brent's method (Brent 1973,
-"Algorithms for Minimization without Derivatives", ch. 4), step for step as
-in scipy's brentq.c: inverse quadratic or secant steps while they shrink the
-bracket fast enough, and bisection when they do not, so it converges
-superlinearly near a simple root and never stalls. Three callers are left:
+"Algorithms for Minimization without Derivatives", ch. 4): inverse
+quadratic or secant steps while they shrink the bracket fast enough, and
+bisection when they do not, so it converges superlinearly near a simple
+root and never stalls. Three callers are left:
 the warm-started curve solves of `ring.GroundRing.point_at` and
 `ring.chord_advance`, and the refinement of the free foot's first sign
 change in `motion.find_equilibrium`, whose function is a one-row re-solve.
@@ -18,11 +18,6 @@ interpolation when the last three points make it safe, bisection otherwise.
 Rows converge independently, each step evaluates only the rows still open,
 and every operation is elementwise, so a row's root is the same bit for bit
 whether it is solved alone or in a batch.
-
-Both are pure Python and numpy on purpose: scipy's brentq wraps the
-objective in a closure that refers to itself, and the reference cycle keeps
-the objective, and whatever it holds, alive until the cyclic garbage
-collector runs; importing scipy.optimize also costs about 50 MB of memory.
 """
 
 from __future__ import annotations
@@ -34,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 
-# relative step floor, as in brentq: every step moves the iterate by at
-# least one float spacing
+# relative step floor, as in Brent's zeroin: every step moves the iterate
+# by at least one float spacing
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAX_ITER = 200
 # absolute bracket width at which a row of bracketed_roots stops

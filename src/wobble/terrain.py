@@ -9,7 +9,7 @@ break the slope certification the solver relies on.
 A bump terrain's slope bound is certified: a branch-and-bound over square
 cells (`BumpTerrain.slope_search`) proves it is at least the slope anywhere
 in the extent. A grid terrain's slope bound is still the sampled estimate
-of `estimate_slope_bound`, a lower bound of the true slope (ROADMAP item 5).
+of `estimate_slope_bound`, a lower bound of the true slope (ROADMAP item 6).
 
 All lengths share one arbitrary unit. Angles are radians internally.
 """
@@ -499,7 +499,7 @@ class GridTerrain(UncertifiedBounds):
     raveled arrays are views, so they add no memory.
 
     A certified bound of the interpolant's slope needs each cell's bicubic
-    coefficients (ROADMAP item 5); until then the bounds are +inf.
+    coefficients (ROADMAP item 6); until then the bounds are +inf.
     """
 
     kind = "grid"
@@ -638,7 +638,7 @@ class GridTerrain(UncertifiedBounds):
     @property
     def slope_bound(self) -> float:
         """Cached sampled slope (radians), a lower bound of the true slope
-        until cells get certified bounds (ROADMAP item 5)."""
+        until cells get certified bounds (ROADMAP item 6)."""
         if self._slope_cache is None:
             self._slope_cache = estimate_slope_bound(self)
         return self._slope_cache

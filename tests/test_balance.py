@@ -284,6 +284,59 @@ def test_cap_scan_plane_limit_fits_anything():
     assert report.min_residual < 1e-6
 
 
+def test_cap_fit_batch_rows_equal_one_row_fits(monkeypatch):
+    # the scan's own residuals: each placement of a 3-placement batch gets
+    # the same bits as its fit alone
+    fits = []
+    lm = balance_mod._levenberg_marquardt
+    monkeypatch.setattr(balance_mod, "_levenberg_marquardt",
+                        lambda fun, x0: fits.append((fun, x0)) or lm(fun, x0))
+    feet = _square_feet_xy()
+    feet[3] *= 1.0563
+    sphere_cap_fit_scan(feet, SphericalCapGround(50.0), theta_steps=3, center_steps=1)
+    fun, x0 = fits[-1]
+    assert len(x0) == 3
+    x, res = lm(fun, x0)
+    for k in range(3):
+        x_k, res_k = lm(lambda v, rows, k=k: fun(v, rows + k), x0[k:k + 1])
+        assert x_k.tobytes() == x[k:k + 1].tobytes()
+        assert res_k.tobytes() == res[k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_cap_fits_refuse_non_finite_feet(bad):
+    # refused before the circle fit's linear start, which never returns on
+    # an inf coordinate and raises LAPACK's error on a NaN
+    feet = _square_feet_xy()
+    feet[2, 1] = bad
+    with pytest.raises(DomainError, match="planar points must be finite"):
+        concyclicity_defect(feet)
+    with pytest.raises(DomainError, match="planar points must be finite"):
+        sphere_cap_fit_scan(feet, SphericalCapGround(50.0), theta_steps=4)
+
+
+@pytest.mark.parametrize("steps", [(0, 3), (4, 0), (-1, 3), (1, -1)])
+def test_cap_scan_refuses_an_empty_grid(steps):
+    with pytest.raises(DomainError, match=r"a cap scan takes 1 to 2\^16 placements"):
+        sphere_cap_fit_scan(_square_feet_xy(), SphericalCapGround(50.0), *steps)
+
+
+def _refuse(*args):
+    raise AssertionError("ran past the size check")
+
+
+def test_cap_scan_refuses_more_placements_than_it_holds(monkeypatch):
+    monkeypatch.setattr(balance_mod, "concyclicity_defect", _refuse)
+    with pytest.raises(DomainError) as info:
+        sphere_cap_fit_scan(_square_feet_xy(), SphericalCapGround(50.0),
+                            theta_steps=2 ** 16 + 1, center_steps=1)
+    assert str(info.value) == ("a cap scan takes 1 to 2^16 placements, got "
+                               "65537 turn angles x 1^2 center offsets")
+    with pytest.raises(DomainError, match=r"got 4 turn angles x 1000000\^2"):
+        sphere_cap_fit_scan(_square_feet_xy(), SphericalCapGround(50.0),
+                            theta_steps=4, center_steps=10 ** 6)
+
+
 def _per_foot_heights(scan, theta):
     """The foot heights of `heights_at`, one terrain call per foot."""
     rho, angles = scan.table.as_circle

@@ -466,11 +466,26 @@ def test_bump_width_too_small_to_square_exits_4(tmp_path, capsys):
 
 
 def test_import_loads_no_lazy_module(tmp_path):
-    # scipy.optimize (about 50 MB), the process pool and orjson are
-    # imported where they are used, never by importing the package
+    # the process pool and orjson are imported where they are used, never
+    # by importing the package
     code = ("import sys, wobble, wobble.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'concurrent.futures', "
-            "'orjson') if m in sys.modules))")
+            "print(sorted(m for m in ('concurrent.futures', 'orjson') "
+            "if m in sys.modules))")
+    r = run_python(["-c", code], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
+def test_sphere_cap_fits_load_no_scipy(tmp_path):
+    # a None entry is a blocked import, not a loaded module
+    code = ("import sys, numpy as np; "
+            "from wobble.balance import SphericalCapGround, concyclicity_defect, "
+            "sphere_cap_fit_scan; "
+            "feet = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.1]]); "
+            "concyclicity_defect(feet); "
+            "sphere_cap_fit_scan(feet, SphericalCapGround(50.0), 4, 3); "
+            "print(sorted(m for m, mod in sys.modules.items() "
+            "if m.split('.')[0] == 'scipy' and mod is not None))")
     r = run_python(["-c", code], tmp_path)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"

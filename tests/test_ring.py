@@ -384,6 +384,17 @@ def test_existing_failing_rows_equal_every_node(every_node):
     assert "4 times" in str(errors[1]) and "at all" in str(errors[0])
 
 
+def test_circle_leaving_the_extent_between_coarse_nodes_is_refused(flat):
+    # every coarse node of this circle lies inside [-8, 8]^2 and its open
+    # cells hold none outside, but its 1-degree grid reaches x = 8.00043
+    # near -97 degrees: the scan names the first grid node outside
+    with pytest.raises(DomainError) as info:
+        circle_crossings(np.array([[7.3455, 0.0, 0.2]]), np.array([[0.4, 1.0, 0.35]]),
+                         0.7, flat)
+    assert str(info.value) == ("query point (8.00000092463479, -0.22535026067953232) "
+                               "outside terrain extent [-8.0, 8.0] x [-8.0, 8.0]")
+
+
 def test_scan_leaving_the_extent_names_the_first_outside_point(hills14, flat):
     # rows 0..149 walk toward x = 8, all in one block: the scan queries the
     # coarse nodes of every row first, so the error names the first of them
