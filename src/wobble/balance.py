@@ -38,6 +38,10 @@ _LM_MAX_ITER = 400
 _LM_XTOL = 1e-15
 # largest cap scan, fitted in one batch: 2^16 placements peak at 117 MB in 1.5 s
 _MAX_PLACEMENTS = 1 << 16
+# relative size, in units of the feet's extent about their centroid, below
+# which two feet coincide or the circle fit's linear (Kasa) design matrix
+# has rank < 3 (collinear feet): then no best-fit circle exists
+_DEGENERATE_FEET = 1e-9
 
 
 def _balance_combination(v, alpha: float, beta: float):
@@ -377,12 +381,29 @@ def _levenberg_marquardt(fun, x0):
 
 
 def concyclicity_defect(points_xy: np.ndarray) -> float:
-    """Max deviation of four planar points from their best-fit circle."""
+    """Max deviation of four planar points from their best-fit circle.
+
+    Refuses (DomainError) points with a coincident pair or on one line,
+    which have no best-fit circle: the fit would run off towards the line's
+    infinite radius and stop anywhere. Both tests are relative to the
+    points' extent (_DEGENERATE_FEET)."""
     p = np.asarray(points_xy, dtype=float)
     if p.shape != (4, 2):
         raise DomainError(f"need four planar points, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise DomainError(f"planar points must be finite, got {p.tolist()}")
+    q = p - p.mean(axis=0)
+    scale = float(np.max(np.abs(q)))
+    q = q / scale if scale > 0.0 else q
+    d = q[:, None, :] - q[None, :, :]
+    gaps = np.hypot(d[..., 0], d[..., 1])[np.triu_indices(4, 1)]
+    if not np.min(gaps) > _DEGENERATE_FEET:
+        raise DomainError(f"two of the planar points coincide, so no circle fits "
+                          f"them: {p.tolist()}")
+    sv = np.linalg.svd(np.column_stack([2.0 * q, np.ones(4)]), compute_uv=False)
+    if not sv[-1] > _DEGENERATE_FEET * sv[0]:
+        raise DomainError(f"the planar points are collinear, so no circle fits "
+                          f"them: {p.tolist()}")
     # linear (Kasa) start, then the geometric fit of |p - c| - r
     a = np.column_stack([2.0 * p[:, 0], 2.0 * p[:, 1], np.ones(4)])
     b = (p * p).sum(axis=1)

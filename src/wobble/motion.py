@@ -545,9 +545,42 @@ def run_pivot_slide(table: TableSpec, terrain, center_xy=(0.0, 0.0),
     return trace
 
 
+def _interpolated_root(trace: MotionTrace, i0: int) -> float | None:
+    """Where the inverse interpolant through the samples i0 - 2 .. i0 + 3
+    (those in the trace) puts the free foot's zero, if it lies strictly
+    inside the bracket (params[i0], params[i0 + 1]); None when the samples
+    leave the bracket's stage or h4 is not strictly monotone over them."""
+    lo, hi = max(i0 - 2, 0), min(i0 + 4, len(trace))
+    h = trace.heights[lo:hi, 3]
+    x = trace.params[lo:hi]
+    step = np.diff(h)
+    if (np.any(trace.stages[lo:hi] != trace.stages[i0])
+            or not (np.all(step > 0.0) or np.all(step < 0.0))):
+        return None
+    # Neville's scheme for the polynomial x(h) through the samples, at h = 0
+    p = x.tolist()
+    h = h.tolist()
+    for m in range(1, len(p)):
+        for i in range(len(p) - m):
+            p[i] = (h[i + m] * p[i] - h[i] * p[i + 1]) / (h[i + m] - h[i])
+    x0 = p[0]
+    return x0 if trace.params[i0] < x0 < trace.params[i0 + 1] else None
+
+
 def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
     """First parameter where the free foot's height crosses zero, refined by
-    re-solving the full placement at parameters chosen by Brent's method.
+    re-solving the full placement.
+
+    The refinement starts from the trace's own samples: the inverse
+    interpolant of h4 through up to six samples around the crossing (see
+    `_interpolated_root`) picks the first re-solve. If its |h4| is within a
+    tenth of the contact tolerance, that is the placement; otherwise Brent's
+    method refines the part of the bracket that keeps the sign change. When
+    the samples leave the bracket's stage (a crossing at the pivot-slide
+    boundary), h4 is not strictly monotone over them, or the interpolated
+    root falls outside the bracket, Brent's method refines the whole
+    bracket. Either way it stops at a bracket of about 1e-15 or an |h4| of
+    at most a tenth of the contact tolerance.
 
     The refined placement is the visited sample with the smallest |h4|. A
     crossing whose far end already lies inside the contact band, with no
@@ -593,8 +626,17 @@ def find_equilibrium(trace: MotionTrace, terrain) -> EquilibriumResult:
                 best = s
             return s.contact.h4
 
-        bracketed_root(h4_at, float(params[i0]), float(params[i0 + 1]),
-                       xtol=1e-15, ftol=0.1 * tol, f_lo=a, f_hi=b)
+        lo, hi = float(params[i0]), float(params[i0 + 1])
+        x0 = _interpolated_root(trace, i0)
+        if x0 is not None:
+            h0 = h4_at(x0)
+            # the sub-bracket that keeps the sign change
+            if (h0 > 0.0) == (a > 0.0):
+                lo, a = x0, h0
+            else:
+                hi, b = x0, h0
+        if x0 is None or not abs(h0) <= 0.1 * tol:
+            bracketed_root(h4_at, lo, hi, xtol=1e-15, ftol=0.1 * tol, f_lo=a, f_hi=b)
     checks = verify_equilibrium(best.feet, trace.table, terrain)
     return EquilibriumResult(
         found=True, parameter=float(best.param), feet=best.feet,

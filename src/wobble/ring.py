@@ -35,7 +35,11 @@ first evaluates its rows at the coarse nodes: every _COARSE-th grid node
 and the last one. On a circle of radius r the gap g(t) = z(t) - f(x(t),
 y(t)) changes at most at the rate L = r sqrt(1 + G^2), where G is the
 terrain's `gradient_bound` over the disc of radius r about the circle
-center (the circle lies above that disc). For t in a coarse cell [a, b],
+center (the circle lies above that disc). For a bump terrain that bound is
+the smaller of the per-bump disc bound and the certified slope's tangent
+(a disc inside the extent), so a circle on a steep cluster of bumps is
+bounded by the terrain's steepest slope rather than by the sum of its
+bumps' slopes, and settles more cells. For t in a coarse cell [a, b],
 |g(t)| >= |g(a)| - L (t - a) and |g(t)| >= |g(b)| - L (b - t), so
 2 |g(t)| >= |g(a)| + |g(b)| - L (b - a). A cell is settled when its two
 ends have one sign and |g(a)| + |g(b)| > L (b - a) + eps, where eps is four

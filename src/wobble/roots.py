@@ -11,6 +11,11 @@ root and never stalls. Three callers are left:
 the warm-started curve solves of `ring.GroundRing.point_at` and
 `ring.chord_advance`, and the refinement of the free foot's first sign
 change in `motion.find_equilibrium`, whose function is a one-row re-solve.
+That refinement first re-solves once where an inverse interpolant through
+the trace's samples puts the root, and calls `bracketed_root` only when
+that re-solve misses (on the part of the bracket that keeps the sign
+change) or when the samples do not allow the interpolant (on the whole
+bracket); most solves then need no Brent step.
 
 `bracketed_roots` refines a vector of brackets at once by Chandrupatla's
 method (Chandrupatla 1997, Adv. Eng. Softw. 28(3)): inverse quadratic

@@ -204,7 +204,7 @@ class BumpTerrain:
         # (1 / sigma^2), for the one-pass rows
         cx, cy, amp, neg_half_inv = np.array(self._packed, dtype=float).reshape(-1, 4).T
         self._columns = (cx, cy, amp, neg_half_inv, amp * (-2.0 * neg_half_inv))
-        # sigma and |A| / sigma, a bump's slope scale, for gradient_bound
+        # sigma and |A| / sigma, a bump's slope scale, for _disc_bound
         self._sigma = np.array([b.sigma for b in self.bumps], dtype=float)
         self._slope_scale = np.abs(amp) / self._sigma
         # points per one-pass block of the gradient and the slope search
@@ -285,6 +285,27 @@ class BumpTerrain:
     def gradient_bound(self, x, y, radius):
         """Upper bound of |grad f| over the disc of `radius` about each (x, y).
 
+        The smaller of two bounds: the per-bump sum of `_disc_bound`, and,
+        for a disc inside the extent, the certified slope of `slope_search`
+        as a gradient, tan(upper) times 1 + _BOUND_MARGIN (the search's
+        bound holds over the extent only, so a disc reaching outside it
+        keeps the sum). The slope search runs on the first call if it has
+        not run yet. 0 on flat ground; a NaN input gives NaN.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        radius = np.asarray(radius, dtype=float)
+        bound = self._disc_bound(x, y, radius)
+        cap = math.tan(self.slope_search().upper) * (1.0 + _BOUND_MARGIN)
+        e = self.extent
+        inside = ((x - radius >= e.xmin) & (x + radius <= e.xmax)
+                  & (y - radius >= e.ymin) & (y + radius <= e.ymax))
+        return np.where(inside, np.minimum(bound, cap), bound)
+
+    def _disc_bound(self, x: np.ndarray, y: np.ndarray, radius: np.ndarray) -> np.ndarray:
+        """The per-bump bound of |grad f| over the disc of `radius` about
+        each (x, y), which `slope_search` uses.
+
         Bump k's slope is |A_k| / s_k * phi(d / s_k) at distance d from its
         centre, with phi(u) = u exp(-u^2 / 2) rising up to u = 1 and falling
         after it. Over the disc, d ranges over [max(0, d_k - radius),
@@ -293,9 +314,6 @@ class BumpTerrain:
         times 1 + _BOUND_MARGIN. It is exact for one bump on a disc that
         holds its ring d = s, and 0 on flat ground. A NaN input gives NaN.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        radius = np.asarray(radius, dtype=float)
         shape = np.broadcast(x, y, radius).shape
         lead = (-1,) + (1,) * len(shape)
         cx, cy = self._columns[0], self._columns[1]
@@ -344,8 +362,9 @@ class BumpTerrain:
         largest |T(v, v, v)| over unit v (Banach 1938), which for a bump is
         |A| / s^3 max |3 t - t^3| e^{-t^2/2}, so M3 = _THIRD_DERIVATIVE
         sum |A_k| / s_k^3. Near a maximum H g is about 0 and the bound closes
-        on |g| like r^2. The cell bound is the smaller of this and
-        `gradient_bound`, which settles cells far from the steep places.
+        on |g| like r^2. The cell bound is the smaller of this and the
+        per-bump disc bound (`_disc_bound`, the uncapped part of
+        `gradient_bound`), which settles cells far from the steep places.
 
         A cell whose bound is at most best * (1 + _SEARCH_RHO) is dropped;
         the rest are quartered. The upper bound is the largest bound of a
@@ -396,7 +415,7 @@ class BumpTerrain:
             # the gradient bound only for the cells the Taylor bound keeps;
             # a NaN bound is never dropped
             wide = ~(bound <= limit)
-            (grad,) = _blocked(lambda x, y: (self.gradient_bound(x, y, r),),
+            (grad,) = _blocked(lambda x, y: (self._disc_bound(x, y, r),),
                                self._block, x[wide], y[wide])
             bound[wide] = np.minimum(bound[wide], grad)
             keep = ~(bound <= limit)
@@ -471,7 +490,13 @@ def _blocked(fn, size: int, x: np.ndarray, y: np.ndarray):
 class UncertifiedBounds:
     """The bound methods of the terrain protocol for a terrain without
     certified bounds: each answer is +inf, which settles nothing, so its
-    callers evaluate every point."""
+    callers evaluate every point.
+
+    The contract: gradient_bound(x, y, radius) is an upper bound of
+    |grad f| over the disc of `radius` about each (x, y), and
+    height_rounding() one of the rounding error of any computed height.
+    The foot-circle scans (`ring`) give the same bits for any valid
+    bounds; tighter ones only let them skip more points."""
 
     def gradient_bound(self, x, y, radius):
         """+inf for every (x, y): no certified slope bound."""

@@ -315,6 +315,31 @@ def test_cap_fits_refuse_non_finite_feet(bad):
         sphere_cap_fit_scan(feet, SphericalCapGround(50.0), theta_steps=4)
 
 
+@pytest.mark.parametrize("feet, message", [
+    ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], "collinear"),
+    # on a slanted line, far from the origin
+    ([(1e4, 2e4), (1e4 + 0.5, 2e4 + 1.0), (1e4 + 2.0, 2e4 + 4.0), (1e4 + 3.0, 2e4 + 6.0)],
+     "collinear"),
+    # three distinct points on a circle and a repeated one
+    ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)], "coincide"),
+    ([(2.0, -1.0)] * 4, "coincide"),
+], ids=["collinear", "slanted-line", "coincident-pair", "one-point"])
+def test_cap_fits_refuse_collinear_or_coincident_feet(feet, message):
+    # no best-fit circle exists: on (0,0)..(3,0) the fit used to settle on
+    # an arbitrary 0.5000000000001179
+    feet = np.array(feet)
+    with pytest.raises(DomainError, match=message):
+        concyclicity_defect(feet)
+    with pytest.raises(DomainError, match=message):
+        sphere_cap_fit_scan(feet, SphericalCapGround(50.0), theta_steps=4)
+
+
+def test_concyclicity_defect_of_a_far_small_square_is_zero():
+    # the degeneracy tests are relative to the feet's own extent
+    feet = _square_feet_xy(1e-3) + np.array([3e3, -4e3])
+    assert concyclicity_defect(feet) < 1e-9
+
+
 @pytest.mark.parametrize("steps", [(0, 3), (4, 0), (-1, 3), (1, -1)])
 def test_cap_scan_refuses_an_empty_grid(steps):
     with pytest.raises(DomainError, match=r"a cap scan takes 1 to 2\^16 placements"):

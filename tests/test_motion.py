@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wobble.contact import (
+    ContactState,
     FootSet,
     TableSpec,
     settle_three_feet,
@@ -23,6 +24,7 @@ from wobble.motion import (
     verify_equilibrium,
 )
 from wobble.ring import half_circle_crossings
+from wobble.roots import bracketed_root
 from wobble.terrain import BumpTerrain, Extent, flat_terrain, generate_terrain
 
 EXT = Extent(-8.0, 8.0, -8.0, 8.0)
@@ -472,3 +474,119 @@ def test_record_raises_the_first_flagged_row_or_warns_each(flat):
         "sample 4 (pivot): contact,rigidity", "sample 5 (pivot): rigidity"]
     assert len(trace) == 6 and trace.params.tolist() == [0.0, 1.0, 2.0] * 2
     assert trace.sample(3).flags == ("rigidity", "continuity")
+
+
+# ------------------------------------- refinement started from the samples
+
+
+def _counted_resolves(trace):
+    """Wrap the trace's resolver; returns the list of resolved params."""
+    params = []
+    resolver = trace.resolver
+
+    def counted(param):
+        params.append(param)
+        return resolver(param)
+
+    trace.resolver = counted
+    return params
+
+
+def test_pivot_slide_refines_in_about_one_resolve_per_solve():
+    # plain Brent on the whole bracket made 26 resolves on these 12 solves
+    tol = 1e-9 * TABLE.char_length
+    total = 0
+    for seed in range(1, 13):
+        terrain = generate_terrain(seed, math.radians(35.0), 20, EXT)
+        trace = run_pivot_slide(TABLE, terrain)
+        resolved = _counted_resolves(trace)
+        result = find_equilibrium(trace, terrain)
+        assert result.found
+        assert result.max_abs_height <= 0.1 * tol
+        total += len(resolved)
+    assert total <= 14
+
+
+def test_march_refines_in_one_resolve(hills14):
+    trace = run_march(TABLE, hills14)
+    resolved = _counted_resolves(trace)
+    result = find_equilibrium(trace, hills14)
+    assert result.found and len(resolved) == 1
+    assert result.parameter == resolved[0]
+    lo, hi = result.intervals[0]
+    assert lo < result.parameter < hi
+    assert result.max_abs_height <= 0.1e-9 * TABLE.char_length
+
+
+# the stub trace's sample step, about a default step of a motion
+_STUB_STEP = 0.004
+
+
+def _free_foot(x):
+    # a smooth, strictly falling free-foot height with its zero near 0.0135
+    return 0.5 * (0.0134 - x) + 0.5 * (0.0134 - x) ** 2 + 1e-3 * math.sin(3.0 * x)
+
+
+def _stub_trace(flat):
+    """Eight samples of `_free_foot`, _STUB_STEP apart from 0, crossing
+    between samples 3 and 4, with a resolver that evaluates it."""
+    params = _STUB_STEP * np.arange(8)
+    trace = _synthetic_trace(flat, [_free_foot(x) for x in params])
+    trace.params = params
+    feet = trace.start_feet
+    tol = 1e-9 * TABLE.char_length
+
+    def resolver(param):
+        return MotionSample(param=param, feet=feet,
+                            contact=ContactState((0.0, 0.0, 0.0, _free_foot(param)), tol),
+                            stage="settled")
+
+    trace.resolver = resolver
+    return trace
+
+
+def _plain_brent_resolves():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return _free_foot(x)
+
+    lo, hi = 3 * _STUB_STEP, 4 * _STUB_STEP
+    bracketed_root(f, lo, hi, xtol=1e-15, ftol=0.1e-9 * TABLE.char_length,
+                   f_lo=_free_foot(lo), f_hi=_free_foot(hi))
+    return calls
+
+
+def _spoil(trace, case):
+    if case == "not-monotone":
+        # sample 1 drops below sample 2, still above the ground; the
+        # interpolant through the samples would still land in the bracket
+        trace.heights[1, 3] = 0.9 * trace.heights[2, 3]
+    elif case == "flat-step":
+        trace.heights[6, 3] = trace.heights[5, 3]
+    elif case == "bracket-spans-two-stages":
+        trace.stages[4:] = 1
+    elif case == "sample-in-another-stage":
+        trace.stages[6:] = 1
+
+
+def test_stub_trace_with_monotone_samples_starts_inside_the_bracket(flat):
+    trace = _stub_trace(flat)
+    resolved = _counted_resolves(trace)
+    result = find_equilibrium(trace, flat)
+    assert len(resolved) == 1 and len(_plain_brent_resolves()) == 3
+    assert result.parameter == resolved[0]
+    assert 3 * _STUB_STEP < result.parameter < 4 * _STUB_STEP
+    assert abs(_free_foot(result.parameter)) <= 0.1e-9 * TABLE.char_length
+
+
+@pytest.mark.parametrize("case", ["not-monotone", "flat-step", "bracket-spans-two-stages",
+                                  "sample-in-another-stage"])
+def test_stub_trace_falls_back_to_plain_brent(flat, case):
+    trace = _stub_trace(flat)
+    _spoil(trace, case)
+    resolved = _counted_resolves(trace)
+    result = find_equilibrium(trace, flat)
+    assert resolved == _plain_brent_resolves()
+    assert result.found and result.intervals[0] == (3 * _STUB_STEP, 4 * _STUB_STEP)

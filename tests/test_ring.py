@@ -371,6 +371,38 @@ def test_settled_scan_equals_every_node_scan(name, request, every_node):
         assert got[1] == want[1]
 
 
+class Uncapped:
+    """A bump terrain whose gradient bound is the per-bump disc sum alone,
+    without the cap by the certified slope. Everything else delegates."""
+
+    def __init__(self, terrain):
+        self.inner = terrain
+
+    def gradient_bound(self, x, y, radius):
+        return self.inner._disc_bound(np.asarray(x, float), np.asarray(y, float),
+                                      np.asarray(radius, float))
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_slope_cap_settles_more_cells(hills30):
+    # unit-table foot circles inside the extent, about the ground, axes
+    # near horizontal
+    centers, axes, az = _random_circles(hills30, 300, 5.0, 0.3, seed=7)
+    capped, uncapped = CountingPoints(hills30), CountingPoints(Uncapped(hills30))
+    got = circle_crossings(centers, axes, 1.0, capped)
+    want = circle_crossings(centers, axes, 1.0, uncapped)
+    _same_bits(got[0], want[0])
+    _same_errors(got[1], want[1])
+    got = half_circle_crossings(centers, az, 1.0, capped)
+    want = half_circle_crossings(centers, az, 1.0, uncapped)
+    for g, w in zip(got[:2], want[:2]):
+        _same_bits(g, w)
+    _same_errors(got[2], want[2])
+    assert capped.points < uncapped.points
+
+
 def test_existing_failing_rows_equal_every_node(every_node):
     x_axis = np.array([1.0, 0.0, 0.0])
     ridge = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)

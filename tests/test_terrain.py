@@ -577,6 +577,12 @@ def test_gradient_bound_covers_dense_samples(hills30):
     xy = rng.uniform(-6.0, 6.0, size=(200, 2))
     radii = rng.uniform(0.05, 2.0, 200)
     bounds = hills30.gradient_bound(xy[:, 0], xy[:, 1], radii)
+    # every disc lies inside the extent: the bound is at most the per-bump
+    # sum and the certified slope, and the slope caps some of them
+    sums = hills30._disc_bound(xy[:, 0], xy[:, 1], radii)
+    cap = math.tan(hills30.slope_search().upper) * (1.0 + terrain_mod._BOUND_MARGIN)
+    assert np.all(bounds <= sums) and np.all(bounds <= cap)
+    assert np.any(bounds < sums)
     # 20 radii x 72 angles per disc, centre included
     rho = np.linspace(0.0, 1.0, 20)[:, None] * radii
     phi = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
@@ -585,6 +591,19 @@ def test_gradient_bound_covers_dense_samples(hills30):
         y = xy[k, 1] + np.outer(rho[:, k], np.sin(phi))
         gx, gy = hills30.gradient(x, y)
         assert np.max(np.hypot(gx, gy)) <= bounds[k]
+
+
+def test_gradient_bound_of_a_disc_leaving_the_extent_is_uncapped(hills30):
+    # the certified slope holds over the extent only: the first three discs
+    # reach outside it and keep their sums, which lie above the cap; the
+    # last two lie inside (one touches its edge) and get the cap
+    x = np.array([7.5, 0.0, 3.0, 0.0, 2.0])
+    y = np.array([0.0, 0.0, 3.0, 0.0, -1.0])
+    radius = np.array([6.0, 9.0, 6.0, 8.0, 5.0])
+    sums = hills30._disc_bound(x, y, radius)
+    cap = math.tan(hills30.slope_search().upper) * (1.0 + terrain_mod._BOUND_MARGIN)
+    assert np.all(sums > cap)
+    assert np.array_equal(hills30.gradient_bound(x, y, radius), [*sums[:3], cap, cap])
 
 
 def test_gradient_bound_exact_for_one_bump_on_its_ring():
