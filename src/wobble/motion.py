@@ -23,11 +23,13 @@ kernel places every foot 2. The half-circle always straddles the ground
 (its ends lie one side length below and above foot 1), so the only
 placement failure of a foot 2 is a ConditionViolation (exit code 3) when
 the kernel's 1-degree scan of the whole half-circle counts other than one
-crossing. Only the march chords are still solved in order, each searched
-from the last: batching them (ROADMAP items 1-2) waits until the `march`
-benchmark stops holding every op's output, or a faster march would read
-there as a memory regression. Then `_squares` closes every sample's square
-in one pass: every foot 3 by the blocked circle kernel
+crossing. The march traces its ring (ring.trace_ring, the same kernel) on
+a grid that holds every sample's azimuth and reads each foot 1 off its
+node; only its chords are still solved in order, each searched from the
+last. Batching them as well waits until the `march` benchmark stops
+holding every op's output, or a faster march would read there as a memory
+regression. Then `_squares` closes every sample's square in one pass:
+every foot 3 by the blocked circle kernel
 (ring.circle_crossings), every foot 4, and every contact height in one
 array call. A placement failure that a row reports (a failed circle
 certificate or corner check) does not raise at once: it stops the stage at
@@ -360,30 +362,29 @@ def _only(rows: dict, failure: WobbleError | None, table: TableSpec) -> MotionSa
     return _row_sample(rows, 0, _contact_tolerance(table))
 
 
-def _march_rows(ring: GroundRing, table: TableSpec, params, phis, hint_gap: float):
+def _march_rows(ring: GroundRing, table: TableSpec, params, phis, foot1: np.ndarray,
+                lat1: np.ndarray, hint_gap: float):
     """The marching square at each azimuth phis[k] (march parameter
-    params[k]): foot 1 on the curve, foot 2 a chord ahead, searched
-    `hint_gap` ahead of the first sample and then one last gap ahead, feet 3
-    and 4 by `_squares`. The chords are solved in order; a failure stops
-    them, and later rows wait for the earlier ones to be recorded. Returns
-    the sample columns, the march's among them, of the rows before the first
-    failing row and that row's error."""
+    params[k]): foot 1 at foot1[k] on the curve (latitude lat1[k]), foot 2 a
+    chord ahead, searched `hint_gap` ahead of the first sample and then one
+    last gap ahead, feet 3 and 4 by `_squares`. The chords are solved in
+    order; a failure stops them, and later rows wait for the earlier ones to
+    be recorded. Returns the sample columns, the march's among them, of the
+    rows before the first failing row and that row's error."""
     chords, failure = [], None
     try:
-        for phi in phis:
-            p1, lat1 = ring.point_at(phi)
+        for phi, p1 in zip(phis, foot1):
             p2, phi2, lat2 = chord_advance(ring, p1, phi, table.side, phi + hint_gap)
             hint_gap = phi2 - phi
-            chords.append((p1, p2, phi2, lat1, lat2))
+            chords.append((p2, phi2, lat2))
     except WobbleError as exc:
         failure = exc
     rows, square_failure = _squares(
-        table, ring.terrain, "march", params,
-        np.array([c[0] for c in chords]).reshape(-1, 3),
-        np.array([c[1] for c in chords]).reshape(-1, 3))
+        table, ring.terrain, "march", params, foot1[:len(chords)],
+        np.array([c[0] for c in chords]).reshape(-1, 3))
     m = len(rows["params"])
-    phi2, lat1, lat2 = np.array([c[2:] for c in chords[:m]], float).reshape(m, 3).T
-    rows.update(azimuth2=phi2, latitude1=lat1, latitude2=lat2)
+    phi2, lat2 = np.array([c[1:] for c in chords[:m]], float).reshape(m, 2).T
+    rows.update(azimuth2=phi2, latitude1=np.array(lat1[:m], dtype=float), latitude2=lat2)
     return rows, square_failure or failure
 
 
@@ -423,19 +424,26 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
             f"{math.degrees(gap23):.4f} deg about the sphere axis; expected "
             f"forward gaps below 180 deg"
         )
-    # trace only the azimuth arc the march visits (foot 1 from its start to
-    # foot 2's start, foot 2 one chord further), padded for bracketing; the
-    # ring bounds its latitudes by twice the slope
-    arc = (phi_start - 4.0 * step, phi_start + gap12 + gap23 + 6.0 * step)
-    ring = trace_ring(sphere, terrain, step, arc, side, enforce=not override)
+    # foot 1 visits n + 1 samples from its start to foot 2's start; the ring
+    # is traced on the samples' grid, from 4 nodes below the first to 6
+    # beyond foot 2's last chord (one gap23 ahead), so every foot 1 is a
+    # ring node and every chord search has nodes around it. The ring bounds
+    # its latitudes by twice the slope. Its spacing keeps the step floor,
+    # which bounds the number of nodes, and a sample's azimuth is phi_start
+    # plus its parameter, bit for bit, as in the resolver
+    n = max(1, int(math.ceil(gap12 / step)))
+    check_step(gap12 / n)
+    top = n + int(math.ceil(gap23 * n / gap12)) + 6
+    offsets = gap12 * np.arange(-4, top + 1) / n
+    azimuths = phi_start + offsets
+    ring = trace_ring(sphere, terrain, azimuths, side, enforce=not override)
     trace.warnings.extend(ring.warnings)
     trace.ring = ring
 
-    n = max(1, int(math.ceil(gap12 / step)))
-    phis = [phi_start + gap12 * i / n for i in range(n + 1)]
-    # we know where foot 2 sits; later samples reuse the last gap
-    rows, failure = _march_rows(ring, table, [phi - phi_start for phi in phis], phis,
-                                gap12)
+    samples = slice(4, n + 5)
+    phis = azimuths[samples]
+    rows, failure = _march_rows(ring, table, offsets[samples], phis.tolist(),
+                                ring.points[samples], ring.latitudes[samples], gap12)
     lat = np.maximum(np.abs(rows["latitude1"]), np.abs(rows["latitude2"]))
     azimuth2 = rows["azimuth2"]
     own = (np.where((lat >= ring.latitude_bound) & (lat > 1e-12), _LATITUDE, 0)
@@ -446,12 +454,17 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
         raise failure
     _check_endpoints(trace)
 
-    sample_params, sample_phi2 = trace.params, trace.azimuth2
+    sample_params, sample_gaps = trace.params, trace.azimuth2 - phis
 
     def resolver(param: float) -> MotionSample:
+        # the chord search starts one gap ahead, that of the last sample
+        # before `param`, as the march's own loop would: at a sample's
+        # parameter this reproduces its row
+        k = int(np.searchsorted(sample_params, param)) - 1
         phi = phi_start + param
-        gap_hint = float(np.interp(param, sample_params, sample_phi2)) - phi
-        return _only(*_march_rows(ring, table, [param], [phi], gap_hint), table)
+        p1, lat1 = ring.node(phi)
+        return _only(*_march_rows(ring, table, [param], [phi], p1[None], [lat1],
+                                  gap12 if k < 0 else float(sample_gaps[k])), table)
 
     trace.resolver = resolver
     return trace

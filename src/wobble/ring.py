@@ -4,8 +4,9 @@ and the ground crossings of the foot circles that close the table's square.
 Under a terrain slope below 30 degrees the curve is a graph over the azimuth
 about the vertical axis through the sphere center: each vertical half-plane
 meets it exactly once, so every point is a 1-D root in latitude. The trace
-covers the march's arc, with every latitude inside twice the slope, and
-keeps the polyline for warm starts. Every root is refined inside a certified
+solves the curve at the azimuths it is given (the march's samples and a few
+nodes either side), with every latitude inside twice the slope, and keeps
+the polyline for warm starts. Every root is refined inside a certified
 bracket: a 1-degree sign scan ahead of each fresh bracket makes a breach of
 the uniqueness conditions surface as an error instead of a wrong answer.
 
@@ -22,13 +23,17 @@ the terrain raises during a scan or a refinement (a query outside its
 extent), or a NaN met while refining, is raised for the whole call. The
 curve point at an azimuth is the crossing of the vertical half-circle about
 the sphere center: `ring_point` is the one-row call of
-`half_circle_crossings`, and `trace_ring` runs the kernel on every grid
-azimuth with its own band and certificate. `circle_surface_intersection` is
-the one-row call of `circle_crossings`; `contact.drop_rotate` lands the
-free foot with it, slope gate off. These one-row calls raise their row's
-error. The warm-started curve solves of `GroundRing.point_at` and
-`chord_advance` refine one scalar root at a time with Brent's method
-(roots.bracketed_root).
+`half_circle_crossings`, and `trace_ring` runs the kernel on every traced
+azimuth with its own latitude band and certificate. The march reads each
+foot 1 off those nodes; `GroundRing.node` is the one-row call of the same
+band and certificate, so a re-solve at a traced azimuth gives that node's
+point bit for bit. `circle_surface_intersection` is the one-row call of
+`circle_crossings`; `contact.drop_rotate` lands the free foot with it,
+slope gate off. These one-row calls raise their row's error. Only the
+march's chord search still solves scalar roots: `chord_advance` probes its
+bracket at five azimuths and refines the one probe cell that holds the sign
+change with Brent's method (roots.bracketed_root), on curve points from the
+warm-started scalar solve `GroundRing.point_at`.
 
 The scan evaluates a grid node only where it can change a sign. Each block
 first evaluates its rows at the coarse nodes: every _COARSE-th grid node
@@ -177,9 +182,11 @@ def ring_point(sphere: Sphere, terrain, azimuth: float,
 
 @dataclass
 class GroundRing:
-    """Azimuth-parametrized polyline of the sphere/ground intersection over
-    one azimuth arc, ends included, plus warm-started exact point solves on
-    the arc. latitude_bound is twice the terrain's slope bound."""
+    """Azimuth-parametrized polyline of the sphere/ground intersection at the
+    traced azimuths (increasing), plus two exact solves on it: `node`, the
+    trace's own kernel at one azimuth, and `point_at`, a warm-started scalar
+    solve for the chord search. step is the widest node spacing and
+    latitude_bound twice the terrain's slope bound."""
 
     sphere: Sphere
     terrain: object
@@ -188,17 +195,28 @@ class GroundRing:
     latitudes: np.ndarray
     points: np.ndarray
     latitude_bound: float
+    band: _AngleGrid
+    enforce: bool = True
     warnings: list[str] = field(default_factory=list)
+
+    def node(self, azimuth: float) -> tuple[np.ndarray, float]:
+        """The curve point at one azimuth and its latitude: the one-row call
+        of the trace's kernel, band and crossing count, so at a traced
+        azimuth it is that node's point and latitude bit for bit."""
+        points, lams, counts = _band_crossings(self.sphere, self.terrain, [azimuth],
+                                               self.band)
+        if counts[0] != 1 and self.enforce:
+            raise ConditionViolation(_double_point(azimuth, int(counts[0])))
+        return points[0], float(lams[0])
 
     def _hint_latitude(self, azimuth: float) -> tuple[float, float]:
         """Interpolated latitude and a local bracket half-width."""
         n = self.azimuths.size
-        a0 = float(self.azimuths[0])
-        pos = (azimuth - a0) / self.step
-        pos = min(max(pos, 0.0), n - 1.0)
-        i = min(int(pos), n - 2)
+        i = int(np.searchsorted(self.azimuths, azimuth, side="right")) - 1
+        i = min(max(i, 0), n - 2)
         j = i + 1
-        frac = pos - i
+        a_i, a_j = float(self.azimuths[i]), float(self.azimuths[j])
+        frac = min(max((azimuth - a_i) / (a_j - a_i), 0.0), 1.0)
         li, lj = float(self.latitudes[i]), float(self.latitudes[j])
         hint = li + (lj - li) * frac
         k = max(i - 1, 0)
@@ -251,21 +269,51 @@ def check_step(step: float) -> None:
                           f"of {math.degrees(_MIN_STEP):.4g} deg (pi/2^18 rad)")
 
 
-def trace_ring(sphere: Sphere, terrain, step: float, arc: tuple[float, float],
-               chord_length: float, enforce: bool = True) -> GroundRing:
-    """Trace the curve over the azimuth arc on a uniform grid (vectorized).
+def _double_point(azimuth: float, count: int) -> str:
+    return (f"curve crosses the half-plane at azimuth "
+            f"{math.degrees(azimuth):.4f} deg {count} times; "
+            f"no-double-point condition violated")
 
-    The grid spans arc = (start, end), ends included, in equal increments
-    of at most `step` radians; the step must keep at least 100 samples per
+
+def _band_crossings(sphere: Sphere, terrain, azimuths, band: _AngleGrid):
+    """The curve point and latitude at each azimuth, and each azimuth's
+    number of crossings: the vertical half-circles about the sphere center,
+    scanned over the latitude band. Raise GeometryViolation when a
+    half-circle does not straddle the ground inside the band."""
+    counts = []
+
+    def certify(flips: _SignChanges):
+        if np.any(flips.gap(0) >= 0.0) or np.any(flips.gap(-1) <= 0.0):
+            if band.ts[-1] < math.pi / 2.0 - 1e-9:
+                msg = (f"curve latitude leaves the scan band of "
+                       f"{math.degrees(band.ts[-1]):.4f} deg; latitude bound breached")
+            else:
+                msg = "sphere does not straddle the ground over the traced azimuths"
+            raise GeometryViolation(msg)
+        counts.append(flips.counts())
+        return flips.first(), {}
+
+    points, lams, _ = _vertical_half_circles(terrain, sphere.center, azimuths,
+                                             sphere.radius, band, certify)
+    return points, lams, np.concatenate(counts)
+
+
+def trace_ring(sphere: Sphere, terrain, azimuths, chord_length: float,
+               enforce: bool = True) -> GroundRing:
+    """Trace the curve at the given azimuths (vectorized).
+
+    The azimuths must be finite and strictly increasing, at least two, and
+    no two neighbours may lie farther apart than keeps 100 samples per
     chord of chord_length. Every traced latitude must stay strictly inside
     twice the terrain slope bound (raise, or record a warning when enforce
     is False).
     """
-    check_step(step)
-    lo_phi, hi_phi = float(arc[0]), float(arc[1])
-    span = hi_phi - lo_phi
-    if not (math.isfinite(span) and span > 0.0):
-        raise DomainError(f"azimuth arc must be finite and nonempty, got {arc}")
+    phis = np.array(azimuths, dtype=float)
+    gaps = np.diff(phis)
+    if not (phis.ndim == 1 and phis.size >= 2 and np.isfinite(phis).all()
+            and (gaps > 0.0).all()):
+        raise DomainError("trace azimuths must be at least two finite, strictly "
+                          "increasing values")
     slope = terrain.slope_bound
     warnings: list[str] = []
     if slope >= _SLOPES.no_double_point:
@@ -275,44 +323,23 @@ def trace_ring(sphere: Sphere, terrain, step: float, arc: tuple[float, float],
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
+    widest = float(gaps.max())
     cap = 2.0 * math.asin(chord_length / (200.0 * sphere.radius))
-    if step > cap * (1.0 + 1e-9):
+    if widest > cap * (1.0 + 1e-9):
         raise DomainError(
-            f"step {math.degrees(step):.4f} deg exceeds the 100-samples-per-"
-            f"chord cap {math.degrees(cap):.4f} deg"
+            f"azimuth spacing {math.degrees(widest):.4f} deg exceeds the "
+            f"100-samples-per-chord cap {math.degrees(cap):.4f} deg"
         )
-    n = max(1, int(math.ceil(span / step)))
-    phis = lo_phi + span * np.arange(n + 1) / n
-    grid_step = span / n
 
     # crossings live inside |lat| < 2 * slope; scan a padded band at the
     # spec'd 1-degree resolution and pin the band edges to the pole signs
     band = min(math.pi / 2.0, max(2.0 * slope + math.radians(5.0), math.radians(10.0)))
     n_lam = max(int(math.ceil(2.0 * band / _DEG)) + 1, 11)
     grid = _angle_grid(np.linspace(-band, band, n_lam))
-    # the curve point at each azimuth is the crossing of the vertical
-    # half-circle about the sphere center, scanned over the band
-    block_counts = []
-
-    def certify(flips: _SignChanges):
-        if np.any(flips.gap(0) >= 0.0) or np.any(flips.gap(-1) <= 0.0):
-            if band < math.pi / 2.0 - 1e-9:
-                msg = (f"curve latitude leaves the scan band of "
-                       f"{math.degrees(band):.4f} deg; latitude bound breached")
-            else:
-                msg = "sphere does not straddle the ground over the traced azimuths"
-            raise GeometryViolation(msg)
-        block_counts.append(flips.counts())
-        return flips.first(), {}
-
-    pts, lams, _ = _vertical_half_circles(terrain, sphere.center, phis,
-                                          sphere.radius, grid, certify)
-    counts = np.concatenate(block_counts)
+    pts, lams, counts = _band_crossings(sphere, terrain, phis, grid)
     if np.any(counts != 1):
         bad = int(np.argmax(counts != 1))
-        msg = (f"curve crosses the half-plane at azimuth "
-               f"{math.degrees(phis[bad]):.4f} deg {int(counts[bad])} times; "
-               f"no-double-point condition violated")
+        msg = _double_point(float(phis[bad]), int(counts[bad]))
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
@@ -336,16 +363,17 @@ def trace_ring(sphere: Sphere, terrain, step: float, arc: tuple[float, float],
     c2 = math.cos(2.0 * slope) ** 2
     if c2 > s2:
         speed_factor = max(speed_factor, c2 / math.sqrt(c2 - s2))
-    cap = 2.0 * sphere.radius * math.sin(grid_step / 2.0) * speed_factor * (1.0 + 1e-3)
+    cap = 2.0 * sphere.radius * math.sin(widest / 2.0) * speed_factor * (1.0 + 1e-3)
     if spacing > cap:
         msg = f"adjacent trace points spaced {spacing:.3e}, cap {cap:.3e}"
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
 
-    return GroundRing(sphere=sphere, terrain=terrain, step=grid_step,
+    return GroundRing(sphere=sphere, terrain=terrain, step=widest,
                       azimuths=phis, latitudes=lams, points=pts,
-                      latitude_bound=latitude_bound, warnings=warnings)
+                      latitude_bound=latitude_bound, band=grid, enforce=enforce,
+                      warnings=warnings)
 
 
 def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
@@ -353,9 +381,11 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
     """Next curve point at straight-line distance `chord`, ahead in azimuth.
 
     The root is isolated in a bracket of width at most 4 steps around the
-    hint; no crossing there means the motion is blocked, more than one means
-    the uniqueness-by-continuity assumption failed. Returns
-    (point, azimuth, latitude).
+    hint, probed at five evenly spaced azimuths: no crossing there means the
+    motion is blocked, more than one sign change among the probes means the
+    uniqueness-by-continuity assumption failed. Brent's method then refines
+    the one probe cell that holds the sign change. Returns (point, azimuth,
+    latitude).
     """
     fx, fy, fz = float(from_point[0]), float(from_point[1]), float(from_point[2])
     last_lat: list[tuple[float, float] | None] = [None]
@@ -381,17 +411,16 @@ def chord_advance(ring: GroundRing, from_point: np.ndarray, from_azimuth: float,
             f"(gap {g_lo:.3e} .. {g_hi:.3e}); the monotone-march condition "
             f"(slope <= {_SLOPES.monotone_march_deg:.2f} deg) may be violated"
         )
-    probes = np.linspace(lo, hi, 5)
-    vals = np.empty(5)
-    vals[0], vals[4] = g_lo, g_hi
-    for i in (1, 2, 3):
-        vals[i] = gap(float(probes[i]))
-    if np.count_nonzero(np.diff(vals > 0.0)) != 1:
+    probes = [lo, *np.linspace(lo, hi, 5)[1:4].tolist(), hi]
+    vals = [g_lo, *(gap(phi) for phi in probes[1:4]), g_hi]
+    cells = [j for j in range(4) if (vals[j] > 0.0) != (vals[j + 1] > 0.0)]
+    if len(cells) != 1:
         raise ConditionViolation(
             "multiple chord roots detected in the continuation bracket; "
             "uniqueness-by-continuity failed"
         )
-    phi2 = bracketed_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
+    j = cells[0]
+    phi2 = bracketed_root(gap, probes[j], probes[j + 1], f_lo=vals[j], f_hi=vals[j + 1])
     if phi2 <= from_azimuth:
         raise BlockedMotion("chord advance did not move forward in azimuth")
     point, lam = solved[phi2]

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wobble
 from wobble.cli import (
@@ -391,6 +396,33 @@ def test_coplanar_start_is_one_failure_line(tmp_path, capsys):
     assert captured.err.startswith("failure: points are near-coplanar")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert not out.exists()
+
+
+# the special floats, and one ordinary value each so that some examples
+# solve the march
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308,
+                            5e-324, -5e-324, 1e-310])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(step=st.one_of(_SPECIAL, st.just(0.5)), yaw=st.one_of(_SPECIAL, st.just(30.0)),
+       center=st.tuples(st.one_of(_SPECIAL, st.just(0.5)),
+                        st.one_of(_SPECIAL, st.just(-0.5))))
+def test_march_solve_on_special_values_exits_with_a_documented_code(
+        terrain10, step, yaw, center):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "trace.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["solve", "--terrain", str(terrain10), "--motion", "gamma",
+                         f"--step={step!r}", f"--yaw={yaw!r}",
+                         f"--center={center[0]!r},{center[1]!r}", "--out", str(out)])
+        assert code in (0, 2, 3, 4, 64)
+        if code in (0, 2):
+            assert out.exists()
+        else:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not out.exists()
 
 
 def test_campaign_residuals_are_the_march_trace_residuals():

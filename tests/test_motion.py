@@ -227,6 +227,36 @@ def test_trace_resolver_matches_samples(run, terrain_name, request):
         assert re.contact.h4 == pytest.approx(mid.contact.h4, abs=1e-9)
 
 
+def test_march_reads_foot1_off_its_ring_nodes(hills14):
+    trace = run_march(TABLE, hills14)
+    ring = trace.ring
+    # every row's foot 1 and latitude are a ring node's, bit for bit, at
+    # consecutive nodes whose azimuths are the start's plus the parameters
+    centre = trace.sphere.center
+    foot1 = trace.feet[:, 0]
+    azimuths = np.arctan2(foot1[:, 1] - centre[1], foot1[:, 0] - centre[0])
+    nodes = np.abs(ring.azimuths[None, :] - azimuths[:, None]).argmin(axis=1)
+    assert np.array_equal(nodes, nodes[0] + np.arange(len(trace)))
+    assert ring.points[nodes].tobytes() == foot1.tobytes()
+    assert ring.latitudes[nodes].tobytes() == trace.latitude1.tobytes()
+    assert ring.azimuths[nodes].tobytes() == (ring.azimuths[nodes[0]]
+                                              + trace.params).tobytes()
+    # the one-node call of the trace reproduces a node
+    point, lat = ring.node(float(ring.azimuths[nodes[7]]))
+    assert point.tobytes() == ring.points[nodes[7]].tobytes()
+    assert lat == ring.latitudes[nodes[7]]
+
+
+def test_march_resolver_reproduces_its_rows(hills14):
+    trace = run_march(TABLE, hills14)
+    for i in (0, 1, len(trace) // 2, len(trace) - 1):
+        re = trace.resolver(float(trace.params[i]))
+        assert re.feet.points.tobytes() == trace.feet[i].tobytes()
+        assert re.contact.heights == tuple(trace.heights[i].tolist())
+        assert (re.azimuth2, re.latitude1, re.latitude2) == (
+            trace.azimuth2[i], trace.latitude1[i], trace.latitude2[i])
+
+
 def _pinned_flat(slope):
     terrain = flat_terrain(EXT)
     terrain._slope_cache = slope

@@ -11,6 +11,7 @@ from wobble.errors import (
 )
 from wobble import ring
 from wobble.geometry import Sphere
+from wobble.roots import bracketed_root
 from wobble.ring import (
     chord_advance,
     circle_crossings,
@@ -26,6 +27,12 @@ STEP = math.radians(0.25)
 TURN = (0.0, 2.0 * math.pi)
 
 
+def _azimuths(step, arc=TURN):
+    """The arc, ends included, in equal increments of at most `step`."""
+    n = math.ceil((arc[1] - arc[0]) / step)
+    return arc[0] + (arc[1] - arc[0]) * np.arange(n + 1) / n
+
+
 def test_ring_point_flat_equator(flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
     p, lam = ring_point(s, flat, 0.0)
@@ -39,13 +46,13 @@ def test_ring_point_steep_terrain_refused():
     with pytest.raises(ConditionViolation, match="30"):
         ring_point(s, steep, 0.0)
     with pytest.raises(ConditionViolation, match="30"):
-        trace_ring(s, steep, STEP, TURN, 1.0)
+        trace_ring(s, steep, _azimuths(STEP), 1.0)
 
 
 def test_trace_ring_override_records_the_slope_breach():
     steep = generate_terrain(2, math.radians(32.0), 20, EXT)
     s = Sphere(center=np.array([0.3, -0.2, steep.height(0.3, -0.2)]), radius=0.75)
-    ring = trace_ring(s, steep, STEP, TURN, 1.0, enforce=False)
+    ring = trace_ring(s, steep, _azimuths(STEP), 1.0, enforce=False)
     assert ring.warnings[0] == ("curve tracing needs terrain slope below 30.0000 "
                                 "deg, measured 32.0000 deg")
 
@@ -66,7 +73,7 @@ def test_trace_on_tilted_plane_is_the_analytic_circle(plane10):
     # sphere centered on the plane: the curve is a great circle
     cz = 0.5 * math.tan(math.radians(10.0))
     s = Sphere(center=np.array([0.5, 0.2, cz]), radius=0.9)
-    ring = trace_ring(s, plane10, STEP, TURN, 1.0)
+    ring = trace_ring(s, plane10, _azimuths(STEP), 1.0)
     d = ring.points - s.center
     assert np.max(np.abs(np.sqrt((d * d).sum(1)) - 0.9)) < 1e-9
     plane_resid = ring.points[:, 2] - ring.points[:, 0] * math.tan(math.radians(10.0))
@@ -80,7 +87,7 @@ def test_trace_off_center_sphere_circle_radius(plane10):
     dist = 0.12
     center = np.array([0.5, 0.2, 0.5 * slope]) + dist * normal
     s = Sphere(center=center, radius=0.9)
-    ring = trace_ring(s, plane10, STEP, TURN, 1.0)
+    ring = trace_ring(s, plane10, _azimuths(STEP), 1.0)
     circle_center = center - dist * normal
     r_want = math.sqrt(0.9**2 - dist**2)
     d = ring.points - circle_center
@@ -89,7 +96,7 @@ def test_trace_off_center_sphere_circle_radius(plane10):
 
 def test_trace_full_turn_closes(hills14):
     s = Sphere(center=np.array([0.2, -0.1, 0.35]), radius=0.8)
-    ring = trace_ring(s, hills14, math.radians(0.5), TURN, 1.0)
+    ring = trace_ring(s, hills14, _azimuths(math.radians(0.5)), 1.0)
     # the traced polyline closes: its last point is its first
     assert np.linalg.norm(ring.points[-1] - ring.points[0]) < 1e-9 * s.radius
     assert abs(float(ring.latitudes[0]) - float(ring.latitudes[-1])) < 0.05
@@ -100,7 +107,7 @@ def test_trace_full_turn_closes(hills14):
 
 def test_traced_invariants_on_terrain(hills14):
     s = Sphere(center=np.array([0.0, 0.0, 0.35]), radius=0.8)
-    ring = trace_ring(s, hills14, math.radians(0.5), TURN, 1.0)
+    ring = trace_ring(s, hills14, _azimuths(math.radians(0.5)), 1.0)
     d = ring.points - s.center
     assert np.max(np.abs(np.sqrt((d * d).sum(axis=1)) - s.radius)) < 1e-9 * s.radius
     z = hills14.height(ring.points[:, 0], ring.points[:, 1])
@@ -113,19 +120,20 @@ def test_trace_step_cap_with_chord():
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=0.75)
     from wobble.terrain import flat_terrain
     with pytest.raises(DomainError, match="cap"):
-        trace_ring(s, flat_terrain(EXT), math.radians(2.0), TURN, 1.0)
+        trace_ring(s, flat_terrain(EXT), _azimuths(math.radians(2.0)), 1.0)
 
 
-@pytest.mark.parametrize("arc", [(0.0, math.nan), (-math.inf, 0.0), (1.0, 1.0)])
-def test_trace_needs_a_finite_nonempty_arc(arc, flat):
+@pytest.mark.parametrize("azimuths", [[0.0, math.nan], [-math.inf, 0.0], [1.0, 1.0],
+                                      [1.0, 0.5], [0.5], [[0.0, 0.1]]])
+def test_trace_needs_finite_increasing_azimuths(azimuths, flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
-    with pytest.raises(DomainError, match="azimuth arc must be finite and nonempty"):
-        trace_ring(s, flat, STEP, arc, 1.0)
+    with pytest.raises(DomainError, match="trace azimuths must be at least two finite"):
+        trace_ring(s, flat, azimuths, 1.0)
 
 
 def test_chord_advance_exact_on_flat_circle(flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
-    ring = trace_ring(s, flat, STEP, TURN, 0.5)
+    ring = trace_ring(s, flat, _azimuths(STEP), 0.5)
     start, _ = ring.point_at(0.0)
     want = 2.0 * math.asin(0.5 / (2.0 * 1.0))
     p2, phi2, lam2 = chord_advance(ring, start, 0.0, 0.5, want)
@@ -133,9 +141,40 @@ def test_chord_advance_exact_on_flat_circle(flat):
     assert np.linalg.norm(p2 - start) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_chord_advance_refines_the_probe_cell_with_the_sign_change(hills14):
+    s = Sphere(center=np.array([0.2, -0.1, 0.35]), radius=0.8)
+    ring = trace_ring(s, hills14, _azimuths(STEP), 1.0)
+    intrinsic = 2.0 * math.asin(1.0 / (2.0 * 0.8))
+    for k in (0, 300, 900):
+        phi, start = float(ring.azimuths[k]), ring.points[k]
+
+        def gap(az):
+            return float(np.linalg.norm(ring.point_at(az)[0] - start)) - 1.0
+
+        lo, hi = phi + 0.5 * intrinsic, phi + 1.5 * intrinsic
+        # a hint off the root by 0.7 of a step
+        hint = bracketed_root(gap, lo, hi, gap(lo), gap(hi)) + 0.7 * ring.step
+        seen = []
+        solve = ring.point_at
+        ring.point_at = lambda az, **kw: seen.append(az) or solve(az, **kw)
+        try:
+            _, phi2, _ = chord_advance(ring, start, phi, 1.0, hint)
+        finally:
+            del ring.point_at
+        lo, hi = hint - 2.0 * ring.step, hint + 2.0 * ring.step
+        probes = np.linspace(lo, hi, 5)
+        vals = [gap(float(az)) for az in probes]
+        j = int(np.flatnonzero(np.diff(np.array(vals) > 0.0))[0])
+        # five probes, then Brent inside the probe cell with the sign change
+        assert seen[:5] == [lo, hi, *probes[1:4]]
+        assert all(probes[j] <= az <= probes[j + 1] for az in seen[5:])
+        assert probes[j] <= phi2 <= probes[j + 1]
+        assert abs(phi2 - bracketed_root(gap, lo, hi, vals[0], vals[-1])) < 1e-12
+
+
 def test_chord_advance_blocked_outside_bracket(flat):
     s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
-    ring = trace_ring(s, flat, STEP, TURN, 0.5)
+    ring = trace_ring(s, flat, _azimuths(STEP), 0.5)
     start, _ = ring.point_at(0.0)
     bad_hint = 2.0 * math.asin(0.5 / (2.0 * 1.0)) + math.radians(10.0)
     with pytest.raises(BlockedMotion):
@@ -146,7 +185,7 @@ def test_chord_advance_equal_steps_on_tilted_circle(plane10):
     cz = 0.5 * math.tan(math.radians(10.0))
     s = Sphere(center=np.array([0.5, 0.2, cz]), radius=0.9)
     chord = 0.5
-    ring = trace_ring(s, plane10, STEP, TURN, chord)
+    ring = trace_ring(s, plane10, _azimuths(STEP), chord)
     # equal chords on a circle of radius 0.9 subtend equal intrinsic angles
     intrinsic = 2.0 * math.asin(chord / (2.0 * 0.9))
     phi = float(ring.azimuths[0])
@@ -360,8 +399,8 @@ def test_settled_scan_equals_every_node_scan(name, request, every_node):
         return
     sphere = Sphere(center=np.array([0.3, -0.2, terrain.height(0.3, -0.2)]),
                     radius=0.75)
-    got, want = (trace_ring(sphere, terrain, STEP, TURN, 1.0),
-                 trace_ring(sphere, ref, STEP, TURN, 1.0))
+    got, want = (trace_ring(sphere, terrain, _azimuths(STEP), 1.0),
+                 trace_ring(sphere, ref, _azimuths(STEP), 1.0))
     for attr in ("azimuths", "latitudes", "points"):
         _same_bits(getattr(got, attr), getattr(want, attr))
     assert got.warnings == want.warnings
@@ -448,15 +487,15 @@ def test_scan_leaving_the_extent_names_the_first_outside_point(hills14, flat):
     # certificate is read
     sunk = Sphere(center=np.array([0.0, 7.7, -0.5]), radius=0.75)
     with pytest.raises(DomainError) as info:
-        trace_ring(sunk, flat, STEP, TURN, 1.0)
+        trace_ring(sunk, flat, _azimuths(STEP), 1.0)
     assert str(info.value) == ("query point (0.6864836093395853, 8.002060017394053) "
                                "outside terrain extent [-8.0, 8.0] x [-8.0, 8.0]")
     with pytest.raises(GeometryViolation, match="scan band"):
         trace_ring(Sphere(center=np.array([0.0, 0.0, -0.5]), radius=0.75),
-                   flat, STEP, TURN, 1.0)
+                   flat, _azimuths(STEP), 1.0)
     afloat = Sphere(center=np.array([0.0, 7.7, 0.1]), radius=0.75)
     with pytest.raises(DomainError, match="outside terrain extent"):
-        trace_ring(afloat, flat, STEP, TURN, 1.0)
+        trace_ring(afloat, flat, _azimuths(STEP), 1.0)
 
 
 # ---------------------------------- sign-change list against a dense scan
