@@ -7,10 +7,18 @@ share the same full-turn integral. The weighted combination pinned by the
 diagonal crossing ratios then integrates to zero, and each of its roots
 marks an angle where the four surface contact points turn coplanar: an
 approximate rest placement. The roots are the sign changes of the scanned
-combination, refined together by roots.bracketed_roots. Also here: the
-large-sphere scan showing that non-concyclic feet admit no such placement
-on a sphere, every placement fitted in one batched Levenberg-Marquardt call
-with closed-form Jacobians.
+combination, refined together by roots.bracketed_roots.
+
+The scan uses the shift on its grid of n angles 2 pi k / n. A foot whose
+angle lies a whole number s of grid steps from an earlier foot's, to within
+1e-13 rad, joins that foot's class and reads its row rolled by s; the
+terrain evaluates one row per class. The square table has one class, since
+its quarter turns are n/4 steps, and the half-hexagon (0, 60, 120 and
+180 deg) three.
+
+Also here: the large-sphere scan showing that non-concyclic feet admit no
+such placement on a sphere, every placement fitted in one batched
+Levenberg-Marquardt call with closed-form Jacobians.
 """
 
 from __future__ import annotations
@@ -22,13 +30,18 @@ import numpy as np
 
 from .contact import TableSpec
 from .errors import DomainError
-from .geometry import diagonal_intersection_ratios
 from .roots import bracketed_roots
-from .terrain import Extent, UncertifiedBounds, check_target_slope
+from .terrain import BumpTerrain, Extent, UncertifiedBounds, check_target_slope
 
 _TWO_PI = 2.0 * math.pi
-# largest scan: `wobble scan --n 2^18` peaks at 101 MB on a 20-bump terrain
-# and 313 MB on a 321 x 321 grid, whose height call gathers 16 (4, n) arrays
+# two feet share a scan row when their angles differ by a whole number of
+# grid steps to within this many radians: a fixed tolerance, far below any
+# grid step (2 pi / 2^18 = 2.4e-5) and above the rounding of a_i - a_r
+_SHARED_ROW_TOL = 1e-13
+# largest scan: `wobble scan --n 2^18` peaks at 100 MB on a 20-bump terrain.
+# On a 321 x 321 grid, whose height call gathers 16 (rows, n) arrays, it
+# peaks at 107 MB for the square (one shared row), 245 MB for the
+# half-hexagon (three rows) and 313 MB for four feet that share no row
 _MAX_SCAN = 1 << 18
 # half-width of the cap fit's grid of center offsets, as a fraction of the
 # feet's extent
@@ -98,9 +111,38 @@ class HeightScan:
         return float(self.g_values.mean() * _TWO_PI)
 
 
+def _shared_rows(angles, n: int):
+    """The scan's classes of feet: (representatives, [(class, shift)] per
+    foot). Foot i joins the class of the first earlier representative r
+    with a_i - a_r = s * 2 pi / n, s whole, to within _SHARED_ROW_TOL rad;
+    otherwise it starts a class of its own, with shift 0."""
+    step = _TWO_PI / n
+    reps, members = [], []
+    for a in angles:
+        for c, r in enumerate(reps):
+            s = np.rint((a - r) / step)
+            # False for a non-finite angle, which then starts its own class
+            if abs(a - r - s * step) <= _SHARED_ROW_TOL:
+                members.append((c, int(s)))
+                break
+        else:
+            members.append((len(reps), 0))
+            reps.append(a)
+    return reps, members
+
+
 def height_scan(table: TableSpec, terrain, center=(0.0, 0.0),
                 n: int = 4096) -> HeightScan:
-    """Scan all four foot heights over a uniform theta grid of size n."""
+    """Scan all four foot heights over a uniform theta grid of size n.
+
+    Feet whose angles differ by a whole number s of grid steps 2 pi / n, to
+    within 1e-13 rad, share one row: one terrain call evaluates the row of
+    each class's first foot r at theta_k + a_r, and a member foot i reads
+    np.roll(row_r, -s), its heights at theta_k + a_r + s 2 pi / n. So the
+    square table costs n terrain points, the half-hexagon (0, 60, 120 and
+    180 deg, where 0 and 180 share) 3n. A member's row can differ from its
+    own evaluation at theta_k + a_i by a few ulp, since the two sums of
+    angles round differently."""
     if n < 256 or (n & (n - 1)) != 0:
         raise DomainError(f"scan size must be a power of two >= 256, got {n}")
     if n > _MAX_SCAN:
@@ -111,13 +153,17 @@ def height_scan(table: TableSpec, terrain, center=(0.0, 0.0),
         raise DomainError(
             f"foot circle of radius {rho} at ({cx}, {cy}) leaves the terrain extent"
         )
-    alpha, beta = diagonal_intersection_ratios(*angles)
+    alpha, beta = table.diagonal_ratios
     thetas = _TWO_PI * np.arange(n) / n
-    scan = HeightScan(table=table, terrain=terrain, center=(cx, cy),
-                      thetas=thetas, heights=np.empty((4, n)), alpha=alpha,
-                      beta=beta)
-    scan.heights[:] = scan.heights_at(thetas)
-    return scan
+    reps, members = _shared_rows(angles, n)
+    # the same elementwise steps as HeightScan.heights_at, one row per class
+    t = np.add.outer(reps, thetas)
+    rows = 0.0 - terrain.height(cx + rho * np.cos(t), cy + rho * np.sin(t))
+    heights = np.empty((4, n))
+    for i, (c, s) in enumerate(members):
+        heights[i] = np.roll(rows[c], -s)
+    return HeightScan(table=table, terrain=terrain, center=(cx, cy),
+                      thetas=thetas, heights=heights, alpha=alpha, beta=beta)
 
 
 def integral_equality_residual(scan: HeightScan) -> float:
@@ -194,7 +240,7 @@ def approximate_equilibrium(table: TableSpec, terrain, center,
     """Surface contact points at a balance angle, with their coplanarity
     residual and the shape distortion relative to the rigid table."""
     rho, angles = table.as_circle
-    alpha, beta = diagonal_intersection_ratios(*angles)
+    alpha, beta = table.diagonal_ratios
     scale = table.char_length
     cx, cy = float(center[0]), float(center[1])
     q = np.empty((4, 3))
@@ -212,11 +258,11 @@ def approximate_equilibrium(table: TableSpec, terrain, center,
             f"(|g| = {g:.3e} > {tol:.1e})"
         )
     coplanarity = float(np.linalg.norm(combo))
-    ref = table.reference_distances()
+    ref = table.reference_distances
     dq = q[:, None, :] - q[None, :, :]
     dist = np.sqrt((dq * dq).sum(axis=-1))
     distortion = float(np.max(np.abs(dist - ref))) / scale
-    fitted = _best_rigid_fit(table.body_points(), q)
+    fitted = _best_rigid_fit(table.body_points, q)
     errs = [abs(float(p[2]) - terrain.height(float(p[0]), float(p[1]))) for p in fitted]
     return RestCandidate(theta=float(theta_bar), surface_points=q,
                          coplanarity_residual=coplanarity,
@@ -244,11 +290,17 @@ class ScalingStudy:
     reference_exponent: float = 3.0     # cubic-order reference claim
 
 
-def check_slope_levels(slope_levels) -> None:
-    """Raise DomainError unless every slope level (radians) is in [0, pi/2):
-    past 90 deg the tangent that scales the bumps turns negative."""
+def check_study(terrain, slope_levels) -> None:
+    """Raise DomainError unless distortion_scaling_study can start: every
+    slope level (radians) in [0, pi/2), since past 90 deg the tangent that
+    scales the bumps turns negative; at least 3 levels; and a bump terrain
+    with bumps to rescale."""
     for level in slope_levels:
         check_target_slope(float(level))
+    if len(slope_levels) < 3:
+        raise DomainError(f"need at least 3 slope levels, got {len(slope_levels)}")
+    if not isinstance(terrain, BumpTerrain) or not terrain.bumps:
+        raise DomainError("the scaling study needs a bump terrain with bumps")
 
 
 def distortion_scaling_study(table: TableSpec, terrain, slope_levels,
@@ -257,14 +309,8 @@ def distortion_scaling_study(table: TableSpec, terrain, slope_levels,
     and fit log(distortion) against log(slope). The height error of the best
     rigid fit gets its own exponent; both are reported next to the
     cubic-order reference without asserting it."""
-    from .terrain import BumpTerrain
-
     levels = [float(s) for s in slope_levels]
-    check_slope_levels(levels)
-    if len(levels) < 3:
-        raise DomainError(f"need at least 3 slope levels, got {len(levels)}")
-    if not isinstance(terrain, BumpTerrain) or not terrain.bumps:
-        raise DomainError("the scaling study needs a bump terrain with bumps")
+    check_study(terrain, levels)
     base_slope = terrain.slope_bound
     out = []
     for target in levels:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .balance import (
     approximate_equilibrium,
-    check_slope_levels,
+    check_study,
     distortion_scaling_study,
     find_balance_angles,
     height_scan,
@@ -397,9 +397,10 @@ def _make_table(args) -> TableSpec:
 def _cmd_scan(args) -> int:
     levels = ([math.radians(s) for s in _parse_numbers(args.study, "--study")]
               if args.study else None)
-    # a bad level fails before the scan writes its table
-    check_slope_levels(levels or ())
     terrain = _load_terrain(args.terrain)
+    # a study that cannot run fails before the scan
+    if levels is not None:
+        check_study(terrain, levels)
     table = _make_table(args)
     center = _parse_pair(args.center, "--center")
     scan = height_scan(table, terrain, center, args.n)
@@ -410,42 +411,49 @@ def _cmd_scan(args) -> int:
         row.extend(_fmt(float(scan.heights[k, i])) for k in range(4))
         row.append(_fmt(float(g[i])))
         lines.append(",".join(row))
-    _write_lines(args.out, lines)
 
-    residual = integral_equality_residual(scan)
+    # the whole report is made before the CSV is written, so a step that
+    # fails leaves neither behind
     found = find_balance_angles(scan)
-    print(f"table:           {table.kind} (alpha={scan.alpha:.6f}, beta={scan.beta:.6f})")
-    print(f"scan size:       {scan.n}")
-    print(f"integral spread: {residual:.3e}")
-    print(f"integral of g:   {scan.integral_of_g():.3e}")
-    print(f"scan csv:        {args.out}")
+    report = [
+        f"table:           {table.kind} (alpha={scan.alpha:.6f}, beta={scan.beta:.6f})",
+        f"scan size:       {scan.n}",
+        f"integral spread: {integral_equality_residual(scan):.3e}",
+        f"integral of g:   {scan.integral_of_g():.3e}",
+        f"scan csv:        {args.out}",
+    ]
     if found.degenerate:
-        print("balance angles:  degenerate (g vanishes identically; every "
-              "angle rests)")
-        return EXIT_OK
-    print(f"balance angles:  {len(found.roots)} "
-          f"({'even' if len(found.roots) % 2 == 0 else 'odd'})")
-    for theta in found.roots:
-        cand = approximate_equilibrium(table, terrain, center, theta)
-        print(f"  theta = {math.degrees(theta):9.4f} deg  "
-              f"coplanarity = {cand.coplanarity_residual:.3e}  "
-              f"distortion = {cand.distortion:.3e}")
-    if levels:
-        study = distortion_scaling_study(table, terrain, levels, center, args.n)
-        print("scaling study:")
-        for lv in study.levels:
-            if lv.distortion is None:
-                print(f"  slope {math.degrees(lv.target_slope):7.4f} deg: {lv.note}")
-            else:
-                print(f"  slope {math.degrees(lv.measured_slope):7.4f} deg: "
-                      f"distortion {lv.distortion:.6e}, "
-                      f"fit height err {lv.fit_height_error:.6e}")
-        print(f"  distortion exponent: {study.distortion_exponent:.4f} "
-              f"(log-log fit residual {study.distortion_fit_residual:.4f})")
-        print(f"  fit-height exponent: {study.height_exponent:.4f} "
-              f"(log-log fit residual {study.height_fit_residual:.4f})")
-        print(f"  reference claim:     order {study.reference_exponent:.0f} "
-              f"in the slope bound (not asserted)")
+        report.append("balance angles:  degenerate (g vanishes identically; every "
+                      "angle rests)")
+    else:
+        report.append(f"balance angles:  {len(found.roots)} "
+                      f"({'even' if len(found.roots) % 2 == 0 else 'odd'})")
+        for theta in found.roots:
+            cand = approximate_equilibrium(table, terrain, center, theta)
+            report.append(f"  theta = {math.degrees(theta):9.4f} deg  "
+                          f"coplanarity = {cand.coplanarity_residual:.3e}  "
+                          f"distortion = {cand.distortion:.3e}")
+        if levels:
+            study = distortion_scaling_study(table, terrain, levels, center, args.n)
+            report.append("scaling study:")
+            for lv in study.levels:
+                if lv.distortion is None:
+                    report.append(f"  slope {math.degrees(lv.target_slope):7.4f} deg: "
+                                  f"{lv.note}")
+                else:
+                    report.append(f"  slope {math.degrees(lv.measured_slope):7.4f} deg: "
+                                  f"distortion {lv.distortion:.6e}, "
+                                  f"fit height err {lv.fit_height_error:.6e}")
+            report += [
+                f"  distortion exponent: {study.distortion_exponent:.4f} "
+                f"(log-log fit residual {study.distortion_fit_residual:.4f})",
+                f"  fit-height exponent: {study.height_exponent:.4f} "
+                f"(log-log fit residual {study.height_fit_residual:.4f})",
+                f"  reference claim:     order {study.reference_exponent:.0f} "
+                f"in the slope bound (not asserted)",
+            ]
+    _write_lines(args.out, lines)
+    print("\n".join(report))
     return EXIT_OK
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConditionViolation, DomainError, GeometryViolation, NumericalFailure
-from .geometry import SlopeThresholds, rotate_about_axis
+from .geometry import SlopeThresholds, diagonal_intersection_ratios, rotate_about_axis
 from .ring import circle_surface_intersection
 
 _TWO_PI = 2.0 * math.pi
@@ -76,18 +77,32 @@ class TableSpec:
             return self.side
         return self.circle_radius * math.sqrt(2.0)
 
+    # the constants below are computed once per table, on first use, and
+    # stored in the instance __dict__ (a frozen dataclass still has one)
+    @cached_property
+    def diagonal_ratios(self) -> tuple[float, float]:
+        """(alpha, beta) of the foot diagonals' crossing, see
+        geometry.diagonal_intersection_ratios."""
+        return diagonal_intersection_ratios(*self.as_circle[1])
+
+    @cached_property
     def body_points(self) -> np.ndarray:
-        """Foot tips in the body frame, z = 0, centroid at the origin. (4,3)"""
+        """Foot tips in the body frame, z = 0, centroid at the origin. (4,3),
+        read-only."""
         rho, angles = self.as_circle
         pts = np.array([[rho * math.cos(a), rho * math.sin(a), 0.0] for a in angles])
         pts -= pts.mean(axis=0)
+        pts.setflags(write=False)
         return pts
 
+    @cached_property
     def reference_distances(self) -> np.ndarray:
-        """(4,4) matrix of rigid pairwise foot distances."""
-        b = self.body_points()
+        """(4,4) matrix of rigid pairwise foot distances, read-only."""
+        b = self.body_points
         d = b[:, None, :] - b[None, :, :]
-        return np.sqrt((d * d).sum(axis=-1))
+        dist = np.sqrt((d * d).sum(axis=-1))
+        dist.setflags(write=False)
+        return dist
 
 
 @dataclass(frozen=True)
@@ -122,7 +137,7 @@ class FootSet:
     def rigidity_residual(self, table: TableSpec) -> float:
         d = self.points[:, None, :] - self.points[None, :, :]
         return float(np.max(np.abs(np.sqrt((d * d).sum(axis=-1))
-                                   - table.reference_distances())))
+                                   - table.reference_distances)))
 
     def orientation_ok(self) -> bool:
         c = np.cross(self.p2 - self.p1, self.p3 - self.p2)
@@ -198,7 +213,7 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
         )
     scale = table.char_length
     tol = _SETTLE_TOL * scale
-    body = np.roll(table.body_points(), -label_shift, axis=0)
+    body = np.roll(table.body_points, -label_shift, axis=0)
     cx, cy = float(center_xy[0]), float(center_xy[1])
 
     flat = _posed_points(body, (cx, cy), yaw, 0.0, 0.0, 0.0)

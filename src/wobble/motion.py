@@ -346,7 +346,7 @@ def _squares(table: TableSpec, terrain, stage: str, params, foot1: np.ndarray,
     tol = _contact_tolerance(table)
     d = pts[:, :, None, :] - pts[:, None, :, :]
     rigidity = np.max(np.abs(np.sqrt((d * d).sum(axis=-1))
-                             - table.reference_distances()), axis=(1, 2))
+                             - table.reference_distances), axis=(1, 2))
     flags = (np.where(np.max(np.abs(heights[:, :3]), axis=1) > tol, _CONTACT, 0)
              | np.where(rigidity > 1e-9 * table.side, _RIGIDITY, 0)).astype(np.uint8)
     rows = {"params": np.asarray(params, dtype=float)[:m], "feet": pts,

@@ -53,15 +53,66 @@ def test_flat_scan_constant_and_degenerate(flat):
 def test_shift_identity_square(hills14):
     scan = height_scan(SQUARE, hills14, (0.4, 0.1), 4096)
     # feet 1 and 3 sit half a turn apart on the same circle
-    assert np.max(np.abs(scan.heights[2] - np.roll(scan.heights[0], -2048))) < 1e-12
-    assert np.max(np.abs(scan.heights[3] - np.roll(scan.heights[1], -2048))) < 1e-12
+    assert np.array_equal(scan.heights[2], np.roll(scan.heights[0], -2048))
+    assert np.array_equal(scan.heights[3], np.roll(scan.heights[1], -2048))
 
 
 def test_shift_identity_quarter_turns(hills12):
     scan = height_scan(SQUARE, hills12, (-0.3, 0.2), 4096)
     for i in (1, 2, 3):
         shift = i * 1024
-        assert np.max(np.abs(scan.heights[i] - np.roll(scan.heights[0], -shift))) < 1e-12
+        assert np.array_equal(scan.heights[i], np.roll(scan.heights[0], -shift))
+
+
+class CountingTerrain:
+    """Delegates to a terrain and records the point count of each array
+    height call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.points = []
+
+    def height(self, x, y):
+        if isinstance(x, np.ndarray):
+            self.points.append(np.broadcast(x, y).size)
+        return self.inner.height(x, y)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _circle_table(*degrees):
+    return TableSpec.circle(1.0, [math.radians(a) for a in degrees])
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("table, rows", [
+    (SQUARE, 1),
+    (HALF_HEX, 3),                          # 0 and 180 deg share a row
+    # 100, 190 and 280 deg lie quarter turns, n/4 steps, apart and share
+    # one row; 0 deg has its own
+    (_circle_table(0, 100, 190, 280), 2),
+    (_circle_table(0, 95, 190, 285), 4),    # no two a whole number of steps apart
+])
+def test_scan_evaluates_one_row_per_class_of_feet(hills14, table, rows, n):
+    ground = CountingTerrain(hills14)
+    height_scan(table, ground, (0.4, 0.1), n)
+    assert ground.points == [rows * n]
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("table", [SQUARE, HALF_HEX, _circle_table(0, 100, 190, 280)])
+@pytest.mark.parametrize("kind", ["bump", "grid", "cap"])
+def test_shared_rows_match_each_foots_own_evaluation(hills14, table, kind, n):
+    ground = {"bump": lambda: hills14,
+              "grid": lambda: GridTerrain.from_function(
+                  lambda x, y: 0.1 * math.sin(x) * math.cos(1.3 * y), EXT, 0.5),
+              "cap": lambda: SphericalCapGround(50.0)}[kind]()
+    scan = height_scan(table, ground, (0.4, 0.1), n)
+    own = scan.heights_at(scan.thetas)
+    assert np.max(np.abs(scan.heights - own)) <= 1e-13
+    # a class's first foot reads its own evaluation, bit for bit
+    assert np.array_equal(scan.heights[0], own[0])
 
 
 def test_integral_identity_square(hills14):
@@ -185,7 +236,7 @@ def test_approximate_equilibrium_tilted_plane(plane10):
     cand = approximate_equilibrium(SQUARE, plane10, (0.0, 0.0), 0.3)
     # planar ground: 3-D chords stretch over the rigid horizontal ones
     q = cand.surface_points
-    ref = SQUARE.reference_distances()
+    ref = SQUARE.reference_distances
     direct = 0.0
     for i in range(4):
         for j in range(4):

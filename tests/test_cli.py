@@ -29,6 +29,7 @@ from wobble.contact import TableSpec
 from wobble.motion import run_march, run_pivot_slide
 from wobble.terrain import (
     Extent,
+    GridTerrain,
     flat_terrain,
     generate_terrain,
     parse_terrain,
@@ -455,6 +456,26 @@ def test_scan_study_levels_checked_before_the_scan(levels, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ground, levels, message", [
+    ("grid", "2,4,8", "the scaling study needs a bump terrain with bumps"),
+    ("bumps", "2,4", "need at least 3 slope levels, got 2"),
+])
+def test_scan_study_that_cannot_run_leaves_no_csv(ground, levels, message,
+                                                   tmp_path, capsys):
+    terrain = tmp_path / "ground.json"
+    terrain.write_text(serialize_terrain(
+        generate_terrain(7, math.radians(10.0), 20, Extent(-8.0, 8.0, -8.0, 8.0))
+        if ground == "bumps" else
+        GridTerrain.from_function(lambda x, y: 0.05 * x * y, Extent(-2, 2, -2, 2), 0.5)))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--terrain", str(terrain), "--study", levels, "--n", "256",
+                 "--out", str(out)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == f"failure: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"type": "bumps", "bumps": [{"cx": None, "cy": 0, "amplitude": 1, "sigma": 1}]},
     {"type": "bumps", "extent": [-1, "x", -1, 1], "bumps": []},
@@ -544,7 +565,7 @@ def _refuse(*args):
 def test_scan_refuses_a_size_too_large_to_hold(n, tmp_path, capsys, monkeypatch):
     # 2^40 angles would be 32 TB of foot heights; the size is refused
     # before the scan computes anything that grows with it
-    monkeypatch.setattr("wobble.balance.diagonal_intersection_ratios", _refuse)
+    monkeypatch.setattr("wobble.contact.diagonal_intersection_ratios", _refuse)
     terrain = tmp_path / "flat.json"
     terrain.write_text(serialize_terrain(flat_terrain()))
     out = tmp_path / "scan.csv"

@@ -761,6 +761,22 @@ def test_grid_flat_gather_matches_two_index_reads():
         assert g.gradient(float(x[k]), float(y[k])) == (float(gx[k]), float(gy[k]))
 
 
+@pytest.mark.parametrize("shape", [(321, 321), (2, 2), (2, 7), (5, 2)])
+def test_grid_node_derivatives_equal_np_gradient(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    h = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    d = 0.025
+    g = GridTerrain((0.0, 0.0), d, h)
+    fx = np.gradient(h, d, axis=1) * d
+    expected = (fx, np.gradient(h, d, axis=0) * d, np.gradient(fx, d, axis=0) * d)
+    for got, want in zip((g._fx, g._fy, g._fxy), expected):
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+    # the raveled node arrays are views of them
+    assert all(np.shares_memory(a, b) for a, b in
+               zip(g._flat, (g.heights, g._fx, g._fy, g._fxy)))
+
+
 def test_grid_refuses_heights_that_overflow_the_node_derivatives():
     # finite heights of +-1.7e308 overflow the node differences, which
     # would make every height NaN; the grid is refused with no
