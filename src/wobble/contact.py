@@ -14,12 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConditionViolation, DomainError, GeometryViolation, NumericalFailure
-from .geometry import SlopeThresholds, diagonal_intersection_ratios, rotate_about_axis
+from .errors import DomainError, GeometryViolation, NumericalFailure
+from .geometry import diagonal_intersection_ratios, rotate_about_axis
 from .ring import circle_surface_intersection
 
 _TWO_PI = 2.0 * math.pi
-_SLOPES = SlopeThresholds()
 # relative tolerance on a square corner's edge lengths and its right angle
 _CORNER_TOL = 1e-6
 # settling stops once every contact residual is below this fraction of the
@@ -56,6 +55,8 @@ class TableSpec:
         angles = tuple(float(a) for a in foot_angles)
         if len(angles) != 4:
             raise DomainError(f"need exactly 4 foot angles, got {len(angles)}")
+        if not all(math.isfinite(a) for a in angles):
+            raise DomainError("foot angles must be finite")
         gaps = [(angles[(i + 1) % 4] - angles[i]) % _TWO_PI for i in range(4)]
         if any(g <= 1e-12 for g in gaps) or abs(sum(gaps) - _TWO_PI) > 1e-9:
             raise DomainError("foot angles must be strictly increasing mod 2*pi")
@@ -203,14 +204,9 @@ def settle_three_feet(table: TableSpec, terrain, center_xy, yaw: float,
     Damped Newton iteration on (height, pitch, roll) from a horizontal guess
     at the local mean terrain height. label_shift rotates the foot labels
     cyclically before solving, which targets a different contact triple of
-    the same physical table.
+    the same physical table. It gates no slope: its caller refuses terrain
+    sloped 45 deg or more.
     """
-    if terrain.slope_bound >= _SLOPES.half_circle_unique:
-        raise ConditionViolation(
-            f"settling needs terrain slope below "
-            f"{_SLOPES.half_circle_unique_deg:.4f} deg, measured "
-            f"{math.degrees(terrain.slope_bound):.4f} deg"
-        )
     scale = table.char_length
     tol = _SETTLE_TOL * scale
     body = np.roll(table.body_points, -label_shift, axis=0)
@@ -319,10 +315,10 @@ def drop_rotate(feet: FootSet, terrain) -> DropRotation:
 
     Foot 4 turns on the circle about the axis p3 - p2 whose center is its
     projection onto the axis. It lands where that circle meets the ground on
-    the table's side of the axis: `ring.circle_surface_intersection` with
-    its slope gate off, whose 1-degree scan certifies the crossing, so a
-    circle that crosses the ground more than twice raises
-    ConditionViolation. An airborne free foot turns down and a sunken one
+    the table's side of the axis: `ring.circle_surface_intersection`, whose
+    1-degree scan certifies the crossing, so a circle that crosses the
+    ground more than twice raises ConditionViolation. It gates no slope:
+    the caller does. An airborne free foot turns down and a sunken one
     up; the angle is the signed turn about p3 - p2. The same rotation drags
     foot 1 along to the other side of the surface.
     """
@@ -337,7 +333,7 @@ def drop_rotate(feet: FootSet, terrain) -> DropRotation:
     center = p2 + float(np.dot(p4 - p2, u)) * u
     start = p4 - center
     landed = circle_surface_intersection(center, axis, float(np.linalg.norm(start)),
-                                         terrain, enforce_slope=False)
+                                         terrain)
     end = landed - center
     angle = math.atan2(float(np.dot(u, np.cross(start, end))), float(np.dot(start, end)))
     companion = rotate_about_axis(p1, p2, p3, angle)

@@ -13,6 +13,14 @@ a stage's samples, and `_check_endpoints` checks that the path ends one
 labeling further; `_breach` raises each condition breach, or records it as
 a warning under override.
 
+Every slope gate is here, each comparing the terrain's `slope_bound` with a
+`SlopeThresholds` limit; `ring` and `contact` gate none and refuse only a
+row that fails their own 1-degree certificates. `_start` gates the motion's
+slope (`_GATES`: 14.47 deg for the march, 35.264 deg for the pivot-slide)
+through `_breach`, then settling's (45 deg), raised even under override;
+`run_march` gates the curve's (30 deg) before the ring trace, through
+`_breach`.
+
 Each stage places all its samples before recording any. Feet 1 and 2 come
 first. The pivot stage solves every foot 1 at once with the blocked
 half-circle kernel (ring.half_circle_crossings). The slide stage puts each
@@ -236,8 +244,8 @@ def _breach(trace: MotionTrace, error: type, msg: str,
 
 def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
            step: float, override: bool) -> tuple[MotionTrace, float]:
-    """Check the step and the yaw, gate the slope, check the workspace,
-    settle and drop the free foot.
+    """Check the step and the yaw, gate the motion's slope, check the
+    workspace, gate settling's slope, settle and drop the free foot.
 
     Settling prefers a labeling whose free foot starts on or above the
     ground (an odd relabel usually swaps the rocking diagonal), but accepts
@@ -263,6 +271,12 @@ def _start(kind: str, table: TableSpec, terrain, center_xy, yaw: float,
             f"workspace of radius {reach} around ({center_xy[0]}, {center_xy[1]}) "
             f"does not fit inside the terrain extent with the required margin"
         )
+    # settling's gate holds under override too
+    if slope >= _SLOPES.half_circle_unique:
+        raise ConditionViolation(
+            f"settling needs terrain slope below "
+            f"{_SLOPES.half_circle_unique_deg:.4f} deg, measured "
+            f"{math.degrees(slope):.4f} deg")
     tol = _contact_tolerance(table)
     feet0 = settle_three_feet(table, terrain, center_xy, yaw)
     state0 = signed_heights(feet0, terrain, tolerance=tol)
@@ -436,6 +450,12 @@ def run_march(table: TableSpec, terrain, center_xy=(0.0, 0.0), yaw: float = 0.0,
     top = n + int(math.ceil(gap23 * n / gap12)) + 6
     offsets = gap12 * np.arange(-4, top + 1) / n
     azimuths = phi_start + offsets
+    slope = terrain.slope_bound
+    if slope >= _SLOPES.no_double_point:
+        _breach(trace, ConditionViolation,
+                f"curve tracing needs terrain slope below "
+                f"{_SLOPES.no_double_point_deg:.4f} deg, measured "
+                f"{math.degrees(slope):.4f} deg")
     ring = trace_ring(sphere, terrain, azimuths, side, enforce=not override)
     trace.warnings.extend(ring.warnings)
     trace.ring = ring

@@ -3,12 +3,13 @@ and the ground crossings of the foot circles that close the table's square.
 
 Under a terrain slope below 30 degrees the curve is a graph over the azimuth
 about the vertical axis through the sphere center: each vertical half-plane
-meets it exactly once, so every point is a 1-D root in latitude. The trace
-solves the curve at the azimuths it is given (the march's samples and a few
-nodes either side), with every latitude inside twice the slope, and keeps
-the polyline for warm starts. Every root is refined inside a certified
-bracket: a 1-degree sign scan ahead of each fresh bracket makes a breach of
-the uniqueness conditions surface as an error instead of a wrong answer.
+meets it exactly once, so every point is a 1-D root in latitude. No function
+here gates the slope; the motions do, in `motion.py`. The trace solves the
+curve at the azimuths it is given (the march's samples and a few nodes
+either side), with every latitude inside twice the slope, and keeps the
+polyline for warm starts. Every root is refined inside a certified bracket:
+a 1-degree sign scan ahead of each fresh bracket makes a breach of the
+uniqueness conditions surface as an error instead of a wrong answer.
 
 Every circle crossing here goes through one kernel, `_solve_circles`: it
 scans many circles at once in blocks of _BLOCK_ROWS rows, checks each row's
@@ -28,11 +29,11 @@ azimuth with its own latitude band and certificate. The march reads each
 foot 1 off those nodes; `GroundRing.node` is the one-row call of the same
 band and certificate, so a re-solve at a traced azimuth gives that node's
 point bit for bit. `circle_surface_intersection` is the one-row call of
-`circle_crossings`; `contact.drop_rotate` lands the free foot with it,
-slope gate off. These one-row calls raise their row's error. Only the
-march's chord search still solves scalar roots: `chord_advance` probes its
-bracket at five azimuths and refines the one probe cell that holds the sign
-change with Brent's method (roots.bracketed_root), on curve points from the
+`circle_crossings`; `contact.drop_rotate` lands the free foot with it.
+These one-row calls raise their row's error. Only the march's chord search
+still solves scalar roots: `chord_advance` probes its bracket at five
+azimuths and refines the one probe cell that holds the sign change with
+Brent's method (roots.bracketed_root), on curve points from the
 warm-started scalar solve `GroundRing.point_at`.
 
 The scan evaluates a grid node only where it can change a sign. Each block
@@ -158,21 +159,13 @@ _CIRCLE_LEFT = np.sin(0.5 * (_CIRCLE.ts[:-1] + _CIRCLE.ts[1:])) > 0.0
 _HALF = _angle_grid(np.linspace(-math.pi / 2.0, math.pi / 2.0, 181))
 
 
-def ring_point(sphere: Sphere, terrain, azimuth: float,
-               enforce_slope: bool = True) -> tuple[np.ndarray, float]:
+def ring_point(sphere: Sphere, terrain, azimuth: float) -> tuple[np.ndarray, float]:
     """Point of the sphere/ground curve in the vertical half-plane at
     `azimuth`, with its latitude: the one-row call of
-    `half_circle_crossings` about the sphere center, after the 30 deg slope
-    gate unless enforce_slope is False.
+    `half_circle_crossings` about the sphere center. It gates no slope; its
+    scan's straddle and single-crossing certificates refuse a row they do
+    not hold for.
     """
-    if enforce_slope:
-        slope = terrain.slope_bound
-        if slope >= _SLOPES.no_double_point:
-            raise ConditionViolation(
-                f"curve tracing needs terrain slope below "
-                f"{_SLOPES.no_double_point_deg:.4f} deg for a unique azimuth "
-                f"graph, measured {math.degrees(slope):.4f} deg"
-            )
     points, lams, errors = half_circle_crossings(sphere.center, [azimuth],
                                                  sphere.radius, terrain)
     if errors:
@@ -252,7 +245,7 @@ class GroundRing:
             hi = min(hint + width, math.pi / 2.0)
         else:
             # warm bracketing failed; fall back to the certified scan
-            return ring_point(self.sphere, self.terrain, azimuth, enforce_slope=False)
+            return ring_point(self.sphere, self.terrain, azimuth)
         lam = bracketed_root(height_gap, lo, hi, f_lo=g_lo, f_hi=g_hi)
         cl = math.cos(lam)
         point = np.array([ox + r * cl * cphi, oy + r * cl * sphi, oz + r * math.sin(lam)])
@@ -304,9 +297,13 @@ def trace_ring(sphere: Sphere, terrain, azimuths, chord_length: float,
 
     The azimuths must be finite and strictly increasing, at least two, and
     no two neighbours may lie farther apart than keeps 100 samples per
-    chord of chord_length. Every traced latitude must stay strictly inside
-    twice the terrain slope bound (raise, or record a warning when enforce
-    is False).
+    chord of chord_length. The trace gates no slope: its caller keeps the
+    terrain's slope bound below 30 deg, where the curve is an azimuth
+    graph. Every azimuth must cross the ground once in the latitude band,
+    every traced latitude must stay strictly inside twice the terrain slope
+    bound, and neighbouring points must lie within the spacing the slope
+    allows (each breach raises ConditionViolation, or is recorded as a
+    warning when enforce is False).
     """
     phis = np.array(azimuths, dtype=float)
     gaps = np.diff(phis)
@@ -316,13 +313,12 @@ def trace_ring(sphere: Sphere, terrain, azimuths, chord_length: float,
                           "increasing values")
     slope = terrain.slope_bound
     warnings: list[str] = []
-    if slope >= _SLOPES.no_double_point:
-        msg = (f"curve tracing needs terrain slope below "
-               f"{_SLOPES.no_double_point_deg:.4f} deg, "
-               f"measured {math.degrees(slope):.4f} deg")
+
+    def breach(msg: str) -> None:
         if enforce:
             raise ConditionViolation(msg)
         warnings.append(msg)
+
     widest = float(gaps.max())
     cap = 2.0 * math.asin(chord_length / (200.0 * sphere.radius))
     if widest > cap * (1.0 + 1e-9):
@@ -339,20 +335,14 @@ def trace_ring(sphere: Sphere, terrain, azimuths, chord_length: float,
     pts, lams, counts = _band_crossings(sphere, terrain, phis, grid)
     if np.any(counts != 1):
         bad = int(np.argmax(counts != 1))
-        msg = _double_point(float(phis[bad]), int(counts[bad]))
-        if enforce:
-            raise ConditionViolation(msg)
-        warnings.append(msg)
+        breach(_double_point(float(phis[bad]), int(counts[bad])))
 
     worst_lat = float(np.max(np.abs(lams)))
     latitude_bound = 2.0 * slope
     # flat ground degenerates to latitude == bound == 0; only a real excess counts
     if worst_lat >= latitude_bound and worst_lat > 1e-12:
-        msg = (f"traced latitude {math.degrees(worst_lat):.4f} deg reaches the "
+        breach(f"traced latitude {math.degrees(worst_lat):.4f} deg reaches the "
                f"bound {math.degrees(latitude_bound):.4f} deg (twice the slope)")
-        if enforce:
-            raise ConditionViolation(msg)
-        warnings.append(msg)
     seg = np.diff(pts, axis=0)
     spacing = float(np.max(np.sqrt((seg * seg).sum(axis=1))))
     # the curve's tangent is tangent to the ground, so its inclination stays
@@ -365,10 +355,7 @@ def trace_ring(sphere: Sphere, terrain, azimuths, chord_length: float,
         speed_factor = max(speed_factor, c2 / math.sqrt(c2 - s2))
     cap = 2.0 * sphere.radius * math.sin(widest / 2.0) * speed_factor * (1.0 + 1e-3)
     if spacing > cap:
-        msg = f"adjacent trace points spaced {spacing:.3e}, cap {cap:.3e}"
-        if enforce:
-            raise ConditionViolation(msg)
-        warnings.append(msg)
+        breach(f"adjacent trace points spaced {spacing:.3e}, cap {cap:.3e}")
 
     return GroundRing(sphere=sphere, terrain=terrain, step=widest,
                       azimuths=phis, latitudes=lams, points=pts,
@@ -662,21 +649,12 @@ def half_circle_crossings(centers, azimuths, radius: float, terrain):
 
 
 def circle_surface_intersection(center: np.ndarray, axis_dir: np.ndarray,
-                                radius: float, terrain,
-                                enforce_slope: bool = True) -> np.ndarray:
+                                radius: float, terrain) -> np.ndarray:
     """Where the circle about `axis_dir` through `center` meets the ground
     left of the axis direction seen from above: the one-row call of
-    `circle_crossings`, after the 35.264 deg slope gate unless enforce_slope
-    is False.
+    `circle_crossings`. It gates no slope; its scan's certificates refuse a
+    row they do not hold for.
     """
-    if enforce_slope:
-        slope = terrain.slope_bound
-        if slope >= _SLOPES.legs_clear:
-            raise ConditionViolation(
-                f"circle/ground intersection needs slope below "
-                f"{_SLOPES.legs_clear_deg:.4f} deg, "
-                f"measured {math.degrees(slope):.4f} deg"
-            )
     points, errors = circle_crossings(np.asarray(center, dtype=float)[None, :],
                                       np.asarray(axis_dir, dtype=float)[None, :],
                                       radius, terrain)

@@ -426,6 +426,53 @@ def test_march_solve_on_special_values_exits_with_a_documented_code(
             assert not out.exists()
 
 
+# the ordinary foot angles, in degrees: a square on the unit circle
+_ANGLES = (10.0, 100.0, 190.0, 280.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(circle=st.one_of(st.none(), _SPECIAL, st.just(1.0)),
+       angles=st.tuples(*(st.one_of(_SPECIAL, st.just(a)) for a in _ANGLES)),
+       center=st.tuples(st.one_of(_SPECIAL, st.just(0.5)),
+                        st.one_of(_SPECIAL, st.just(-0.5))),
+       side=st.one_of(_SPECIAL, st.just(1.0)))
+def test_scan_on_special_values_exits_with_a_documented_code(
+        terrain10, circle, angles, center, side):
+    # without --circle the scan takes the --side square and ignores --angles;
+    # a warning would be a second stderr line, so warnings raise here
+    args = ["scan", "--terrain", str(terrain10), "--n", "256", f"--side={side!r}",
+            f"--angles={','.join(repr(a) for a in angles)}",
+            f"--center={center[0]!r},{center[1]!r}"]
+    if circle is not None:
+        args.append(f"--circle={circle!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "scan.csv"
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            code = main([*args, "--out", str(out)])
+        assert code in (0, 2, 3, 4, 64)
+        if code in (0, 2):
+            assert out.exists()
+        else:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("angles", ["0,90,180,inf", "0,nan,120,180", "-inf,0,90,180"])
+def test_scan_refuses_a_non_finite_foot_angle(angles, terrain10, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan", "--terrain", str(terrain10), "--circle", "1",
+                     f"--angles={angles}", "--out", str(out)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: foot angles must be finite\n"
+    assert not out.exists()
+
+
 def test_campaign_residuals_are_the_march_trace_residuals():
     # the campaign derives both residual columns from the trace's feet,
     # heights and sphere; recompute them from a fresh march

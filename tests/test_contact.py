@@ -37,6 +37,12 @@ def test_circle_table_rejects_bad_angle_order():
         TableSpec.circle(1.0, [0.0, 3.0, 1.0, 5.0])
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_circle_table_foot_angles_must_be_finite(angle):
+    with pytest.raises(DomainError, match="foot angles must be finite"):
+        TableSpec.circle(1.0, [0.0, 1.0, 2.0, angle])
+
+
 def test_signed_heights_flat(flat):
     feet = FootSet(np.array([
         [-0.5, -0.5, 0.0], [0.5, -0.5, 0.0], [0.5, 0.5, 0.0], [-0.5, 0.5, 0.0],

@@ -80,13 +80,22 @@ def test_march_steep_slope_refused():
         run_march(TABLE, steep)
 
 
-@pytest.mark.parametrize("run, seed, degrees",
-                         [(run_march, 7, 16.0), (run_pivot_slide, 1, 36.0)],
-                         ids=["march", "pivot_slide"])
-def test_override_runs_past_limit(run, seed, degrees):
+_MARCH_PAST = "terrain slope {} deg exceeds the monotone-march limit 14.4700 deg"
+
+
+@pytest.mark.parametrize("run, seed, degrees, warnings", [
+    (run_march, 7, 16.0, [_MARCH_PAST.format("16.0000")]),
+    (run_pivot_slide, 1, 36.0,
+     ["terrain slope 36.0000 deg exceeds the pivot-slide limit 35.2644 deg"]),
+    # past the curve's 30 deg gate too, which run_march records in turn
+    (run_march, 5, 32.0,
+     [_MARCH_PAST.format("32.0000"),
+      "curve tracing needs terrain slope below 30.0000 deg, measured 32.0000 deg"]),
+], ids=["march", "pivot_slide", "march_past_curve_gate"])
+def test_override_runs_past_limit(run, seed, degrees, warnings):
     steep = generate_terrain(seed, math.radians(degrees), 20, EXT)
     trace = run(TABLE, steep, override=True)
-    assert any("exceeds" in w for w in trace.warnings)
+    assert trace.warnings == warnings
     result = find_equilibrium(trace, steep)
     assert result.found
 
@@ -273,6 +282,11 @@ def test_slope_gates_at_their_limits():
     assert trace.degenerate_start and not trace.warnings
     with pytest.raises(ConditionViolation, match="14.47"):
         run_march(TABLE, _pinned_flat(th.monotone_march + 2e-12))
+    # settling's 45 deg gate refuses even under override
+    for run in (run_march, run_pivot_slide):
+        with pytest.raises(ConditionViolation, match="settling needs terrain slope "
+                                                     "below 45.0000 deg, measured 45.0000"):
+            run(TABLE, _pinned_flat(th.half_circle_unique), override=True)
 
 
 @pytest.mark.parametrize("step, message", [

@@ -40,33 +40,19 @@ def test_ring_point_flat_equator(flat):
     assert lam == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ring_point_steep_terrain_refused():
-    steep = generate_terrain(2, math.radians(34.0), 20, EXT)
-    s = Sphere(center=np.array([0.0, 0.0, 0.0]), radius=1.0)
-    with pytest.raises(ConditionViolation, match="30"):
-        ring_point(s, steep, 0.0)
-    with pytest.raises(ConditionViolation, match="30"):
-        trace_ring(s, steep, _azimuths(STEP), 1.0)
-
-
-def test_trace_ring_override_records_the_slope_breach():
-    steep = generate_terrain(2, math.radians(32.0), 20, EXT)
-    s = Sphere(center=np.array([0.3, -0.2, steep.height(0.3, -0.2)]), radius=0.75)
-    ring = trace_ring(s, steep, _azimuths(STEP), 1.0, enforce=False)
-    assert ring.warnings[0] == ("curve tracing needs terrain slope below 30.0000 "
-                                "deg, measured 32.0000 deg")
-
-
 def test_ring_point_is_the_one_row_half_circle_crossing(hills14):
-    sphere = Sphere(center=np.array([0.3, -0.2, hills14.height(0.3, -0.2)]),
-                    radius=0.75)
-    for azimuth in np.linspace(-math.pi, math.pi, 24, endpoint=False):
-        point, lam = ring_point(sphere, hills14, float(azimuth))
-        points, lams, errors = half_circle_crossings(
-            sphere.center[None, :], [float(azimuth)], 0.75, hills14)
-        assert not errors
-        assert point.tobytes() == points[0].tobytes()
-        assert lam == lams[0]
+    # ring_point gates no slope: on 34 deg terrain, past the curve's 30 deg
+    # limit, it is still the kernel's one-row call
+    for terrain in (hills14, generate_terrain(2, math.radians(34.0), 20, EXT)):
+        sphere = Sphere(center=np.array([0.3, -0.2, terrain.height(0.3, -0.2)]),
+                        radius=0.75)
+        for azimuth in np.linspace(-math.pi, math.pi, 24, endpoint=False):
+            point, lam = ring_point(sphere, terrain, float(azimuth))
+            points, lams, errors = half_circle_crossings(
+                sphere.center[None, :], [float(azimuth)], 0.75, terrain)
+            assert not errors
+            assert point.tobytes() == points[0].tobytes()
+            assert lam == lams[0]
 
 
 def test_trace_on_tilted_plane_is_the_analytic_circle(plane10):
@@ -228,14 +214,7 @@ def test_circle_intersection_four_crossings_flagged():
     # a tall thin ridge pokes through one side of the circle twice
     terrain = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)
     with pytest.raises(ConditionViolation, match="times"):
-        circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7,
-                                    terrain, enforce_slope=False)
-
-
-def test_circle_intersection_steep_slope_refused():
-    steep = generate_terrain(2, math.radians(40.0), 20, EXT)
-    with pytest.raises(ConditionViolation, match="35.26"):
-        circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7, steep)
+        circle_surface_intersection(np.zeros(3), np.array([1.0, 0, 0]), 0.7, terrain)
 
 
 def test_circle_intersection_vertical_axis_rejected(flat):
@@ -282,8 +261,7 @@ def test_kernel_rows_equal_one_row_calls(hills14):
     points, errors = circle_crossings(centers, axes, 0.9, hills14)
     assert not errors
     for k in range(len(centers)):
-        one = circle_surface_intersection(centers[k], axes[k], 0.9, hills14,
-                                          enforce_slope=False)
+        one = circle_surface_intersection(centers[k], axes[k], 0.9, hills14)
         assert np.array_equal(one, points[k])
     psis = np.linspace(-math.pi, math.pi, 40)
     feet, betas, errors = half_circle_crossings(centers[0], psis, 0.9, hills14)
@@ -306,8 +284,7 @@ def test_kernel_failures_keep_their_types_per_row():
     assert isinstance(errors[2], GeometryViolation) and "at all" in str(errors[2])
     assert np.all(np.isfinite(points[0])) and np.all(np.isnan(points[1:]))
     with pytest.raises(GeometryViolation, match="top"):
-        circle_surface_intersection(centers[1], x_axis, 0.7, steep,
-                                    enforce_slope=False)
+        circle_surface_intersection(centers[1], x_axis, 0.7, steep)
     # a ridge through one side of the circle: four crossings
     ridge = BumpTerrain([(0.0, 0.52, 0.62, 0.055)], EXT)
     centers = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 0.0]])
